@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo check: lint (when ruff is available) + tier-1 test suite.
+# Repo check: lint (when ruff is available) + tier-1 test suite + the
+# benchmark's self-tests.
 #
 # Usage: scripts/check.sh [--faults] [--degrade] [--serve] [--metrics]
 #        [extra pytest args...]
@@ -46,6 +47,9 @@ fi
 
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -x -q "$@"
+
+echo "== benchmark self-tests (perfbench) =="
+python -m pytest perfbench -q
 
 if [[ "$run_faults_smoke" == 1 ]]; then
     echo "== fault-injection smoke campaign =="

@@ -16,7 +16,7 @@ Let block ``c`` start at orthonormal column ``j``.  MPK's output satisfies
 the Krylov relation ``A [q_j, w_1 … w_{s-1}] = [q_j, w_1 … w_s] B_c`` with
 ``B_c`` the change-of-basis matrix, and orthogonalization expresses the raw
 vectors in the Q basis: ``w_i = Q C[:, i] + Q_new R[:, i]``.  Collecting the
-coefficient columns ``E_c = [e_j | cycle-R̲ columns]``, the cycle satisfies
+coefficient columns ``E_c = [e_j | (C; R)]``, the cycle satisfies
 
     A Q S = Q G,   with  S = [… E_c[:, 0:s_c] …],  G = [… E_c B_c …],
 
@@ -24,6 +24,11 @@ so ``H̲ = G S_m^{-1}`` is the (t+1) x t upper Hessenberg matrix of the
 cycle (S_m is upper triangular with TSQR's positive diagonal).  The
 least-squares problem ``min_z ||β e_1 - H̲ z||`` is then solved exactly as
 in standard GMRES, and ``x += Q_{1:t} z``.
+
+:func:`_orthogonalize` is the library's one BOrth + TSQR path
+(reorthogonalization, CAQR fallback, Fig. 13 error log) and
+:class:`_BlockHessenberg` its one block-to-Hessenberg assembly; the
+CA-Arnoldi eigensolver (:mod:`repro.core.eigen`) runs on both.
 
 Breakdowns: CholQR fails (Cholesky of a numerically indefinite Gram matrix)
 when the MPK basis is too ill-conditioned; by default the affected block
@@ -35,72 +40,61 @@ failure mode instead.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import scipy.linalg
 
-from ..dist.matrix import DistributedMatrix
-from ..dist.multivector import DistMultiVector, DistVector
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
 from ..mpk.matrix_powers import MatrixPowersKernel
 from ..mpk.shifts import ShiftOp, monomial_shift_ops, newton_shift_ops
-from ..order.partition import Partition, block_row_partition
+from ..order.partition import Partition
 from ..orth.borth import borth
-from ..orth.errors import CholeskyBreakdown
-from ..orth.tsqr import tsqr
 from ..orth.errors import (
+    CholeskyBreakdown,
     elementwise_error,
     factorization_error,
     orthogonality_error,
 )
+from ..orth.tsqr import tsqr
 from ..sparse.csr import CsrMatrix
-from .balance import balance_matrix
 from .basis import build_change_of_basis, ritz_values
-from .convergence import ConvergenceHistory, SolveResult
-from .degrade import DegradationManager, DegradePolicy
+from .convergence import SolveResult
+from .degrade import DegradePolicy
 from .gmres import (
+    RestartedRun,
     checked_true_residual,
     compute_residual,
-    gathered_solution,
     normalize_first_column,
     run_gmres_cycle,
     update_solution,
 )
 from .lsq import hessenberg_lstsq
-from .resilience import (
-    MAX_PANEL_RETRIES,
-    RECOVERABLE_FAULTS,
-    guard_finite,
-    run_cycle_resilient,
-)
+from .resilience import MAX_PANEL_RETRIES, RECOVERABLE_FAULTS, guard_finite
 
-__all__ = ["ca_gmres", "CaGmresRun"]
+__all__ = ["ca_gmres", "CaGmresRun", "mpk_block_lengths"]
 
 
-class CaGmresRun:
-    """One CA-GMRES(s, m) solve as a resumable object.
+def mpk_block_lengths(s: int, m: int) -> tuple[int, ...]:
+    """Block lengths a CA-GMRES(s, m) cycle runs MPK with: ``s`` and the
+    ``m % s`` tail (the structural plan prebuilds one kernel per length)."""
+    return tuple(sorted({s, m % s} - {0}))
 
-    The historical :func:`ca_gmres` driver is ``CaGmresRun(...).result()``.
-    The object form exists for the serving layer (:mod:`repro.serve`):
-    :meth:`step` advances the solve by exactly one restart cycle, so a
-    batched frontend can interleave the restart cycles of many right-hand
-    sides on one context, and a prebuilt structural ``plan`` (see
-    :class:`repro.serve.plan.StructuralPlan`) lets repeated solves against
-    the same matrix reuse the ordering, partition, distributed matrix, MPK
-    dependency closure, and exchange index sets instead of recomputing them
-    per solve.  Numerics are unaffected: a plan-driven solve is
-    bit-identical to a cold one.
+
+class CaGmresRun(RestartedRun):
+    """CA-GMRES(s, m) (Fig. 2) on the shared restart loop.
+
+    The CA-specific arguments are as in :func:`ca_gmres`; every other
+    argument is documented on :class:`~repro.core.gmres.RestartedRun`.
+    With a structural ``plan`` the MPK dependency closures are reused as
+    well.
     """
+
+    name = "ca_gmres"
 
     def __init__(
         self,
-        matrix: CsrMatrix,
-        b: np.ndarray,
-        ctx: MultiGpuContext | None = None,
-        n_gpus: int = 1,
-        partition: Partition | None = None,
+        matrix,
+        b,
         s: int = 15,
         m: int = 60,
         basis: str = "newton",
@@ -109,142 +103,52 @@ class CaGmresRun:
         borth_method: str = "cgs",
         reorth: int = 1,
         use_mpk: bool = True,
-        tol: float = 1e-4,
-        max_restarts: int = 500,
-        balance: bool = True,
-        x0: np.ndarray | None = None,
         on_breakdown: str = "fallback",
         collect_tsqr_errors: bool = False,
         adaptive_s: bool = False,
-        preconditioner=None,
         max_panel_retries: int = MAX_PANEL_RETRIES,
-        degrade: DegradePolicy | None = None,
-        deadline: float | None = None,
-        plan=None,
-        on_cycle=None,
+        **kwargs,
     ):
-        if matrix.n_rows != matrix.n_cols:
-            raise ValueError("ca_gmres requires a square matrix")
-        n = matrix.n_rows
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (n,):
-            raise ValueError(f"b must have shape ({n},), got {b.shape}")
-        if b.size and not np.all(np.isfinite(b)):
-            raise ValueError("b contains non-finite entries")
-        if not 1 <= s <= m:
-            raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
-        if m > n:
-            raise ValueError(f"restart length m={m} exceeds problem size {n}")
-        if basis not in ("newton", "monomial"):
-            raise ValueError(f"unknown basis {basis!r}")
-        if on_breakdown not in ("fallback", "raise"):
-            raise ValueError(f"unknown on_breakdown {on_breakdown!r}")
-        if ctx is None:
-            ctx = MultiGpuContext(n_gpus)
-        elif ctx.inactive_devices:
-            # A previous degraded solve left the roster shrunken; restore the
-            # full device set (and pristine fault state) before partitioning.
-            ctx.reset_clocks()
-        self.ctx = ctx
-        self.plan = plan
-        self.s = int(s)
-        self.m = int(m)
+        self.s = s
         self.basis = basis
         self.tsqr_method = tsqr_method
         self.tsqr_variant = tsqr_variant
         self.borth_method = borth_method
         self.reorth = reorth
         self.use_mpk = use_mpk
-        self.max_restarts = int(max_restarts)
         self.on_breakdown = on_breakdown
-        self.collect_tsqr_errors = collect_tsqr_errors
         self.max_panel_retries = max_panel_retries
-        self._mpk_lengths = sorted({self.s, self.m % self.s} - {0})
-
-        if plan is not None:
-            if partition is not None:
-                raise ValueError("pass either plan= or partition=, not both")
-            if plan.V.n_cols != m + 1:
-                raise ValueError(
-                    f"plan was built for m={plan.V.n_cols - 1}, solve requested m={m}"
-                )
-            partition = plan.partition
-            if partition.n_parts != ctx.n_gpus:
-                raise ValueError("plan partition does not match the active roster")
-            preconditioner = plan.preconditioner
-            bal = plan.bal
-            A_solve = plan.operator
-        else:
-            if partition is None:
-                partition = block_row_partition(n, ctx.n_gpus)
-            A_pre = preconditioner.fold(matrix) if preconditioner is not None else matrix
-            bal = balance_matrix(A_pre) if balance else None
-            A_solve = bal.matrix if bal is not None else A_pre
-        b_solve = bal.scale_rhs(b) if bal is not None else b
-        self.preconditioner = preconditioner
-        self.bal = bal
-        self.A_solve = A_solve
-        self.b_solve = b_solve
-
-        # Mutable solver state: the cycle closures and the degraded-mode
-        # rebuild both go through it, so a repartition swaps every
-        # distributed object at once and replayed cycles pick up the
-        # rebuilt versions.  ``st.mpk`` maps block length -> kernel; it is
-        # the plan's (shared, persistent) dict on warm runs.
-        self.st = st = SimpleNamespace(
-            partition=partition,
-            dmat=plan.dmat if plan is not None else DistributedMatrix(ctx, A_solve, partition),
-            V=plan.V if plan is not None else DistMultiVector(ctx, partition, m + 1),
-            x=DistVector(ctx, partition),
-            b=DistVector.from_host(ctx, partition, b_solve),
-            mpk=plan.mpk if plan is not None else {},
-        )
-        if x0 is not None:
-            if preconditioner is not None:
-                raise ValueError("x0 with a preconditioner is not supported")
-            start = (x0 / bal.col_scale) if bal is not None else x0
-            st.x.set_from_host(np.asarray(start, dtype=np.float64))
-
-        if use_mpk:
-            for length in self._mpk_lengths:
-                self._get_mpk(length)
-
-        ctx.reset_clocks()
-        ctx.counters.reset()
-
-        self.degrader = None
-        if degrade is not None or deadline is not None:
-            self.degrader = DegradationManager(
-                ctx, A_solve, self._rebuild, policy=degrade, deadline=deadline
-            )
-
-        history = ConvergenceHistory()
-        r0 = b_solve - A_solve.matvec(gathered_solution(st.x))
-        history.initial_residual = float(np.linalg.norm(r0))
-        self.history = history
-        self.shifts: np.ndarray | None = None
-        self.converged = False
-        self.restarts = 0
-        self.iterations = 0
-        self.on_cycle = on_cycle
-        self.breakdowns = 0
-        self.tsqr_errors: list[dict] = []
-        self.unrecovered: list[dict] = []
+        self.tsqr_errors: list[dict] | None = [] if collect_tsqr_errors else None
         self.adapt_state = {"s_eff": s, "history": []} if adaptive_s else None
-        self.abs_tol = tol * history.initial_residual
-        # Already at (numerical) convergence: a relative criterion on a zero
-        # residual would be meaningless.  The documented details keys must be
-        # present on this path too, or collect_tsqr_errors / adaptive_s
-        # callers hit KeyError on an already-converged right-hand side.
-        floor = 100.0 * np.finfo(np.float64).eps * float(np.linalg.norm(b_solve))
-        if history.initial_residual <= floor:
-            self.converged = True
-            self._gen = None
-        else:
-            self._gen = self._cycle_iter()
-        self._result: SolveResult | None = None
+        self.shifts: np.ndarray | None = None
+        super().__init__(matrix, b, m=m, **kwargs)
 
-    # ------------------------------------------------------------------
+    def _check_args(self, n, m):
+        if not 1 <= self.s <= m:
+            raise ValueError(f"need 1 <= s <= m, got s={self.s}, m={m}")
+        if m > n:
+            raise ValueError(f"restart length m={m} exceeds problem size {n}")
+        if self.basis not in ("newton", "monomial"):
+            raise ValueError(f"unknown basis {self.basis!r}")
+        if self.on_breakdown not in ("fallback", "raise"):
+            raise ValueError(f"unknown on_breakdown {self.on_breakdown!r}")
+        if self.reorth < 1:
+            raise ValueError(f"reorth must be >= 1, got {self.reorth}")
+
+    @property
+    def mpk_lengths(self) -> tuple[int, ...]:
+        return mpk_block_lengths(self.s, self.m) if self.use_mpk else ()
+
+    def _attach_kernels(self, source) -> None:
+        """Build the MPK kernels for the current partition's halo structure.
+
+        ``st.mpk`` maps block length -> kernel; it is the structural plan's
+        shared, persistent dict on plan-driven runs.
+        """
+        self.st.mpk = source.mpk if source is not None else {}
+        for length in self.mpk_lengths:
+            self._get_mpk(length)
+
     def _get_mpk(self, length: int) -> MatrixPowersKernel:
         """Matrix powers kernel for one block length (cached per partition)."""
         mpk = self.st.mpk
@@ -254,137 +158,107 @@ class CaGmresRun:
             )
         return mpk[length]
 
-    def _rebuild(self, new_partition, x_host):
-        """Degraded-mode rebuild of the distributed state over survivors.
+    def _details(self) -> dict:
+        details: dict = {}
+        if self.tsqr_errors is not None:
+            details["tsqr_errors"] = self.tsqr_errors
+        if self.adapt_state is not None:
+            details["s_history"] = self.adapt_state["history"]
+        return details
 
-        MPK plans are invalidated — the halo/ghost structure is
-        partition-specific.  With a structural plan attached, the rebuild
-        is routed through the plan cache instead (the dead roster's
-        entries are invalidated; the survivor roster's entries are built
-        or reused).
-        """
+    def cycle(self, offset, restart_index):
         ctx, st = self.ctx, self.st
-        st.partition = new_partition
-        if self.plan is not None:
-            sub = self.plan.derive(
-                new_partition,
-                mpk_lengths=self._mpk_lengths if self.use_mpk else (),
+        if self.basis == "newton" and self.shifts is None:
+            # Shift-seeding cycle: standard GMRES, Ritz values from its H.
+            info = run_gmres_cycle(
+                ctx, st.dmat, st.V, st.x, st.b, self.m, self.abs_tol,
+                history=self.history, iteration_offset=offset,
             )
-            st.dmat = sub.dmat
-            st.V = sub.V
-            st.mpk = sub.mpk
-            st.b = DistVector.from_host(ctx, new_partition, self.b_solve)
-            st.x = DistVector.from_host(ctx, new_partition, x_host)
-            return st.x
-        st.dmat = DistributedMatrix(ctx, self.A_solve, new_partition)
-        st.V = DistMultiVector(ctx, new_partition, self.m + 1)
-        st.b = DistVector.from_host(ctx, new_partition, self.b_solve)
-        st.x = DistVector.from_host(ctx, new_partition, x_host)
-        st.mpk = {}
-        if self.use_mpk:
-            for length in self._mpk_lengths:
-                self._get_mpk(length)
-        return st.x
-
-    @property
-    def finished(self) -> bool:
-        """True once the restart loop has terminated."""
-        return self._gen is None
-
-    def step(self) -> bool:
-        """Advance by one restart cycle; False once the solve is finished."""
-        if self._gen is None:
-            return False
-        try:
-            next(self._gen)
-        except StopIteration:
-            self._gen = None
-            return False
-        return True
-
-    def _cycle_iter(self):
-        ctx, st = self.ctx, self.st
-        for _ in range(self.max_restarts):
-            if self.degrader is not None and self.degrader.deadline_reached():
-                return
-            ctx.mark_cycle()
-            cycle_start = ctx.current_time()
-            if self.basis == "newton" and self.shifts is None:
-                # Shift-seeding cycle: standard GMRES, Ritz values from its H.
-                def cycle(offset=self.iterations):
-                    info = run_gmres_cycle(
-                        ctx, st.dmat, st.V, st.x, st.b, self.m, self.abs_tol,
-                        history=self.history, iteration_offset=offset,
-                    )
-                    return info, checked_true_residual(
-                        ctx, self.A_solve, self.b_solve, st.x
-                    )
-
-                outcome, aborted = run_cycle_resilient(
-                    ctx, cycle, st.x, self.history, self.unrecovered,
-                    degrader=self.degrader,
-                )
-                if aborted:
-                    return
-                info, true_res = outcome
-                if info.iterations > 0:
-                    square = info.hessenberg[: info.iterations, : info.iterations]
-                    ctx.host.charge_small_dense("eig", info.iterations)
-                    self.shifts = ritz_values(square)
-                else:
-                    self.shifts = np.empty(0, dtype=np.complex128)
-                self.restarts += 1
-                self.iterations += info.iterations
+            true_res = checked_true_residual(ctx, self.A_solve, self.b_solve, st.x)
+            if info.iterations > 0:
+                square = info.hessenberg[: info.iterations, : info.iterations]
+                ctx.host.charge_small_dense("eig", info.iterations)
+                self.shifts = ritz_values(square)
             else:
-                def cycle(offset=self.iterations, restart_index=self.restarts):
-                    result = _ca_cycle(
-                        ctx, st.dmat, st.V, st.x, st.b, self.s, self.m,
-                        self.basis, self.shifts, self.tsqr_method,
-                        self.tsqr_variant, self.borth_method, self.reorth,
-                        self.use_mpk, self._get_mpk, self.abs_tol,
-                        self.history, offset, self.on_breakdown,
-                        self.collect_tsqr_errors, self.tsqr_errors,
-                        restart_index, self.adapt_state,
-                        self.max_panel_retries,
-                    )
-                    return result, checked_true_residual(
-                        ctx, self.A_solve, self.b_solve, st.x
-                    )
+                self.shifts = np.empty(0, dtype=np.complex128)
+            return info.iterations, 0, true_res
+        iterations, breakdowns = self._ca_cycle(offset, restart_index)
+        return iterations, breakdowns, checked_true_residual(
+            ctx, self.A_solve, self.b_solve, st.x
+        )
 
-                outcome, aborted = run_cycle_resilient(
-                    ctx, cycle, st.x, self.history, self.unrecovered,
-                    degrader=self.degrader,
-                )
-                if aborted:
-                    return
-                (cycle_iters, cycle_breakdowns), true_res = outcome
-                self.restarts += 1
-                self.iterations += cycle_iters
-                self.breakdowns += cycle_breakdowns
-            if self.on_cycle is not None:
-                self.on_cycle(self.restarts - 1, cycle_start, ctx.current_time())
-            self.history.record_true(self.iterations, true_res)
-            if true_res <= self.abs_tol:
-                self.converged = True
-                return
-            yield
+    def _ca_cycle(self, offset, restart_index) -> tuple[int, int]:
+        """One CA-GMRES restart cycle; returns (iterations, breakdowns)."""
+        ctx, V, m = self.ctx, self.st.V, self.m
+        with ctx.region("spmv"):
+            beta = compute_residual(ctx, self.st.dmat, self.st.x, self.st.b, V)
+        guard_finite(ctx, beta, "cycle residual norm")
+        if beta == 0.0:
+            return 0, 0
+        with ctx.region("borth"):
+            normalize_first_column(ctx, V, beta)
 
-    def result(self) -> SolveResult:
-        """Run any remaining cycles and return the (cached) final result."""
-        while self.step():
-            pass
-        if self._result is None:
-            details: dict = {}
-            if self.collect_tsqr_errors:
-                details["tsqr_errors"] = self.tsqr_errors
-            if self.adapt_state is not None:
-                details["s_history"] = self.adapt_state["history"]
-            self._result = _finish(
-                self.ctx, self.st.x, self.bal, self.converged, self.restarts,
-                self.iterations, self.history, self.breakdowns, details,
-                self.preconditioner, self.unrecovered, degrader=self.degrader,
-            )
-        return self._result
+        hessenberg = _BlockHessenberg(m)
+        adapt_state = self.adapt_state
+        breakdowns = 0
+        j = 0
+        t = 1  # orthonormal columns available
+        while j < m:
+            s_block = adapt_state["s_eff"] if adapt_state is not None else self.s
+            s_cur = min(s_block, m - j)
+            ops = _block_shift_ops(self.basis, self.shifts, s_cur)
+            # Candidate generation + orthogonalization, as one recoverable
+            # unit: a fault detected anywhere in the block (corrupted MPK
+            # exchange, poisoned kernel output caught by the BOrth/TSQR
+            # guards) regenerates the candidates from the still-clean
+            # V[:, :j+1] and re-orthogonalizes — the "panel retry" layer.
+            panel_attempts = 0
+            while True:
+                try:
+                    if self.use_mpk:
+                        with ctx.region("mpk"):
+                            self._get_mpk(s_cur).run(V, j, ops)
+                    else:
+                        with ctx.region("spmv"):
+                            _spmv_block(ctx, self.st.dmat, V, j, ops)
+                    C, R, block_breakdowns = _orthogonalize(
+                        ctx, V, j, s_cur,
+                        tsqr_method=self.tsqr_method,
+                        tsqr_variant=self.tsqr_variant,
+                        borth_method=self.borth_method,
+                        reorth=self.reorth,
+                        on_breakdown=self.on_breakdown,
+                        error_log=self.tsqr_errors,
+                        restart_index=restart_index,
+                    )
+                    break
+                except RECOVERABLE_FAULTS:
+                    if panel_attempts >= self.max_panel_retries:
+                        raise  # escalate to the cycle-redo layer
+                    panel_attempts += 1
+                    ctx.faults.note_recovery(
+                        "panel-retry", time=ctx.current_time(),
+                        block_start=j, attempt=panel_attempts,
+                    )
+            breakdowns += block_breakdowns
+            if adapt_state is not None:
+                _adapt_block_length(adapt_state, R, self.s, s_cur, block_breakdowns)
+            hessenberg.add_block(j, ops, C, R)
+            j += s_cur
+            t = j + 1
+            # --- residual estimate (host small-dense work) ------------------
+            with ctx.region("lsq"):
+                ctx.host.charge_small_dense("lstsq_hessenberg", t)
+                _, estimate = hessenberg_lstsq(hessenberg.recover(t), beta)
+            self.history.record_estimate(offset + j, estimate)
+            if estimate <= self.abs_tol:
+                break
+        # --- solution update ---------------------------------------------
+        with ctx.region("update"):
+            z, _ = hessenberg_lstsq(hessenberg.recover(t), beta)
+            ctx.host.charge_small_dense("trsv", t - 1)
+            update_solution(ctx, V, self.st.x, z)
+        return j, breakdowns
 
 
 def ca_gmres(
@@ -419,15 +293,14 @@ def ca_gmres(
 
     Parameters
     ----------
-    matrix, b, ctx, n_gpus, partition, tol, max_restarts, balance, x0
-        As in :func:`repro.core.gmres.gmres`.
     s
         Basis vectors generated per communication phase (1 <= s <= m).
     m
-        Restart length.
+        Restart length (at most the problem size).
     basis
         ``"newton"`` (Leja-ordered Ritz shifts; the first restart runs
-        standard GMRES to obtain them, per Section IV-A) or ``"monomial"``.
+        standard GMRES to obtain them, per Section IV-A, and counts as a
+        cycle for ``on_cycle``) or ``"monomial"``.
     tsqr_method, tsqr_variant
         Intra-block factorization (``cholqr``/``svqr``/``cgs``/``mgs``/
         ``caqr``) and its device-kernel variant.
@@ -435,7 +308,7 @@ def ca_gmres(
         Inter-block projection (``"cgs"`` — the paper's choice — or
         ``"mgs"``).
     reorth
-        Orthogonalization passes (2 = the paper's "2x" rows).
+        Orthogonalization passes, at least 1 (2 = the paper's "2x" rows).
     use_mpk
         Generate candidates with the matrix powers kernel; ``False`` uses
         ``s`` plain SpMVs (what Fig. 15 falls back to when MPK is slower).
@@ -452,39 +325,14 @@ def ca_gmres(
         (diag-ratio > 1e10) and grow it back toward the requested ``s``
         while the basis stays healthy.  The chosen block lengths are
         recorded in ``result.details["s_history"]``.
-    preconditioner
-        Optional right preconditioner with ``fold(A)`` / ``recover(y)``
-        methods (see :mod:`repro.precond`).  Because the preconditioner is
-        *folded* into the operator up front, MPK/BOrth/TSQR run unchanged —
-        the CA-compatible preconditioning route.
     max_panel_retries
         With fault resilience enabled (see
         :class:`~repro.gpu.context.MultiGpuContext`), how many times one
         poisoned block is regenerated (MPK rerun + re-orthogonalization)
         before escalating to a restart-cycle redo.
-    degrade
-        Optional :class:`~repro.core.degrade.DegradePolicy`: a device
-        dropout mid-solve is absorbed by repartitioning over the
-        survivors (MPK plans are rebuilt for the new halo structure) and
-        resuming instead of aborting (see :mod:`repro.core.degrade`).
-    deadline
-        Optional simulated-time budget in seconds; the solve stops at the
-        first restart boundary past it (``details["degradation"]``
-        records the trip).
-    plan
-        Optional prebuilt :class:`repro.serve.plan.StructuralPlan` for this
-        matrix/context: ordering, partition, distributed matrix, MPK
-        dependency closure, and staged-exchange index sets are reused
-        instead of recomputed.  Mutually exclusive with ``partition``;
-        ``balance`` and ``preconditioner`` are taken from the plan.
-    on_cycle
-        Optional per-cycle callback ``on_cycle(index, start, end)``
-        invoked after every completed restart cycle (including a Newton
-        shift-seeding cycle) with the cycle index and its simulated
-        start/end times — the hook behind the
-        ``repro_solver_cycle_seconds`` metric (see
-        :func:`repro.metrics.collect.cycle_observer`).  Not called for a
-        cycle aborted by an unrecoverable fault.
+
+    The other parameters are documented on
+    :class:`~repro.core.gmres.RestartedRun`.
 
     Returns
     -------
@@ -500,93 +348,6 @@ def ca_gmres(
         max_panel_retries=max_panel_retries, degrade=degrade,
         deadline=deadline, plan=plan, on_cycle=on_cycle,
     ).result()
-
-
-def _ca_cycle(
-    ctx, dmat, V, x, b_dist, s, m, basis, shifts,
-    tsqr_method, tsqr_variant, borth_method, reorth,
-    use_mpk, get_mpk, abs_tol, history, iteration_offset,
-    on_breakdown, collect_errors, error_log, restart_index,
-    adapt_state=None, max_panel_retries=MAX_PANEL_RETRIES,
-) -> tuple[int, int]:
-    """One CA-GMRES restart cycle; returns (iterations, breakdowns)."""
-    with ctx.region("spmv"):
-        beta = compute_residual(ctx, dmat, x, b_dist, V)
-    guard_finite(ctx, beta, "cycle residual norm")
-    if beta == 0.0:
-        return 0, 0
-    with ctx.region("borth"):
-        normalize_first_column(ctx, V, beta)
-
-    n_cols = m + 1
-    R_bar = np.zeros((n_cols, n_cols), dtype=np.float64)
-    R_bar[0, 0] = 1.0
-    S_full = np.zeros((n_cols, m), dtype=np.float64)
-    G_full = np.zeros((n_cols, m), dtype=np.float64)
-    breakdowns = 0
-    j = 0
-    t = 1  # orthonormal columns available
-    while j < m:
-        s_block = adapt_state["s_eff"] if adapt_state is not None else s
-        s_cur = min(s_block, m - j)
-        ops = _block_shift_ops(basis, shifts, s_cur)
-        # Candidate generation + orthogonalization, as one recoverable
-        # unit: a fault detected anywhere in the block (corrupted MPK
-        # exchange, poisoned kernel output caught by the BOrth/TSQR
-        # guards) regenerates the candidates from the still-clean
-        # V[:, :j+1] and re-orthogonalizes — the "panel retry" layer.
-        panel_attempts = 0
-        while True:
-            try:
-                if use_mpk:
-                    with ctx.region("mpk"):
-                        get_mpk(s_cur).run(V, j, ops)
-                else:
-                    with ctx.region("spmv"):
-                        _spmv_block(ctx, dmat, V, j, ops)
-                C, R, block_breakdowns = _orthogonalize(
-                    ctx, V, j, s_cur, tsqr_method, tsqr_variant, borth_method,
-                    reorth, on_breakdown, collect_errors, error_log,
-                    restart_index,
-                )
-                break
-            except RECOVERABLE_FAULTS:
-                if panel_attempts >= max_panel_retries:
-                    raise  # escalate to the cycle-redo layer
-                panel_attempts += 1
-                ctx.faults.note_recovery(
-                    "panel-retry", time=ctx.current_time(),
-                    block_start=j, attempt=panel_attempts,
-                )
-        breakdowns += block_breakdowns
-        if adapt_state is not None:
-            _adapt_block_length(adapt_state, R, s, s_cur, block_breakdowns)
-        R_bar[: j + 1, j + 1 : j + s_cur + 1] = C
-        R_bar[j + 1 : j + s_cur + 1, j + 1 : j + s_cur + 1] = R
-        # --- Hessenberg recovery for this block ------------------------
-        B_c = build_change_of_basis(ops)
-        E = np.zeros((n_cols, s_cur + 1), dtype=np.float64)
-        E[j, 0] = 1.0
-        E[:, 1:] = R_bar[:, j + 1 : j + s_cur + 1]
-        S_full[:, j : j + s_cur] = E[:, :s_cur]
-        G_full[:, j : j + s_cur] = E @ B_c
-        j += s_cur
-        t = j + 1
-        # --- residual estimate (host small-dense work) ------------------
-        with ctx.region("lsq"):
-            ctx.host.charge_small_dense("lstsq_hessenberg", t)
-            H_t = _recover_hessenberg(S_full, G_full, t)
-            _, estimate = hessenberg_lstsq(H_t, beta)
-        history.record_estimate(iteration_offset + j, estimate)
-        if estimate <= abs_tol:
-            break
-    # --- solution update ---------------------------------------------
-    with ctx.region("update"):
-        H_t = _recover_hessenberg(S_full, G_full, t)
-        z, _ = hessenberg_lstsq(H_t, beta)
-        ctx.host.charge_small_dense("trsv", t - 1)
-        update_solution(ctx, V, x, z)
-    return j, breakdowns
 
 
 def _adapt_block_length(adapt_state, R, s_max, s_used, block_breakdowns) -> None:
@@ -629,12 +390,19 @@ def _spmv_block(ctx, dmat, V, j, ops: list[ShiftOp]) -> None:
 
 
 def _orthogonalize(
-    ctx, V, j, s_cur, tsqr_method, tsqr_variant, borth_method,
-    reorth, on_breakdown, collect_errors, error_log, restart_index,
+    ctx, V, j, s_cur, tsqr_method="cholqr", tsqr_variant=None,
+    borth_method="cgs", reorth=1, on_breakdown="fallback", error_log=None,
+    restart_index=0,
 ):
-    """BOrth + TSQR (with reorthogonalization) on block [j+1, j+s_cur+1).
+    """The combined Orth step: BOrth + TSQR on block ``[j+1, j+s_cur+1)``.
 
-    Returns (C, R, breakdowns) with ``W_raw = Q_prev C + Q_new R``.
+    One pass projects the block against ``Q_prev = V[:, :j+1]`` and
+    factors what remains; each further pass (``reorth`` in total, 2 = the
+    paper's "2x" rows) repeats both and composes the coefficients
+    (``C += C_pass R``, ``R = R_pass R``).  Returns ``(C, R, breakdowns)``
+    with ``W_raw = Q_prev C + Q_new R``.  A CholQR breakdown falls back to
+    CAQR unless ``on_breakdown == "raise"``; with an ``error_log`` list,
+    every TSQR appends its Fig. 13 errors to it.
     """
     v_panels = V.panel(j + 1, j + s_cur + 1)
     q_panels = V.panel(0, j + 1)
@@ -642,11 +410,11 @@ def _orthogonalize(
     R_total = np.eye(s_cur, dtype=np.float64)
     breakdowns = 0
     check = ctx.resilience_enabled
-    for _ in range(max(reorth, 1)):
+    for _ in range(reorth):
         with ctx.region("borth"):
             C_pass = borth(ctx, q_panels, v_panels, method=borth_method)
         guard_finite(ctx, C_pass, "BOrth coefficients")
-        if collect_errors:
+        if error_log is not None:
             pre = _gather_panel(V, j + 1, j + s_cur + 1)
         with ctx.region("tsqr"):
             try:
@@ -659,7 +427,7 @@ def _orthogonalize(
                     raise
                 breakdowns += 1
                 R_pass = tsqr(ctx, v_panels, method="caqr", check_finite=check)
-        if collect_errors:
+        if error_log is not None:
             post = _gather_panel(V, j + 1, j + s_cur + 1)
             error_log.append(
                 {
@@ -684,40 +452,32 @@ def _gather_panel(V, j0, j1) -> np.ndarray:
     return out
 
 
-def _recover_hessenberg(S_full, G_full, t: int) -> np.ndarray:
-    """``H̲ = G S_m^{-1}`` for the first ``t`` orthonormal columns."""
-    S_m = S_full[: t - 1, : t - 1]
-    G = G_full[:t, : t - 1]
-    # Right-division by the upper-triangular S_m.
-    H = scipy.linalg.solve_triangular(
-        S_m.T, G.T, lower=True, check_finite=False
-    ).T
-    return H
+class _BlockHessenberg:
+    """Block-by-block assembly of ``A Q S = Q G`` (see the module docstring).
 
+    Block ``c`` starting at orthonormal column ``j`` contributes
+    ``S[:, j:j+s_c] = E_c[:, :s_c]`` and ``G[:, j:j+s_c] = E_c B_c`` with
+    ``E_c = [e_j | (C; R)]``, the coefficients of its raw MPK vectors in
+    the Q basis.
+    """
 
-def _finish(
-    ctx, x, bal, converged, restarts, iterations, history, breakdowns,
-    details, preconditioner=None, unrecovered=None, degrader=None,
-):
-    x_host = gathered_solution(x)
-    if bal is not None:
-        x_host = bal.unscale_solution(x_host)
-    if preconditioner is not None:
-        x_host = preconditioner.recover(x_host)
-    details = dict(details)
-    details["profile"] = ctx.trace.profile()
-    if ctx.faults.has_activity() or unrecovered:
-        details["faults"] = ctx.faults.report(unrecovered)
-    if degrader is not None:
-        details["degradation"] = degrader.report()
-    return SolveResult(
-        x=x_host,
-        converged=converged,
-        n_restarts=restarts,
-        n_iterations=iterations,
-        history=history,
-        timers=dict(ctx.timers),
-        counters=ctx.counters.snapshot(),
-        breakdowns=breakdowns,
-        details=details,
-    )
+    def __init__(self, m: int):
+        self.S = np.zeros((m + 1, m), dtype=np.float64)
+        self.G = np.zeros((m + 1, m), dtype=np.float64)
+
+    def add_block(self, j: int, ops: list[ShiftOp], C: np.ndarray, R: np.ndarray) -> None:
+        s_cur = R.shape[0]
+        E = np.zeros((self.S.shape[0], s_cur + 1), dtype=np.float64)
+        E[j, 0] = 1.0
+        E[: j + 1, 1:] = C
+        E[j + 1 : j + s_cur + 1, 1:] = R
+        self.S[:, j : j + s_cur] = E[:, :s_cur]
+        self.G[:, j : j + s_cur] = E @ build_change_of_basis(ops)
+
+    def recover(self, t: int) -> np.ndarray:
+        """``H̲ = G S_m^{-1}`` for the first ``t`` orthonormal columns."""
+        # Right-division by the upper-triangular S_m.
+        return scipy.linalg.solve_triangular(
+            self.S[: t - 1, : t - 1].T, self.G[:t, : t - 1].T,
+            lower=True, check_finite=False,
+        ).T

@@ -8,8 +8,9 @@ our studies may have greater impact beyond GMRES."
 This module demonstrates that claim with the library's own kernels: a
 CA-Arnoldi process builds an ``m``-dimensional Krylov basis in blocks of
 ``s`` using MPK + BOrth + TSQR (one communication phase per block instead
-of per vector), recovers the Hessenberg matrix exactly as CA-GMRES does,
-and returns its Ritz values/vectors as eigen-estimates of ``A``.
+of per vector) on CA-GMRES's own orthogonalization path and
+Hessenberg assembly (:mod:`repro.core.ca_gmres`), and returns its Ritz
+values/vectors as eigen-estimates of ``A``.
 """
 
 from __future__ import annotations
@@ -17,18 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ..dist.multivector import DistMultiVector
 from ..gpu.context import MultiGpuContext
 from ..mpk.matrix_powers import MatrixPowersKernel
-from ..mpk.shifts import monomial_shift_ops, newton_shift_ops
 from ..order.partition import Partition, block_row_partition
-from ..orth.borth import borth
-from ..orth.errors import CholeskyBreakdown
-from ..orth.tsqr import tsqr
 from ..sparse.csr import CsrMatrix
-from .basis import build_change_of_basis
+from .ca_gmres import _BlockHessenberg, _block_shift_ops, _orthogonalize
 
 __all__ = ["CaArnoldiResult", "ca_arnoldi_eigs"]
 
@@ -115,47 +111,22 @@ def ca_arnoldi_eigs(
     ctx.reset_clocks()
     ctx.counters.reset()
 
-    n_cols = m + 1
-    R_bar = np.zeros((n_cols, n_cols))
-    R_bar[0, 0] = 1.0
-    S_full = np.zeros((n_cols, m))
-    G_full = np.zeros((n_cols, m))
+    hessenberg = _BlockHessenberg(m)
     mpk_cache: dict[int, MatrixPowersKernel] = {}
-    j = 0
-    while j < m:
+    for j in range(0, m, s):
         s_cur = min(s, m - j)
         if s_cur not in mpk_cache:
             mpk_cache[s_cur] = MatrixPowersKernel(ctx, matrix, partition, s_cur)
-        ops = (
-            newton_shift_ops(shifts, s_cur)
-            if shifts is not None and len(shifts)
-            else monomial_shift_ops(s_cur)
-        )
+        ops = _block_shift_ops("newton", shifts, s_cur)
         with ctx.region("mpk"):
             mpk_cache[s_cur].run(V, j, ops)
-        q_panels = V.panel(0, j + 1)
-        v_panels = V.panel(j + 1, j + s_cur + 1)
-        with ctx.region("borth"):
-            C = borth(ctx, q_panels, v_panels, method=borth_method)
-        with ctx.region("tsqr"):
-            try:
-                R = tsqr(ctx, v_panels, method=tsqr_method)
-            except CholeskyBreakdown:
-                R = tsqr(ctx, v_panels, method="caqr")
-        R_bar[: j + 1, j + 1 : j + s_cur + 1] = C
-        R_bar[j + 1 : j + s_cur + 1, j + 1 : j + s_cur + 1] = R
-        B_c = build_change_of_basis(ops)
-        E = np.zeros((n_cols, s_cur + 1))
-        E[j, 0] = 1.0
-        E[:, 1:] = R_bar[:, j + 1 : j + s_cur + 1]
-        S_full[:, j : j + s_cur] = E[:, :s_cur]
-        G_full[:, j : j + s_cur] = E @ B_c
-        j += s_cur
+        C, R, _ = _orthogonalize(
+            ctx, V, j, s_cur, tsqr_method=tsqr_method, borth_method=borth_method
+        )
+        hessenberg.add_block(j, ops, C, R)
 
     ctx.host.charge_small_dense("eig", m)
-    H = scipy.linalg.solve_triangular(
-        S_full[:m, :m].T, G_full[: m + 1, :m].T, lower=True, check_finite=False
-    ).T
+    H = hessenberg.recover(m + 1)
     square = H[:m, :m]
     eigvals, eigvecs = np.linalg.eig(square)
     residuals = np.abs(H[m, m - 1]) * np.abs(eigvecs[m - 1, :])

@@ -8,7 +8,8 @@ Givens rotations.
 
 This is the baseline every CA-GMRES speedup in the paper is measured
 against; :func:`run_gmres_cycle` is also reused by CA-GMRES for its first
-(shift-seeding) restart cycle.
+(shift-seeding) restart cycle.  :class:`RestartedRun` is the restart-loop
+driver that GMRES, CA-GMRES and pipelined GMRES share.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from .degrade import DegradationManager, DegradePolicy
 from .lsq import GivensHessenbergSolver
 from .resilience import guard_finite, run_cycle_resilient
 
-__all__ = ["gmres", "GmresRun", "run_gmres_cycle", "CycleInfo", "checked_true_residual"]
+__all__ = [
+    "gmres", "GmresRun", "RestartedRun", "run_gmres_cycle", "CycleInfo", "checked_true_residual",
+]
 
 
 @dataclass
@@ -167,19 +170,85 @@ def run_gmres_cycle(
     )
 
 
-class GmresRun:
-    """One restarted-GMRES solve as a resumable object.
+class RestartedRun:
+    """One restarted Krylov solve as a resumable object.
 
-    The historical :func:`gmres` driver is ``GmresRun(...).result()``.  The
-    object form exists for the serving layer (:mod:`repro.serve`): a
+    This is the restart loop the paper's GMRES (Fig. 1) and CA-GMRES
+    (Fig. 2) share; :class:`GmresRun`,
+    :class:`~repro.core.ca_gmres.CaGmresRun` and the pipelined variant
+    (:mod:`repro.core.pipelined`) differ only in how one restart cycle
+    builds its basis, which they supply as :meth:`cycle`.  The driver owns
+    everything else: input validation, balancing and distribution (or a
+    prebuilt ``plan``), the distributed state and its degraded-mode
+    rebuild, the deadline / cycle-redo / ``on_cycle`` loop, and the
+    :class:`~repro.core.convergence.SolveResult`.
+
     :meth:`step` advances the solve by exactly one restart cycle, so a
-    batched frontend can interleave the restart cycles of many right-hand
-    sides on one context, and a prebuilt structural ``plan`` (see
-    :class:`repro.serve.plan.StructuralPlan`) lets repeated solves against
-    the same matrix skip the per-solve structural setup (balancing,
-    distribution, halo index sets) entirely.  Numerics are unaffected:
-    a plan-driven solve is bit-identical to a cold one.
+    batched frontend (:mod:`repro.serve`) can interleave the restart cycles
+    of many right-hand sides on one context; :meth:`result` runs the
+    remaining cycles.  The solver functions are ``Run(...).result()``.
+
+    Parameters
+    ----------
+    matrix
+        Square CSR matrix.
+    b
+        Right-hand side (host array).
+    ctx
+        Execution context; built with ``n_gpus`` devices when omitted.
+    partition
+        Row distribution; equal block rows when omitted.
+    m
+        Restart length.
+    tol
+        Relative residual tolerance (the paper's four-orders-of-magnitude
+        criterion is ``1e-4``).  ``converged`` means the true residual of
+        the *balanced* system ``D_r A D_c y = D_r b`` reached ``tol``
+        times its initial norm, not yet the residual of the system the
+        caller passed.  On badly row-scaled matrices the two differ:
+        ``poisson2d(16)`` with rows scaled by ``10**U(-2, 2)``, GMRES(20)
+        on 2 GPUs at ``tol=1e-6`` reports ``converged=True`` with a
+        caller relative residual of 4.9e-4.
+    max_restarts
+        Cycle limit.
+    balance
+        Apply the paper's row-then-column norm balancing first.
+    x0
+        Initial guess (zero when omitted).
+    preconditioner
+        Optional right preconditioner with ``fold(A)`` / ``recover(y)``
+        methods (see :mod:`repro.precond`); the solver iterates on the
+        folded operator ``A M^{-1}`` and maps the solution back.  Because
+        it is folded up front, the cycle kernels run unchanged.
+    degrade
+        Optional :class:`~repro.core.degrade.DegradePolicy`: a device
+        dropout mid-solve is absorbed by repartitioning over the
+        survivors and resuming instead of aborting (see
+        :mod:`repro.core.degrade`).
+    deadline
+        Optional simulated-time budget in seconds; the solve stops at the
+        first restart boundary past it (``details["degradation"]``
+        records the trip).
+    plan
+        Optional prebuilt :class:`repro.serve.plan.StructuralPlan` for this
+        matrix/context: the structural setup (balancing, partitioning,
+        distribution, halo index sets, MPK dependency closures) is reused
+        instead of recomputed, bit-identically.  Mutually exclusive with
+        ``partition``; ``balance`` and ``preconditioner`` are taken from
+        the plan.
+    on_cycle
+        Optional per-cycle callback ``on_cycle(index, start, end)``
+        invoked after every completed restart cycle with the cycle index
+        and its simulated start/end times — the hook behind the
+        ``repro_solver_cycle_seconds`` metric (see
+        :func:`repro.metrics.collect.cycle_observer`).  Not called for a
+        cycle aborted by an unrecoverable fault.
     """
+
+    #: Solver name used in error messages.
+    name = "gmres"
+    #: MPK block lengths a structural plan must provide (none for GMRES).
+    mpk_lengths: tuple = ()
 
     def __init__(
         self,
@@ -191,8 +260,6 @@ class GmresRun:
         m: int = 30,
         tol: float = 1e-4,
         max_restarts: int = 500,
-        orth_method: str = "cgs",
-        gemv_variant: str = "magma",
         balance: bool = True,
         x0: np.ndarray | None = None,
         preconditioner=None,
@@ -202,15 +269,14 @@ class GmresRun:
         on_cycle=None,
     ):
         if matrix.n_rows != matrix.n_cols:
-            raise ValueError("gmres requires a square matrix")
+            raise ValueError(f"{self.name} requires a square matrix")
         n = matrix.n_rows
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (n,):
             raise ValueError(f"b must have shape ({n},), got {b.shape}")
         if b.size and not np.all(np.isfinite(b)):
             raise ValueError("b contains non-finite entries")
-        if not 1 <= m <= n:
-            raise ValueError(f"restart length m={m} out of range [1, {n}]")
+        self._check_args(n, m)
         if ctx is None:
             ctx = MultiGpuContext(n_gpus)
         elif ctx.inactive_devices:
@@ -246,13 +312,10 @@ class GmresRun:
         self.b_solve = b_solve
         self.m = int(m)
         self.max_restarts = int(max_restarts)
-        self.orth_method = orth_method
-        self.gemv_variant = gemv_variant
 
-        # Mutable solver state: the cycle closure and the degraded-mode
-        # rebuild both go through it, so a repartition swaps every
-        # distributed object at once and replayed cycles pick up the
-        # rebuilt versions.
+        # Mutable solver state: the cycles and the degraded-mode rebuild
+        # both go through it, so a repartition swaps every distributed
+        # object at once and replayed cycles pick up the rebuilt versions.
         self.st = st = SimpleNamespace(
             partition=partition,
             dmat=plan.dmat if plan is not None else DistributedMatrix(ctx, A_solve, partition),
@@ -265,6 +328,7 @@ class GmresRun:
                 raise ValueError("x0 with a preconditioner is not supported")
             start = (x0 / bal.col_scale) if bal is not None else x0
             st.x.set_from_host(np.asarray(start, dtype=np.float64))
+        self._attach_kernels(plan)
         ctx.reset_clocks()
         ctx.counters.reset()
 
@@ -281,6 +345,7 @@ class GmresRun:
         self.converged = False
         self.restarts = 0
         self.iterations = 0
+        self.breakdowns = 0
         self.on_cycle = on_cycle
         self.unrecovered: list[dict] = []
         self.abs_tol = tol * history.initial_residual
@@ -294,13 +359,45 @@ class GmresRun:
             self._gen = self._cycle_iter()
         self._result: SolveResult | None = None
 
+    # -- method hooks ------------------------------------------------------
+    def _check_args(self, n: int, m: int) -> None:
+        """Validate the method's arguments against problem size ``n``."""
+        if not 1 <= m <= n:
+            raise ValueError(f"restart length m={m} out of range [1, {n}]")
+
+    def _attach_kernels(self, source) -> None:
+        """Set up per-partition kernels after (re)distribution.
+
+        ``source`` is the structural plan the state came from, or ``None``
+        when it was built fresh.
+        """
+
+    def cycle(self, offset: int, restart_index: int) -> tuple[int, int, float]:
+        """Run one restart cycle on ``self.st``.
+
+        ``offset`` is the iteration count before the cycle (for history
+        records).  Returns ``(iterations, breakdowns, true_residual)``; the
+        true residual is taken at the restart boundary.
+        """
+        raise NotImplementedError
+
+    def _details(self) -> dict:
+        """Method-specific ``SolveResult.details`` entries."""
+        return {}
+
     # ------------------------------------------------------------------
     def _rebuild(self, new_partition, x_host):
-        """Degraded-mode rebuild of the distributed state over survivors."""
+        """Degraded-mode rebuild of the distributed state over survivors.
+
+        With a structural plan attached, the rebuild is routed through the
+        plan cache (the dead roster's entries are invalidated; the survivor
+        roster's entries are built or reused).
+        """
         ctx, st = self.ctx, self.st
         st.partition = new_partition
+        sub = None
         if self.plan is not None:
-            sub = self.plan.derive(new_partition)
+            sub = self.plan.derive(new_partition, mpk_lengths=self.mpk_lengths)
             st.dmat = sub.dmat
             st.V = sub.V
         else:
@@ -308,6 +405,7 @@ class GmresRun:
             st.V = DistMultiVector(ctx, new_partition, self.m + 1)
         st.b = DistVector.from_host(ctx, new_partition, self.b_solve)
         st.x = DistVector.from_host(ctx, new_partition, x_host)
+        self._attach_kernels(sub)
         return st.x
 
     @property
@@ -327,41 +425,23 @@ class GmresRun:
         return True
 
     def _cycle_iter(self):
-        ctx, st = self.ctx, self.st
+        ctx = self.ctx
         for _ in range(self.max_restarts):
             if self.degrader is not None and self.degrader.deadline_reached():
                 return
             ctx.mark_cycle()
             cycle_start = ctx.current_time()
-
-            def cycle(offset=self.iterations):
-                info = run_gmres_cycle(
-                    ctx,
-                    st.dmat,
-                    st.V,
-                    st.x,
-                    st.b,
-                    self.m,
-                    self.abs_tol,
-                    orth_method=self.orth_method,
-                    gemv_variant=self.gemv_variant,
-                    history=self.history,
-                    iteration_offset=offset,
-                )
-                # True residual at the restart boundary (uncosted diagnostic).
-                return info, checked_true_residual(
-                    ctx, self.A_solve, self.b_solve, st.x
-                )
-
             outcome, aborted = run_cycle_resilient(
-                ctx, cycle, st.x, self.history, self.unrecovered,
+                ctx, lambda: self.cycle(self.iterations, self.restarts),
+                self.st.x, self.history, self.unrecovered,
                 degrader=self.degrader,
             )
             if aborted:
                 return
-            info, true_res = outcome
+            iterations, breakdowns, true_res = outcome
             self.restarts += 1
-            self.iterations += info.iterations
+            self.iterations += iterations
+            self.breakdowns += breakdowns
             if self.on_cycle is not None:
                 self.on_cycle(self.restarts - 1, cycle_start, ctx.current_time())
             self.history.record_true(self.iterations, true_res)
@@ -375,12 +455,54 @@ class GmresRun:
         while self.step():
             pass
         if self._result is None:
-            self._result = _finish(
-                self.ctx, self.st.x, self.bal, self.converged, self.restarts,
-                self.iterations, self.history, 0, self.preconditioner,
-                self.unrecovered, degrader=self.degrader,
+            ctx = self.ctx
+            x_host = gathered_solution(self.st.x)
+            if self.bal is not None:
+                x_host = self.bal.unscale_solution(x_host)
+            if self.preconditioner is not None:
+                x_host = self.preconditioner.recover(x_host)
+            details = self._details()
+            details["profile"] = ctx.trace.profile()
+            if ctx.faults.has_activity() or self.unrecovered:
+                details["faults"] = ctx.faults.report(self.unrecovered)
+            if self.degrader is not None:
+                details["degradation"] = self.degrader.report()
+            self._result = SolveResult(
+                x=x_host,
+                converged=self.converged,
+                n_restarts=self.restarts,
+                n_iterations=self.iterations,
+                history=self.history,
+                timers=dict(ctx.timers),
+                counters=ctx.counters.snapshot(),
+                breakdowns=self.breakdowns,
+                details=details,
             )
         return self._result
+
+
+class GmresRun(RestartedRun):
+    """Restarted GMRES(m) (Fig. 1) on the shared restart loop.
+
+    ``orth_method`` and ``gemv_variant`` are as in :func:`gmres`; every
+    other argument is documented on :class:`RestartedRun`.
+    """
+
+    def __init__(self, matrix, b, orth_method: str = "cgs", gemv_variant: str = "magma", **kwargs):
+        self.orth_method = orth_method
+        self.gemv_variant = gemv_variant
+        super().__init__(matrix, b, **kwargs)
+
+    def cycle(self, offset, restart_index):
+        ctx, st = self.ctx, self.st
+        info = run_gmres_cycle(
+            ctx, st.dmat, st.V, st.x, st.b, self.m, self.abs_tol,
+            orth_method=self.orth_method, gemv_variant=self.gemv_variant,
+            history=self.history, iteration_offset=offset,
+        )
+        return info.iterations, 0, checked_true_residual(
+            ctx, self.A_solve, self.b_solve, st.x
+        )
 
 
 def gmres(
@@ -406,55 +528,12 @@ def gmres(
 
     Parameters
     ----------
-    matrix
-        Square CSR matrix.
-    b
-        Right-hand side (host array).
-    ctx
-        Execution context; built with ``n_gpus`` devices when omitted.
-    partition
-        Row distribution; equal block rows when omitted.
-    m
-        Restart length.
-    tol
-        Relative residual tolerance (the paper's four-orders-of-magnitude
-        criterion is ``1e-4``).
-    max_restarts
-        Cycle limit.
     orth_method
         ``"cgs"`` (BLAS-2, the paper's fast configuration) or ``"mgs"``.
     gemv_variant
         Tall-skinny DGEMV implementation for CGS (``"magma"``/``"cublas"``).
-    balance
-        Apply the paper's row-then-column norm balancing first.
-    x0
-        Initial guess (zero when omitted).
-    preconditioner
-        Optional right preconditioner with ``fold(A)`` / ``recover(y)``
-        methods (see :mod:`repro.precond`); the solver iterates on the
-        folded operator ``A M^{-1}`` and maps the solution back.
-    degrade
-        Optional :class:`~repro.core.degrade.DegradePolicy`: a device
-        dropout mid-solve is absorbed by repartitioning over the
-        survivors and resuming instead of aborting (see
-        :mod:`repro.core.degrade`).
-    deadline
-        Optional simulated-time budget in seconds; the solve stops at the
-        first restart boundary past it (``details["degradation"]``
-        records the trip).
-    plan
-        Optional prebuilt :class:`repro.serve.plan.StructuralPlan` for this
-        matrix/context: the structural setup (balancing, partitioning,
-        distribution, halo index sets) is reused instead of recomputed.
-        Mutually exclusive with ``partition``; ``balance`` and
-        ``preconditioner`` are taken from the plan.
-    on_cycle
-        Optional per-cycle callback ``on_cycle(index, start, end)``
-        invoked after every completed restart cycle with the cycle index
-        and its simulated start/end times — the hook behind the
-        ``repro_solver_cycle_seconds`` metric (see
-        :func:`repro.metrics.collect.cycle_observer`).  Not called for a
-        cycle aborted by an unrecoverable fault.
+
+    The other parameters are documented on :class:`RestartedRun`.
 
     Returns
     -------
@@ -468,30 +547,3 @@ def gmres(
         preconditioner=preconditioner, degrade=degrade, deadline=deadline,
         plan=plan, on_cycle=on_cycle,
     ).result()
-
-
-def _finish(
-    ctx, x, bal, converged, restarts, iterations, history, breakdowns,
-    preconditioner=None, unrecovered=None, degrader=None,
-):
-    x_host = gathered_solution(x)
-    if bal is not None:
-        x_host = bal.unscale_solution(x_host)
-    if preconditioner is not None:
-        x_host = preconditioner.recover(x_host)
-    details = {"profile": ctx.trace.profile()}
-    if ctx.faults.has_activity() or unrecovered:
-        details["faults"] = ctx.faults.report(unrecovered)
-    if degrader is not None:
-        details["degradation"] = degrader.report()
-    return SolveResult(
-        x=x_host,
-        converged=converged,
-        n_restarts=restarts,
-        n_iterations=iterations,
-        history=history,
-        timers=dict(ctx.timers),
-        counters=ctx.counters.snapshot(),
-        breakdowns=breakdowns,
-        details=details,
-    )

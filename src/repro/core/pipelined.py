@@ -31,30 +31,47 @@ record of that studied-and-rejected design point.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
-from ..dist.matrix import DistributedMatrix
-from ..dist.multivector import DistMultiVector, DistVector
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
-from ..order.partition import Partition, block_row_partition
+from ..order.partition import Partition
 from ..orth.errors import OrthogonalizationError
 from ..sparse.csr import CsrMatrix
-from .balance import balance_matrix
-from .convergence import ConvergenceHistory, SolveResult
-from .degrade import DegradationManager, DegradePolicy
+from .convergence import SolveResult
+from .degrade import DegradePolicy
 from .gmres import (
+    RestartedRun,
     checked_true_residual,
     compute_residual,
-    gathered_solution,
     update_solution,
 )
 from .lsq import GivensHessenbergSolver
-from .resilience import guard_finite, run_cycle_resilient
+from .resilience import guard_finite
 
 __all__ = ["pipelined_gmres"]
+
+
+class PipelinedRun(RestartedRun):
+    """Pipelined GMRES(m) on the shared restart loop.
+
+    ``gemv_variant`` is as in :func:`pipelined_gmres`; every other argument
+    is documented on :class:`~repro.core.gmres.RestartedRun`.
+    """
+
+    name = "pipelined_gmres"
+
+    def __init__(self, matrix, b, gemv_variant: str = "magma", **kwargs):
+        self.gemv_variant = gemv_variant
+        super().__init__(matrix, b, **kwargs)
+
+    def cycle(self, offset, restart_index):
+        ctx, st = self.ctx, self.st
+        j_used = _pipelined_cycle(
+            ctx, st.dmat, st.V, st.x, st.b, self.m, self.abs_tol,
+            self.gemv_variant, self.history, offset,
+        )
+        return j_used, 0, checked_true_residual(ctx, self.A_solve, self.b_solve, st.x)
 
 
 def pipelined_gmres(
@@ -74,110 +91,27 @@ def pipelined_gmres(
 ) -> SolveResult:
     """Solve ``A x = b`` with one-stage pipelined GMRES(m).
 
-    Same interface subset as :func:`repro.core.gmres.gmres` (CGS
-    orthogonalization only — the pipelining targets CGS's norm round trip).
-    ``degrade``/``deadline`` behave as in :func:`~repro.core.gmres.gmres`:
-    device dropouts are absorbed by repartitioning over the survivors, and
-    the solve stops at the first restart boundary past the simulated-time
-    budget.  ``on_cycle(index, start, end)`` is invoked after every
-    completed restart cycle with its simulated time window (see
-    :func:`repro.metrics.collect.cycle_observer`).
+    CGS orthogonalization only — the pipelining targets CGS's norm round
+    trip.
+
+    Parameters
+    ----------
+    gemv_variant
+        Tall-skinny DGEMV implementation for the CGS projection
+        (``"magma"``/``"cublas"``).
+
+    The other parameters are documented on
+    :class:`~repro.core.gmres.RestartedRun`.
 
     Returns
     -------
     SolveResult
     """
-    if matrix.n_rows != matrix.n_cols:
-        raise ValueError("pipelined_gmres requires a square matrix")
-    n = matrix.n_rows
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (n,):
-        raise ValueError(f"b must have shape ({n},), got {b.shape}")
-    if b.size and not np.all(np.isfinite(b)):
-        raise ValueError("b contains non-finite entries")
-    if not 1 <= m <= n:
-        raise ValueError(f"restart length m={m} out of range [1, {n}]")
-    if ctx is None:
-        ctx = MultiGpuContext(n_gpus)
-    elif ctx.inactive_devices:
-        # A previous degraded solve left the roster shrunken; restore the
-        # full device set (and pristine fault state) before partitioning.
-        ctx.reset_clocks()
-    if partition is None:
-        partition = block_row_partition(n, ctx.n_gpus)
-
-    bal = balance_matrix(matrix) if balance else None
-    A_solve = bal.matrix if bal is not None else matrix
-    b_solve = bal.scale_rhs(b) if bal is not None else b
-
-    # Mutable solver state shared by the cycle closure and the
-    # degraded-mode rebuild (see repro.core.degrade).
-    st = SimpleNamespace(
-        partition=partition,
-        dmat=DistributedMatrix(ctx, A_solve, partition),
-        V=DistMultiVector(ctx, partition, m + 1),
-        x=DistVector(ctx, partition),
-        b=DistVector.from_host(ctx, partition, b_solve),
-    )
-    ctx.reset_clocks()
-    ctx.counters.reset()
-
-    def rebuild(new_partition, x_host):
-        st.partition = new_partition
-        st.dmat = DistributedMatrix(ctx, A_solve, new_partition)
-        st.V = DistMultiVector(ctx, new_partition, m + 1)
-        st.b = DistVector.from_host(ctx, new_partition, b_solve)
-        st.x = DistVector.from_host(ctx, new_partition, x_host)
-        return st.x
-
-    degrader = None
-    if degrade is not None or deadline is not None:
-        degrader = DegradationManager(
-            ctx, A_solve, rebuild, policy=degrade, deadline=deadline
-        )
-
-    history = ConvergenceHistory()
-    history.initial_residual = float(np.linalg.norm(b_solve))
-    floor = 100.0 * np.finfo(np.float64).eps * history.initial_residual
-    if history.initial_residual <= floor:
-        return _finish(ctx, st.x, bal, True, 0, 0, history, degrader=degrader)
-    abs_tol = tol * history.initial_residual
-
-    converged = False
-    restarts = 0
-    iterations = 0
-    unrecovered: list[dict] = []
-    for _ in range(max_restarts):
-        if degrader is not None and degrader.deadline_reached():
-            break
-        ctx.mark_cycle()
-        cycle_start = ctx.current_time()
-
-        def cycle(offset=iterations):
-            j_used = _pipelined_cycle(
-                ctx, st.dmat, st.V, st.x, st.b, m, abs_tol, gemv_variant,
-                history, offset,
-            )
-            return j_used, checked_true_residual(ctx, A_solve, b_solve, st.x)
-
-        outcome, aborted = run_cycle_resilient(
-            ctx, cycle, st.x, history, unrecovered, degrader=degrader
-        )
-        if aborted:
-            break
-        j_used, true_res = outcome
-        restarts += 1
-        iterations += j_used
-        if on_cycle is not None:
-            on_cycle(restarts - 1, cycle_start, ctx.current_time())
-        history.record_true(iterations, true_res)
-        if true_res <= abs_tol:
-            converged = True
-            break
-    return _finish(
-        ctx, st.x, bal, converged, restarts, iterations, history, unrecovered,
-        degrader=degrader,
-    )
+    return PipelinedRun(
+        matrix, b, ctx=ctx, n_gpus=n_gpus, partition=partition, m=m, tol=tol,
+        max_restarts=max_restarts, gemv_variant=gemv_variant, balance=balance,
+        degrade=degrade, deadline=deadline, on_cycle=on_cycle,
+    ).result()
 
 
 def _deferred_norm(ctx, cols, start_spmv):
@@ -270,25 +204,3 @@ def _pipelined_cycle(
         ctx.host.charge_small_dense("trsv", max(y.size, 1))
         update_solution(ctx, V, x, y)
     return j_used
-
-
-def _finish(ctx, x, bal, converged, restarts, iterations, history,
-            unrecovered=None, degrader=None):
-    x_host = gathered_solution(x)
-    if bal is not None:
-        x_host = bal.unscale_solution(x_host)
-    details = {"profile": ctx.trace.profile()}
-    if ctx.faults.has_activity() or unrecovered:
-        details["faults"] = ctx.faults.report(unrecovered)
-    if degrader is not None:
-        details["degradation"] = degrader.report()
-    return SolveResult(
-        x=x_host,
-        converged=converged,
-        n_restarts=restarts,
-        n_iterations=iterations,
-        history=history,
-        timers=dict(ctx.timers),
-        counters=ctx.counters.snapshot(),
-        details=details,
-    )

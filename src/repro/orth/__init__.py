@@ -2,9 +2,11 @@
 
 Five TSQR (intra-block) strategies — MGS, CGS, CholQR, SVQR, CAQR — plus the
 block orthogonalization (*BOrth*) of a new panel against the previously
-orthonormalized basis, a reorthogonalization wrapper ("2x" in the paper's
-tables), single-vector Arnoldi orthogonalization for standard GMRES, error
-metrics (Fig. 13) and the analytic cost table (Fig. 10).
+orthonormalized basis, single-vector Arnoldi orthogonalization for standard
+GMRES, error metrics (Fig. 13) and the analytic cost table (Fig. 10).  The
+combined Orth step that chains BOrth and TSQR (with reorthogonalization,
+the "2x" of the paper's tables) lives with its callers in
+:mod:`repro.core.ca_gmres`.
 
 All routines operate on per-device panels (``list[DeviceArray]``, one block
 row per GPU) and communicate exclusively through the context's host-staged
@@ -26,7 +28,6 @@ from .cholqr import tsqr_cholqr
 from .svqr import tsqr_svqr
 from .caqr import tsqr_caqr
 from .borth import borth, BORTH_METHODS
-from .blockorth import orthogonalize_block, BlockOrthResult
 from .single import orthogonalize_vector
 from .costs import tsqr_properties, TSQR_PROPERTY_TABLE
 
@@ -45,8 +46,6 @@ __all__ = [
     "tsqr_caqr",
     "borth",
     "BORTH_METHODS",
-    "orthogonalize_block",
-    "BlockOrthResult",
     "orthogonalize_vector",
     "tsqr_properties",
     "TSQR_PROPERTY_TABLE",

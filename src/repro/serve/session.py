@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 
-from ..core.ca_gmres import CaGmresRun
+from ..core.ca_gmres import CaGmresRun, mpk_block_lengths
 from ..core.convergence import SolveResult
 from ..core.gmres import GmresRun
 from ..gpu.context import MultiGpuContext
@@ -143,9 +143,7 @@ class SolverSession:
         self.n_solves = 0
         if solver == "ca":
             use_mpk = self.solver_kwargs.get("use_mpk", True)
-            self._mpk_lengths = (
-                tuple(sorted({self.s, self.m % self.s} - {0})) if use_mpk else ()
-            )
+            self._mpk_lengths = mpk_block_lengths(self.s, self.m) if use_mpk else ()
         else:
             self._mpk_lengths = ()
 

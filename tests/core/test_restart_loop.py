@@ -1,0 +1,114 @@
+"""The restart-loop driver shared by GMRES, CA-GMRES and pipelined GMRES.
+
+Every solver runs on :class:`repro.core.gmres.RestartedRun`, so the
+boundary checks, the trivial zero right-hand side, the ``on_cycle`` hook,
+the deadline and the ``step()`` interface are tested once, for each run
+class.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.ca_gmres import CaGmresRun, ca_gmres
+from repro.core.gmres import GmresRun, gmres
+from repro.core.pipelined import PipelinedRun, pipelined_gmres
+from repro.matrices.stencil import poisson2d
+from repro.sparse.csr import csr_from_dense
+
+SOLVERS = {
+    "gmres": (GmresRun, gmres, {"m": 8}),
+    "ca_gmres": (CaGmresRun, ca_gmres, {"s": 4, "m": 8}),
+    "pipelined_gmres": (PipelinedRun, pipelined_gmres, {"m": 8}),
+}
+
+
+@pytest.fixture(params=list(SOLVERS))
+def solver(request):
+    return SOLVERS[request.param]
+
+
+@pytest.fixture
+def problem():
+    A = poisson2d(10)
+    b = np.random.default_rng(3).standard_normal(A.n_rows)
+    return A, b
+
+
+def test_rectangular_rejected(solver):
+    run_cls, _, kw = solver
+    with pytest.raises(ValueError, match="square"):
+        run_cls(csr_from_dense(np.ones((3, 4))), np.ones(3), **kw)
+
+
+def test_wrong_b_shape(solver, problem):
+    run_cls, _, kw = solver
+    A, _ = problem
+    with pytest.raises(ValueError, match="b must have shape"):
+        run_cls(A, np.ones(A.n_rows + 1), **kw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_b(solver, problem, bad):
+    run_cls, _, kw = solver
+    A, b = problem
+    b = b.copy()
+    b[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        run_cls(A, b, **kw)
+
+
+def test_zero_rhs_converged_without_restarts(solver, problem):
+    run_cls, _, kw = solver
+    A, _ = problem
+    run = run_cls(A, np.zeros(A.n_rows), n_gpus=2, **kw)
+    assert run.finished and not run.step()
+    r = run.result()
+    assert r.converged and r.n_restarts == 0 and r.n_iterations == 0
+    np.testing.assert_array_equal(r.x, np.zeros(A.n_rows))
+
+
+def test_on_cycle_windows(solver, problem):
+    _, solve, kw = solver
+    A, b = problem
+    windows = []
+    r = solve(A, b, n_gpus=2, on_cycle=lambda *w: windows.append(w), **kw)
+    assert r.n_restarts > 1
+    assert [w[0] for w in windows] == list(range(r.n_restarts))
+    times = [t for _, start, end in windows for t in (start, end)]
+    assert times == sorted(times)
+
+
+def test_deadline_stops_at_restart_boundary(solver, problem):
+    _, solve, kw = solver
+    A, b = problem
+    full = solve(A, b, n_gpus=2, **kw)
+    windows = []
+    deadline = full.details["profile"]["cycles"][1]["end"] * 0.99
+    r = solve(
+        A, b, n_gpus=2, deadline=deadline,
+        on_cycle=lambda *w: windows.append(w), **kw,
+    )
+    deg = r.details["degradation"]
+    assert deg["deadline_exceeded"] and not r.converged
+    # The cycle in flight at the deadline completes; no further one starts.
+    assert r.n_restarts == 2 == len(windows) == len(r.history.true_residuals)
+    assert windows[0][2] < deadline <= windows[1][2]
+
+
+def test_step_to_completion_equals_function_call(solver, problem):
+    run_cls, solve, kw = solver
+    A, b = problem
+    run = run_cls(A, b, n_gpus=3, **kw)
+    steps = 0
+    while run.step():
+        steps += 1
+    stepped, called = run.result(), solve(A, b, n_gpus=3, **kw)
+    assert run.result() is stepped
+    # Every step but the converging one reports more work to do.
+    assert called.converged and steps == stepped.n_restarts - 1
+    np.testing.assert_array_equal(stepped.x, called.x)
+    assert stepped.converged == called.converged
+    assert stepped.n_iterations == called.n_iterations
+    assert stepped.history == called.history
+    assert stepped.timers == called.timers
+    assert stepped.counters == called.counters

@@ -1,11 +1,11 @@
-"""Property-based tests (hypothesis) for the combined Orth step."""
+"""Property-based tests (hypothesis) for the combined Orth step
+(:func:`repro.core.ca_gmres._orthogonalize`)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.ca_gmres import _orthogonalize
 from repro.gpu.context import MultiGpuContext
-from repro.orth.blockorth import orthogonalize_block
 
 from ..conftest import gather_multivector, make_dist_multivector
 
@@ -13,7 +13,8 @@ from ..conftest import gather_multivector, make_dist_multivector
 @st.composite
 def orth_problems(draw):
     n = draw(st.integers(20, 80))
-    j = draw(st.integers(0, 6))
+    # Every CA block projects against at least the cycle's first vector.
+    j = draw(st.integers(1, 6))
     k = draw(st.integers(1, 5))
     n_gpus = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**31 - 1))
@@ -21,8 +22,7 @@ def orth_problems(draw):
     if n < n_gpus * (j + k) + n_gpus:
         n = n_gpus * (j + k) + n_gpus
     rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, max(j, 1))))
-    Q = Q[:, :j]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, j)))
     V = rng.standard_normal((n, k))
     return Q, V, n_gpus
 
@@ -42,24 +42,19 @@ def test_blockorth_decomposition_invariants(problem, tsqr_method, borth_method, 
     Q, V, n_gpus = problem
     j, k = Q.shape[1], V.shape[1]
     ctx = MultiGpuContext(n_gpus)
-    mv, _ = make_dist_multivector(ctx, np.hstack([Q, V]) if j else V.copy())
-    q_panels = mv.panel(0, j) if j else None
-    v_panels = mv.panel(j, j + k)
-    res = orthogonalize_block(
-        ctx, q_panels, v_panels,
+    mv, _ = make_dist_multivector(ctx, np.hstack([Q, V]))
+    C, R, _ = _orthogonalize(
+        ctx, mv, j - 1, k,
         tsqr_method=tsqr_method, borth_method=borth_method, reorth=reorth,
     )
     full = gather_multivector(mv)
     Q_new = full[:, j : j + k]
     # Reconstruction.
-    np.testing.assert_allclose(
-        (Q @ res.C if j else 0) + Q_new @ res.R, V, atol=1e-8
-    )
+    np.testing.assert_allclose(Q @ C + Q_new @ R, V, atol=1e-8)
     # Orthonormality of the new block.
     np.testing.assert_allclose(Q_new.T @ Q_new, np.eye(k), atol=1e-8)
     # Orthogonality to the previous basis.
-    if j:
-        np.testing.assert_allclose(Q.T @ Q_new, np.zeros((j, k)), atol=1e-8)
+    np.testing.assert_allclose(Q.T @ Q_new, np.zeros((j, k)), atol=1e-8)
     # R upper triangular with positive diagonal.
-    np.testing.assert_allclose(res.R, np.triu(res.R), atol=0)
-    assert np.all(np.diag(res.R) > 0)
+    np.testing.assert_allclose(R, np.triu(R), atol=0)
+    assert np.all(np.diag(R) > 0)

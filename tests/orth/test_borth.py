@@ -1,10 +1,12 @@
-"""Tests for block orthogonalization (BOrth) and the combined Orth step."""
+"""Tests for block orthogonalization (BOrth) and the combined Orth step
+(:func:`repro.core.ca_gmres._orthogonalize`)."""
 
 import numpy as np
 import pytest
 
+from repro.core.ca_gmres import _orthogonalize, ca_gmres
 from repro.gpu.context import MultiGpuContext
-from repro.orth.blockorth import orthogonalize_block
+from repro.matrices.stencil import poisson2d
 from repro.orth.borth import borth
 
 from ..conftest import gather_multivector, make_dist_multivector
@@ -77,24 +79,17 @@ class TestBorthMethods:
 
 
 class TestOrthogonalizeBlock:
+    """``_orthogonalize(ctx, V, j, k)`` orthogonalizes ``V[:, j+1 : j+k+1]``
+    against ``Q = V[:, :j+1]``, so a ``j``-column Q is passed as ``j - 1``."""
+
     @pytest.mark.parametrize("tsqr_method", ["cholqr", "cgs", "caqr"])
     def test_full_decomposition(self, tsqr_method, rng, ctx):
         mv, _, Q, V, j, k = setup_panels(ctx, rng)
-        res = orthogonalize_block(
-            ctx, mv.panel(0, j), mv.panel(j, j + k), tsqr_method=tsqr_method
-        )
+        C, R, _ = _orthogonalize(ctx, mv, j - 1, k, tsqr_method=tsqr_method)
         Q_new = gather_multivector(mv)[:, j : j + k]
-        np.testing.assert_allclose(Q @ res.C + Q_new @ res.R, V, atol=1e-11)
+        np.testing.assert_allclose(Q @ C + Q_new @ R, V, atol=1e-11)
         np.testing.assert_allclose(Q_new.T @ Q_new, np.eye(k), atol=1e-11)
         np.testing.assert_allclose(Q.T @ Q_new, np.zeros((j, k)), atol=1e-11)
-
-    def test_first_block_no_previous(self, rng, ctx1):
-        V = rng.standard_normal((30, 4))
-        mv, _ = make_dist_multivector(ctx1, V)
-        res = orthogonalize_block(ctx1, None, mv.panel(0, 4))
-        assert res.C.shape == (0, 4)
-        Q_new = gather_multivector(mv)
-        np.testing.assert_allclose(Q_new @ res.R, V, atol=1e-12)
 
     def test_reorth_improves_orthogonality(self, rng, ctx1):
         from repro.matrices.random_sparse import well_conditioned_tall_skinny
@@ -107,12 +102,8 @@ class TestOrthogonalizeBlock:
         errs = {}
         for reorth in (1, 2):
             mv, _ = make_dist_multivector(ctx1, np.hstack([Q_dense, V_dense]))
-            res = orthogonalize_block(
-                ctx1,
-                mv.panel(0, j),
-                mv.panel(j, j + k),
-                tsqr_method="cgs",
-                reorth=reorth,
+            C, R, _ = _orthogonalize(
+                ctx1, mv, j - 1, k, tsqr_method="cgs", reorth=reorth
             )
             full = gather_multivector(mv)
             errs[reorth] = np.linalg.norm(
@@ -120,11 +111,13 @@ class TestOrthogonalizeBlock:
             )
             # decomposition holds for both
             np.testing.assert_allclose(
-                Q_dense @ res.C + full[:, j:] @ res.R, V_dense, atol=1e-9
+                Q_dense @ C + full[:, j:] @ R, V_dense, atol=1e-9
             )
         assert errs[2] <= errs[1]
 
-    def test_invalid_reorth(self, rng, ctx1):
-        mv, _, _, _, j, k = setup_panels(ctx1, rng)
-        with pytest.raises(ValueError):
-            orthogonalize_block(ctx1, mv.panel(0, j), mv.panel(j, j + k), reorth=0)
+    def test_invalid_reorth(self):
+        """The pass count is validated at the CA-GMRES boundary."""
+        A = poisson2d(16)
+        for reorth in (0, -5):
+            with pytest.raises(ValueError, match="reorth"):
+                ca_gmres(A, np.ones(A.n_rows), s=4, m=8, reorth=reorth)

@@ -1,8 +1,7 @@
 """Property-based tests (hypothesis) for the orthogonalization kernels."""
 
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.gpu.context import MultiGpuContext
 from repro.orth.tsqr import tsqr
@@ -39,12 +38,11 @@ def test_tsqr_invariants_random_panels(V, method):
 @given(panels())
 def test_tsqr_methods_produce_same_r(V):
     """All variants factor the same panel: R agrees across methods."""
+    assume(V.shape[0] >= V.shape[1])
     rs = []
     for method in ("mgs", "cholqr", "caqr"):
         ctx = MultiGpuContext(1)
         mv, _ = make_dist_multivector(ctx, V.copy())
-        if V.shape[0] < V.shape[1]:
-            pytest.skip("panel not tall")
         rs.append(tsqr(ctx, mv.panel(0, V.shape[1]), method=method))
     np.testing.assert_allclose(rs[0], rs[1], atol=1e-7)
     np.testing.assert_allclose(rs[0], rs[2], atol=1e-7)
@@ -54,8 +52,8 @@ def test_tsqr_methods_produce_same_r(V):
 @given(panels(), st.integers(1, 3))
 def test_tsqr_device_count_invariance(V, n_gpus):
     """R must not depend on how rows are distributed."""
-    if V.shape[0] < n_gpus * V.shape[1]:
-        pytest.skip("blocks too short for CAQR-style distribution")
+    # Blocks too short for a CAQR-style distribution are not drawn.
+    assume(V.shape[0] >= n_gpus * V.shape[1])
     results = []
     for g in (1, n_gpus):
         ctx = MultiGpuContext(g)
