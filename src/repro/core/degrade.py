@@ -204,12 +204,10 @@ class DegradationManager:
         now = self.ctx.current_time()
         for dev in dead:
             self.ctx.deactivate_device(dev)
-            self.ctx.faults.note_degradation("degraded", now, site=dev.name)
         survivors = self.ctx.n_gpus
         partition = derive_partition(self.matrix, survivors, self.policy.strategy)
         x_host = _assemble_global(old_x, checkpoint)
         new_x = self.rebuild(partition, x_host)
-        self.ctx.counters.repartitions += 1
         event = {
             "time": now,
             "lost": sorted(d.name for d in dead),

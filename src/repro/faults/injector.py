@@ -10,11 +10,13 @@ device, the host, and the PCIe bus.  The hook points:
 * ``PcieBus.schedule`` -> :meth:`on_bus_message` (stall / corrupt);
 * ``MultiGpuContext.h2d/d2h`` -> :meth:`apply_pending_corrupt` (write the
   drawn corruption into the *arriving* copy) and :meth:`check_alive`.
+  Only ``ctx.bus`` (node 0's bus on a multi-node context) draws faults.
 
 Every injection, detection, and recovery is appended to the injector's
 log **and** recorded as a zero/short-duration event in the ``"faults"``
 trace lane, so Chrome/Perfetto exports show faults in timeline context
-next to the kernels and transfers they hit.
+next to the kernels and transfers they hit; degraded-mode events
+(:meth:`note_degradation`) are recorded in the trace only.
 
 Determinism: per-site RNG streams are seeded from ``(plan.seed,
 crc32(site))``; occurrence counters advance once per opportunity; RNG
@@ -49,11 +51,11 @@ class FaultInjector:
         no-op and only the detection log remains usable, e.g. for
         ``validate_transfers`` without any injection).
     trace
-        Optional :class:`~repro.gpu.trace.TraceRecorder` to mirror the log
-        into.
+        The context's :class:`~repro.gpu.trace.TraceRecorder`; the log is
+        mirrored into its fault lane.
     """
 
-    def __init__(self, plan: FaultPlan | None = None, trace=None):
+    def __init__(self, plan: FaultPlan | None, trace):
         self.plan = plan
         self.trace = trace
         #: True when a plan is attached — the solvers read this (together
@@ -69,7 +71,6 @@ class FaultInjector:
         self.injected: list[dict] = []
         self.detections: list[dict] = []
         self.recoveries: list[dict] = []
-        self.degradations: list[dict] = []
         self.dead: set[str] = set()
         self._counts: dict[str, int] = {}
         self._rngs: dict[str, np.random.Generator] = {}
@@ -185,21 +186,18 @@ class FaultInjector:
         """Log that a guard caught non-finite data (``what`` names it)."""
         record = {"what": what, "site": site, "time": float(time), **info}
         self.detections.append(record)
-        if self.trace is not None:
-            self.trace.record(
-                f"detect {what}", FAULT_LANE, "detect", time, 0.0,
-                site=site, **info,
-            )
+        self.trace.record(
+            f"detect {what}", FAULT_LANE, "detect", time, 0.0, site=site, **info,
+        )
 
     def note_recovery(self, action: str, time: float, **info) -> None:
         """Log a recovery action (``transfer-retry`` | ``panel-retry`` |
         ``cycle-redo``)."""
         record = {"action": action, "time": float(time), **info}
         self.recoveries.append(record)
-        if self.trace is not None:
-            self.trace.record(
-                f"recover {action}", FAULT_LANE, "recover", time, 0.0, **info
-            )
+        self.trace.record(
+            f"recover {action}", FAULT_LANE, "recover", time, 0.0, **info
+        )
 
     def note_degradation(self, event: str, time: float, site: str | None = None, **info) -> None:
         """Log a degraded-mode event (``degraded`` | ``repartition`` |
@@ -207,16 +205,13 @@ class FaultInjector:
 
         The canonical degradation record lives in
         ``SolveResult.details["degradation"]`` (built by
-        :class:`repro.core.degrade.DegradationManager`); this mirror puts
-        the event next to the faults/kernels it follows in timeline
-        exports, and works even with no plan attached (deadline watchdogs
-        run on fault-free contexts too).
+        :class:`repro.core.degrade.DegradationManager`); this event puts
+        it next to the faults/kernels it follows in timeline exports, and
+        works even with no plan attached (deadline watchdogs run on
+        fault-free contexts too).
         """
-        record = {"event": event, "site": site, "time": float(time), **info}
-        self.degradations.append(record)
-        if self.trace is not None:
-            name = event if site is None else f"{event} {site}"
-            self.trace.record(name, FAULT_LANE, event, time, 0.0, site=site, **info)
+        name = event if site is None else f"{event} {site}"
+        self.trace.record(name, FAULT_LANE, event, time, 0.0, site=site, **info)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -269,11 +264,10 @@ class FaultInjector:
         if event.kind == "stall":
             record["extra_time"] = float(extra)
         self.injected.append(record)
-        if self.trace is not None:
-            self.trace.record(
-                f"{event.kind} {site}", FAULT_LANE, "fault", start, extra,
-                site=site, fault_kind=event.kind, index=index, **info,
-            )
+        self.trace.record(
+            f"{event.kind} {site}", FAULT_LANE, "fault", start, extra,
+            site=site, fault_kind=event.kind, index=index, **info,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

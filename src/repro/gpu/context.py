@@ -1,8 +1,11 @@
 """The multi-GPU execution context.
 
-``MultiGpuContext`` owns the devices, the host, the PCIe bus, the counters,
-and named timing regions.  All host<->device data movement flows through it,
-so communication counts/volumes and the simulated timeline stay consistent.
+``MultiGpuContext`` owns the devices, the host, the PCIe bus, the event
+trace, and named timing regions.  All host<->device data movement flows
+through it: each transfer walks its device's route (here, the shared PCIe
+bus) and every hop records an h2d/d2h interval into the trace, which also
+tallies :attr:`MultiGpuContext.counters`.  So communication counts, volumes
+and the simulated timeline come from one record.
 
 Time semantics
 --------------
@@ -11,10 +14,9 @@ the (shared) bus and delay only their consumer.  ``current_time`` is the max
 over all clocks.  A :meth:`region` context-manager records a (properly
 nested) span into the structured event trace (:class:`~repro.gpu.trace.
 TraceRecorder`) — this is how the solvers attribute time to SpMV / MPK /
-BOrth / TSQR exactly as the paper's tables do.  ``ctx.timers`` remains
-available as the per-region *exclusive*-time view of the trace: identical
-to the historical accumulation for non-nested regions, and no longer
-double-counting when regions nest.
+BOrth / TSQR exactly as the paper's tables do.  ``ctx.timers`` is the
+per-region *exclusive*-time view of the trace, so nested regions never
+double-count.
 """
 
 from __future__ import annotations
@@ -73,20 +75,22 @@ class MultiGpuContext:
             machine = keeneland_node(min(n_gpus, 3))
         self.machine = machine
         self.perf = PerformanceModel(machine)
-        self.counters = Counters()
         self.trace = TraceRecorder()
-        self.faults = FaultInjector(fault_plan, trace=self.trace)
+        self.faults = FaultInjector(fault_plan, self.trace)
         self.validate_transfers = bool(validate_transfers)
         #: The full device roster as built; never shrinks.  ``devices`` is
         #: the *active* subset — identical until a device is deactivated.
         self.all_devices = tuple(
-            Device(d, self.perf, self.counters, trace=self.trace, faults=self.faults)
+            Device(d, self.perf, self.trace, faults=self.faults)
             for d in range(n_gpus)
         )
         self.devices = list(self.all_devices)
         self._inactive: set[str] = set()
-        self.host = Host(self.perf, self.counters, trace=self.trace, faults=self.faults)
+        self.host = Host(self.perf, self.trace, faults=self.faults)
         self.bus = PcieBus(machine.pcie, trace=self.trace, faults=self.faults)
+        #: Per-device transfer hops, device side first; each hop's
+        #: ``schedule(ready_at, nbytes, kind, peer)`` records its interval.
+        self._routes = {dev: (self.bus,) for dev in self.all_devices}
         self._autotuner = None
 
     @property
@@ -113,7 +117,7 @@ class MultiGpuContext:
         of fault-campaign trials without rebuilding its distributed state.
         Pass ``None`` to disarm.
         """
-        self.faults = FaultInjector(fault_plan, trace=self.trace)
+        self.faults = FaultInjector(fault_plan, self.trace)
         for dev in self.all_devices:
             dev.faults = self.faults
         self.host.faults = self.faults
@@ -123,6 +127,11 @@ class MultiGpuContext:
     def resilience_enabled(self) -> bool:
         """True when solvers should run their fault guards/retry paths."""
         return self.faults.active or self.validate_transfers
+
+    @property
+    def counters(self) -> Counters:
+        """Runtime counts, tallied by the trace from the events it records."""
+        return self.trace.counters
 
     @property
     def timers(self) -> dict[str, float]:
@@ -148,7 +157,8 @@ class MultiGpuContext:
         device id.  The device's PCIe lanes are torn down (further
         transfers raise :class:`DeviceLost`), it stops contributing to
         :meth:`current_time`/:meth:`sync`, and collectives/broadcasts
-        iterate over the survivors only.  The roster is restored by
+        iterate over the survivors only.  A ``degraded`` event is recorded
+        on the fault lane at the current time.  The roster is restored by
         :meth:`reset_clocks`, so reruns on this context replay the same
         degradation deterministically.  Deactivating the last active
         device is refused.
@@ -166,10 +176,10 @@ class MultiGpuContext:
             raise ValueError(f"device {dev.name} is already inactive")
         if len(self.devices) == 1:
             raise ValueError("cannot deactivate the last active device")
+        self.faults.note_degradation("degraded", self.current_time(), site=dev.name)
         self.devices.remove(dev)
         self._inactive.add(dev.name)
-        self.bus.deactivate_peer(dev.name)
-        self.counters.device_deactivations += 1
+        self._routes[dev][0].deactivate_peer(dev.name)
         return dev
 
     def _require_active(self, device: Device) -> None:
@@ -235,8 +245,8 @@ class MultiGpuContext:
         """Record this context's runtime telemetry into a metrics registry.
 
         Per-lane busy seconds / utilization and PCIe occupancy are derived
-        from the event trace; kernel-launch, transfer, and flop counters
-        are bridged from :attr:`counters`.  See
+        from the event trace; kernel-launch, transfer, and flop counts are
+        read from :attr:`counters`, which the trace tallies.  See
         :func:`repro.metrics.collect.observe_context`.
         """
         from repro.metrics.collect import observe_context
@@ -247,7 +257,7 @@ class MultiGpuContext:
     # Transfers
     # ------------------------------------------------------------------
     def h2d(self, device: Device, array: np.ndarray) -> DeviceArray:
-        """Copy a host array to ``device`` (one PCIe message).
+        """Copy a host array to ``device`` (one message per route hop).
 
         The host is not blocked (async copy); the device waits for arrival.
         With ``validate_transfers`` the arriving copy is checked for
@@ -258,12 +268,11 @@ class MultiGpuContext:
         self._require_active(device)
         if self.faults.active:
             self.faults.check_alive(device.name)
-        end = self.bus.schedule(
-            self.host.clock, array.nbytes, kind="h2d", peer=device.name
-        )
+        end = self.host.clock
+        # Host side first; each hop's arrival is the next hop's ready time.
+        for hop in reversed(self._routes[device]):
+            end = hop.schedule(end, array.nbytes, kind="h2d", peer=device.name)
         device.wait_until(end)
-        self.counters.h2d_messages += 1
-        self.counters.h2d_bytes += array.nbytes
         arrived = DeviceArray(array.copy(), device)
         if self.faults.active:
             self.faults.apply_pending_corrupt(arrived.data)
@@ -278,7 +287,7 @@ class MultiGpuContext:
         return arrived
 
     def d2h(self, darr: DeviceArray, ready_at: float | None = None) -> np.ndarray:
-        """Copy a device array to the host (one PCIe message).
+        """Copy a device array to the host (one message per route hop).
 
         The device is not blocked (async copy); the host waits for arrival.
         ``ready_at`` overrides the payload-ready time — used by pipelined
@@ -286,16 +295,13 @@ class MultiGpuContext:
         work (the copy engine ships data produced at ``ready_at`` even
         though the device's compute clock has since moved on).
         """
-        ready = darr.device.clock if ready_at is None else min(ready_at, darr.device.clock)
+        end = darr.device.clock if ready_at is None else min(ready_at, darr.device.clock)
         self._require_active(darr.device)
         if self.faults.active:
             self.faults.check_alive(darr.device.name)
-        end = self.bus.schedule(
-            ready, darr.nbytes, kind="d2h", peer=darr.device.name
-        )
+        for hop in self._routes[darr.device]:  # device side first
+            end = hop.schedule(end, darr.nbytes, kind="d2h", peer=darr.device.name)
         self.host.wait_until(end)
-        self.counters.d2h_messages += 1
-        self.counters.d2h_bytes += darr.nbytes
         arrived = np.array(darr.data, copy=True)
         if self.faults.active:
             self.faults.apply_pending_corrupt(arrived)

@@ -3,8 +3,9 @@
 The paper's analysis is phrased in communication *counts* and *volumes*
 (Fig. 10: number of GPU-CPU communications per TSQR; Section IV: gathered /
 scattered element counts for MPK).  Every transfer and kernel launch in the
-simulator increments these counters, so tests can check the implementation
-against the paper's closed-form counts exactly.
+simulator is tallied into these counters by the trace that records it
+(:meth:`repro.gpu.trace.TraceRecorder.record`), so tests can check the
+implementation against the paper's closed-form counts exactly.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ class Counters:
     def total_bytes(self) -> int:
         """All PCIe bytes in both directions."""
         return self.h2d_bytes + self.d2h_bytes
-
-    def count_kernel(self, op: str, variant: str) -> None:
-        """Tally one launch of ``op``/``variant`` (per-kernel attribution)."""
-        key = f"{op}/{variant}"
-        self.kernel_counts[key] = self.kernel_counts.get(key, 0) + 1
 
     def reset(self) -> None:
         """Zero every counter and drop all marks.

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..perf.model import PerformanceModel
 from ..perf.kernels import kernel_flops_bytes
-from .counters import Counters
 
 __all__ = ["Device", "DeviceArray", "Host"]
 
@@ -57,13 +56,9 @@ class DeviceArray:
 class _Clocked:
     """Shared clock behavior for devices and the host."""
 
-    def __init__(
-        self, name: str, perf: PerformanceModel, counters: Counters, trace=None,
-        faults=None,
-    ):
+    def __init__(self, name: str, perf: PerformanceModel, trace, faults=None):
         self.name = name
         self.perf = perf
-        self.counters = counters
         self.trace = trace
         #: Optional :class:`~repro.faults.injector.FaultInjector` shared by
         #: the owning context; consulted on every kernel charge when active.
@@ -73,13 +68,12 @@ class _Clocked:
         self._poison_pending = None
         self.clock = 0.0
 
-    def _record_kernel(self, op: str, variant: str, start: float, t: float) -> None:
-        """Log one kernel interval into the trace (no-op without one)."""
-        if self.trace is not None:
-            self.trace.record(
-                f"{op}/{variant}", self.name, "kernel", start, t, op=op,
-                variant=variant,
-            )
+    def _record_kernel(self, op: str, variant: str, start: float, t: float, **args) -> None:
+        """Log one kernel interval into the trace."""
+        self.trace.record(
+            f"{op}/{variant}", self.name, "kernel", start, t, op=op,
+            variant=variant, **args,
+        )
 
     def _faulted_time(self, op: str, variant: str, start: float, t: float) -> float:
         """Run the fault hook for one kernel charge (stall/poison/dropout)."""
@@ -129,15 +123,12 @@ class Device(_Clocked):
         Index of this GPU (0-based).
     perf
         Shared performance model.
-    counters
-        Shared event counters.
+    trace
+        The context's event trace (and counter tally).
     """
 
-    def __init__(
-        self, device_id: int, perf: PerformanceModel, counters: Counters, trace=None,
-        faults=None,
-    ):
-        super().__init__(f"gpu{device_id}", perf, counters, trace=trace, faults=faults)
+    def __init__(self, device_id: int, perf: PerformanceModel, trace, faults=None):
+        super().__init__(f"gpu{device_id}", perf, trace, faults=faults)
         self.device_id = int(device_id)
 
     # -- array management -------------------------------------------------
@@ -165,10 +156,7 @@ class Device(_Clocked):
         t = self._faulted_time(op, variant, start, self.perf.gpu_time(op, variant, **shape))
         self.advance(t)
         flops, _ = kernel_flops_bytes(op, variant, **shape)
-        self.counters.kernel_launches += 1
-        self.counters.device_flops += flops
-        self.counters.count_kernel(op, variant)
-        self._record_kernel(op, variant, start, t)
+        self._record_kernel(op, variant, start, t, flops=flops)
         return t
 
     def require_resident(self, *arrays: DeviceArray) -> None:
@@ -188,8 +176,8 @@ class Device(_Clocked):
 class Host(_Clocked):
     """The 16-core host CPU: reductions and small dense factorizations."""
 
-    def __init__(self, perf: PerformanceModel, counters: Counters, trace=None, faults=None):
-        super().__init__("host", perf, counters, trace=trace, faults=faults)
+    def __init__(self, perf: PerformanceModel, trace, faults=None):
+        super().__init__("host", perf, trace, faults=faults)
 
     def charge_kernel(self, op: str, variant: str = "mkl", **shape) -> float:
         """Advance the host clock by one threaded-BLAS kernel's time."""
@@ -197,9 +185,7 @@ class Host(_Clocked):
         t = self._faulted_time(op, variant, start, self.perf.cpu_time(op, variant, **shape))
         self.advance(t)
         flops, _ = kernel_flops_bytes(op, variant, **shape)
-        self.counters.host_flops += flops
-        self.counters.count_kernel(op, variant)
-        self._record_kernel(op, variant, start, t)
+        self._record_kernel(op, variant, start, t, flops=flops)
         return t
 
     def charge_small_dense(self, op: str, k: int) -> float:
@@ -207,7 +193,5 @@ class Host(_Clocked):
         start = self.clock
         t = self._faulted_time(op, "lapack", start, self.perf.host_small_dense(op, k))
         self.advance(t)
-        self.counters.host_small_ops += 1
-        self.counters.count_kernel(op, "lapack")
         self._record_kernel(op, "lapack", start, t)
         return t

@@ -13,6 +13,12 @@ communication pattern of the solvers (reductions, broadcasts, halo
 exchanges) automatically pays the extra cost, so the latency-avoiding
 value of MPK/CholQR grows exactly as the paper anticipates.
 
+The context only builds per-device transfer routes (node bus, then network
+link) that the inherited ``h2d``/``d2h`` walk, so remote transfers are
+traced, counted, fault-checked and validated like local ones.  Node ``k``'s
+bus and link record one message each on the ``pcie<k>``/``net<k>`` lanes;
+only node 0's bus (``ctx.bus``) consults the fault injector.
+
 The root host plays the MPI-rank-0 role of the staging CPU; remote hosts
 act as relays (their relay time is folded into the network message).
 """
@@ -21,11 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..perf.machine import MachineSpec, PcieSpec, keeneland_node
+from ..perf.machine import MachineSpec, keeneland_node
 from .context import MultiGpuContext
-from .device import Device, DeviceArray
+from .device import Device
 from .pcie import PcieBus
 
 __all__ = ["NetworkSpec", "MultiNodeContext", "infiniband_qdr"]
@@ -49,16 +53,23 @@ def infiniband_qdr() -> NetworkSpec:
 
 
 class _NetworkLink:
-    """One node's link to the root: serializes that node's messages."""
+    """One remote node's link to the root: serializes that node's messages."""
 
-    def __init__(self, spec: NetworkSpec):
+    def __init__(self, spec: NetworkSpec, trace, lane: str):
         self.spec = spec
+        self.trace = trace
+        self.lane = lane
         self.busy_until = 0.0
 
-    def schedule(self, ready_at: float, nbytes: int) -> float:
+    def schedule(self, ready_at: float, nbytes: int, kind: str, peer: str) -> float:
+        """Send one message; records its interval and returns its arrival."""
         start = max(ready_at, self.busy_until)
         end = start + self.spec.latency + nbytes / self.spec.bandwidth
         self.busy_until = end
+        self.trace.record(
+            f"{kind} {peer}", self.lane, kind, start, end - start,
+            bytes=int(nbytes), peer=peer,
+        )
         return end
 
     def reset(self) -> None:
@@ -97,11 +108,18 @@ class MultiNodeContext(MultiGpuContext):
         self.n_nodes = int(n_nodes)
         self.gpus_per_node = int(gpus_per_node)
         self.network = network if network is not None else infiniband_qdr()
-        # One PCIe bus per node (the base class bus serves node 0).
-        self._buses = [self.bus] + [
-            PcieBus(machine.pcie) for _ in range(self.n_nodes - 1)
-        ]
-        self._links = [_NetworkLink(self.network) for _ in range(self.n_nodes)]
+        # Each remote node has its own PCIe bus and network link (the base
+        # class bus serves node 0).
+        self._buses, self._links = [], []
+        for k in range(1, self.n_nodes):
+            bus = PcieBus(machine.pcie, trace=self.trace)
+            bus.lane = f"pcie{k}"
+            self._buses.append(bus)
+            self._links.append(_NetworkLink(self.network, self.trace, f"net{k}"))
+        for dev in self.all_devices:
+            k = self.node_of(dev)
+            if k > 0:
+                self._routes[dev] = (self._buses[k - 1], self._links[k - 1])
 
     # ------------------------------------------------------------------
     def node_of(self, device: Device) -> int:
@@ -110,44 +128,8 @@ class MultiNodeContext(MultiGpuContext):
 
     def reset_clocks(self) -> None:
         super().reset_clocks()
-        for bus in self._buses:
-            bus.reset()
-        for link in self._links:
-            link.reset()
-
-    # ------------------------------------------------------------------
-    # Transfers: remote devices pay PCIe on their node + the network hop.
-    # ------------------------------------------------------------------
-    def h2d(self, device: Device, array: np.ndarray) -> DeviceArray:
-        array = np.asarray(array)
-        node = self.node_of(device)
-        ready = self.host.clock
-        if node > 0:
-            ready = self._links[node].schedule(ready, array.nbytes)
-            self.counters.h2d_messages += 1  # network hop counted too
-            self.counters.h2d_bytes += array.nbytes
-        end = self._buses[node].schedule(ready, array.nbytes)
-        device.wait_until(end)
-        self.counters.h2d_messages += 1
-        self.counters.h2d_bytes += array.nbytes
-        return DeviceArray(array.copy(), device)
-
-    def d2h(self, darr: DeviceArray, ready_at: float | None = None) -> np.ndarray:
-        node = self.node_of(darr.device)
-        ready = (
-            darr.device.clock
-            if ready_at is None
-            else min(ready_at, darr.device.clock)
-        )
-        end = self._buses[node].schedule(ready, darr.nbytes)
-        self.counters.d2h_messages += 1
-        self.counters.d2h_bytes += darr.nbytes
-        if node > 0:
-            end = self._links[node].schedule(end, darr.nbytes)
-            self.counters.d2h_messages += 1
-            self.counters.d2h_bytes += darr.nbytes
-        self.host.wait_until(end)
-        return np.array(darr.data, copy=True)
+        for hop in self._buses + self._links:
+            hop.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from ..faults.errors import DeviceLost
 from ..perf.machine import PcieSpec
+from .trace import PCIE_LANE
 
 __all__ = ["PcieBus"]
 
@@ -27,6 +28,8 @@ class PcieBus:
         self.spec = spec
         self.busy_until = 0.0
         self.trace = trace
+        #: Trace lane of this bus (``pcie<k>`` for node ``k`` > 0).
+        self.lane = PCIE_LANE
         #: Optional fault injector; consulted once per scheduled message
         #: (transfer corruption is left pending for the context to apply
         #: to the arriving payload copy, stalls extend the occupancy).
@@ -53,7 +56,7 @@ class PcieBus:
 
         Returns the completion time.  With a shared bus the transfer also
         queues behind the previous one.  When a trace recorder is attached,
-        the bus-occupancy interval is recorded in the ``pcie`` lane with the
+        the bus-occupancy interval is recorded in the :attr:`lane` with the
         transfer direction (``kind``), byte count, and ``peer`` device.
         """
         if peer is not None and peer in self.deactivated:
@@ -67,7 +70,7 @@ class PcieBus:
         if self.trace is not None:
             name = kind if peer is None else f"{kind} {peer}"
             self.trace.record(
-                name, "pcie", kind, start, end - start, bytes=int(nbytes), peer=peer
+                name, self.lane, kind, start, end - start, bytes=int(nbytes), peer=peer
             )
         return end
 

@@ -1,26 +1,24 @@
-"""Structured event trace for the simulated machine.
+"""Structured event trace for the simulated machine — the one runtime record.
 
 The paper's analysis (Figs. 11-15) is a per-kernel breakdown of where
-CA-GMRES time goes — SpMV/MPK vs BOrth vs TSQR vs PCIe.  A coarse
-``dict[str, float]`` of region totals cannot reproduce those tables (and
-double-counts when regions nest, since each region charges the full
-wall-clock delta).  :class:`TraceRecorder` replaces it with a structured
-event log:
+CA-GMRES time goes — SpMV/MPK vs BOrth vs TSQR vs PCIe — and Fig. 10
+counts GPU-CPU messages.  :class:`TraceRecorder` is the one record both
+come from.  It logs:
 
-* every **kernel** charge (device or host) with its lane, start time and
-  modeled duration;
-* every **h2d/d2h transfer** as a PCIe **bus-occupancy interval** (the
+* every **kernel** charge (device or host) with its lane, start time,
+  modeled duration and flops;
+* every **h2d/d2h transfer** hop as a bus-occupancy interval (the
   shared-bus serialization of Section IV is directly visible as back-to-back
-  intervals in the ``pcie`` lane);
+  intervals in the ``pcie`` lane; remote nodes use ``pcie<k>``/``net<k>``);
 * every **region** enter/exit, properly nested: each region records both its
   *inclusive* wall-clock span and its *exclusive* time (inclusive minus the
-  spans of nested child regions), so nested regions no longer double-count;
-* **cycle marks** placed by the solvers at restart-cycle boundaries.
+  spans of nested child regions), so nested regions never double-count;
+* fault-lane events and **cycle marks** at restart-cycle boundaries.
 
-Three consumers sit on top of the log:
+Recording an event also tallies it into :attr:`TraceRecorder.counters`
+(``ctx.counters``).  Everything else is derived from the log on demand:
 
-* :meth:`TraceRecorder.exclusive_totals` — the legacy ``ctx.timers`` view
-  (identical to the old accumulation for non-nested regions);
+* :meth:`TraceRecorder.exclusive_totals` — the ``ctx.timers`` view;
 * :meth:`TraceRecorder.profile` — per-kernel / per-region / per-transfer /
   per-restart-cycle aggregates, attached to ``SolveResult.details["profile"]``;
 * :meth:`TraceRecorder.to_chrome_trace` — Chrome ``trace_event``-format JSON
@@ -32,6 +30,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+from .counters import Counters
 
 __all__ = ["TraceEvent", "TraceRecorder"]
 
@@ -59,10 +59,12 @@ class TraceEvent:
     name
         Event label (``"gemm_tn/cublas"``, ``"h2d"``, region name, ...).
     lane
-        Timeline lane: ``"gpu0"``..``"gpuN"``, ``"host"``, ``"pcie"``, or
-        ``"regions"``.
+        Timeline lane: ``"gpu0"``..``"gpuN"``, ``"host"``, ``"pcie"``
+        (``"pcie<k>"``/``"net<k>"`` on remote nodes), ``"regions"``, or
+        ``"faults"``.
     kind
-        ``"kernel"`` | ``"h2d"`` | ``"d2h"`` | ``"region"``.
+        ``"kernel"`` | ``"h2d"`` | ``"d2h"`` | ``"region"``, or a fault-lane
+        kind (``"fault"``, ``"degraded"``, ...).
     start, duration
         Simulated seconds.
     args
@@ -83,22 +85,20 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Append-only event log with region nesting and cycle marks.
+    """Append-only event log with region nesting, cycle marks and counters.
 
-    The recorder is intentionally cheap: recording is a dataclass append,
-    and all aggregation (:meth:`profile`, :meth:`exclusive_totals`) walks
-    the log on demand.  ``enabled = False`` turns every record call into a
-    no-op while keeping the exclusive-time region bookkeeping (so
-    ``ctx.timers`` stays correct either way).
+    Recording is a dataclass append plus a counter tally; all aggregation
+    walks the log on demand.  :meth:`reset` leaves :attr:`counters` alone
+    (the solvers reset those themselves at the start of every run).
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.events: list[TraceEvent] = []
         self.cycle_marks: list[float] = []
+        #: Runtime counts; only :meth:`record` writes them.
+        self.counters = Counters()
         # Region stack entries: [name, start_time, child_inclusive_time].
         self._region_stack: list[list] = []
-        self._exclusive: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -112,10 +112,35 @@ class TraceRecorder:
         duration: float,
         **args,
     ) -> None:
-        """Append one interval event (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Append one interval event and tally it into :attr:`counters`.
+
+        A kernel counts one launch of ``name`` and its ``flops`` arg; a
+        host kernel without ``flops`` is a small dense LAPACK op.  Each
+        ``h2d``/``d2h`` event is one message of ``bytes``; ``degraded`` and
+        ``repartition`` events count device deactivations and repartitions.
+        """
         self.events.append(TraceEvent(name, lane, kind, start, duration, args))
+        c = self.counters
+        if kind == "kernel":
+            c.kernel_counts[name] = c.kernel_counts.get(name, 0) + 1
+            flops = args.get("flops")
+            if lane != "host":
+                c.kernel_launches += 1
+                c.device_flops += flops or 0
+            elif flops is None:
+                c.host_small_ops += 1
+            else:
+                c.host_flops += flops
+        elif kind == "h2d":
+            c.h2d_messages += 1
+            c.h2d_bytes += args["bytes"]
+        elif kind == "d2h":
+            c.d2h_messages += 1
+            c.d2h_bytes += args["bytes"]
+        elif kind == "degraded":
+            c.device_deactivations += 1
+        elif kind == "repartition":
+            c.repartitions += 1
 
     def region_enter(self, name: str, t: float) -> None:
         """Open a (possibly nested) region at simulated time ``t``."""
@@ -137,27 +162,25 @@ class TraceRecorder:
         exclusive = inclusive - child_time
         if self._region_stack:
             self._region_stack[-1][2] += inclusive
-        self._exclusive[name] = self._exclusive.get(name, 0.0) + exclusive
-        if self.enabled:
-            self.events.append(
-                TraceEvent(
-                    name,
-                    REGION_LANE,
-                    "region",
-                    start,
-                    inclusive,
-                    {
-                        "inclusive": inclusive,
-                        "exclusive": exclusive,
-                        "depth": len(self._region_stack),
-                        # Nested inside an ancestor of the same name: such a
-                        # span's inclusive time is already covered by it.
-                        "self_nested": any(
-                            fr[0] == name for fr in self._region_stack
-                        ),
-                    },
-                )
+        self.events.append(
+            TraceEvent(
+                name,
+                REGION_LANE,
+                "region",
+                start,
+                inclusive,
+                {
+                    "inclusive": inclusive,
+                    "exclusive": exclusive,
+                    "depth": len(self._region_stack),
+                    # Nested inside an ancestor of the same name: such a
+                    # span's inclusive time is already covered by it.
+                    "self_nested": any(
+                        fr[0] == name for fr in self._region_stack
+                    ),
+                },
             )
+        )
         return exclusive
 
     @property
@@ -170,11 +193,10 @@ class TraceRecorder:
         self.cycle_marks.append(float(t))
 
     def reset(self) -> None:
-        """Drop all events, marks, and region state."""
+        """Drop all events, marks, and region state (not the counters)."""
         self.events.clear()
         self.cycle_marks.clear()
         self._region_stack.clear()
-        self._exclusive.clear()
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -182,19 +204,23 @@ class TraceRecorder:
     def exclusive_totals(self) -> dict[str, float]:
         """Per-region exclusive seconds — the ``ctx.timers`` view.
 
-        For non-nested regions this equals the legacy wall-clock-delta
-        accumulation; for nested regions the parent is charged only for the
-        time not covered by its children.
+        Folds the region events in exit order.  For non-nested regions this
+        is the wall-clock delta; for nested regions the parent is charged
+        only for the time not covered by its children.
         """
-        return dict(self._exclusive)
+        out: dict[str, float] = {}
+        for e in self.events:
+            if e.kind == "region":
+                out[e.name] = out.get(e.name, 0.0) + e.args["exclusive"]
+        return out
 
     def end_time(self) -> float:
         """Latest event end (0.0 on an empty trace)."""
         return max((e.end for e in self.events), default=0.0)
 
     def lane_busy_totals(self) -> dict[str, float]:
-        """Busy seconds per lane: kernel time for device/host lanes, bus
-        occupancy (h2d/d2h intervals) for the PCIe lane.
+        """Busy seconds per lane: kernel time for device/host lanes, link
+        occupancy (h2d/d2h intervals) for the PCIe and network lanes.
 
         Together with :meth:`end_time` this yields per-device utilization:
         ``busy[lane] / end_time()`` is the fraction of the run the lane had
@@ -202,7 +228,7 @@ class TraceRecorder:
         """
         busy: dict[str, float] = {}
         for e in self.events:
-            if e.kind == "kernel" or (e.lane == PCIE_LANE and e.kind in ("h2d", "d2h")):
+            if e.kind in ("kernel", "h2d", "d2h"):
                 busy[e.lane] = busy.get(e.lane, 0.0) + e.duration
         return busy
 
@@ -311,7 +337,7 @@ class TraceRecorder:
         ordered = ["host"] + gpus + [PCIE_LANE, REGION_LANE]
         if FAULT_LANE in seen:
             ordered.append(FAULT_LANE)
-        # Keep any unexpected lanes (future backends) at the end.
+        # Keep any other lanes (remote-node pcie<k>/net<k>) at the end.
         ordered += sorted(seen - set(ordered))
         return ordered
 
@@ -389,5 +415,5 @@ class TraceRecorder:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"TraceRecorder(events={len(self.events)}, "
-            f"cycles={len(self.cycle_marks)}, enabled={self.enabled})"
+            f"cycles={len(self.cycle_marks)})"
         )

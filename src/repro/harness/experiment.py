@@ -61,13 +61,10 @@ def run_solver_experiment(
     else:
         raise ValueError(f"unknown solver {solver!r}")
     cycles = max(result.n_restarts, 1)
-    # Phase attribution from the structured trace (inclusive region spans);
-    # ctx.timers remains as the fallback for results without a profile.
-    profile = result.details.get("profile")
-    if profile is not None:
-        timers = {k: v["inclusive"] for k, v in profile["regions"].items()}
-    else:
-        timers = result.timers
+    # Phase attribution from the structured trace (inclusive region spans).
+    timers = {
+        k: v["inclusive"] for k, v in result.details["profile"]["regions"].items()
+    }
     orth = timers.get("orth", 0.0) + timers.get("borth", 0.0) + timers.get("tsqr", 0.0)
     spmv = timers.get("spmv", 0.0) + timers.get("mpk", 0.0)
     return ExperimentRecord(

@@ -115,7 +115,7 @@ def plan_build_seconds(reg: MetricsRegistry):
 
 
 # ---------------------------------------------------------------------------
-# Context: utilization, kernels, transfers (derived from trace + counters)
+# Context: utilization, kernels, transfers (derived from the trace)
 # ---------------------------------------------------------------------------
 def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "") -> None:
     """Record one finished run's runtime telemetry from ``ctx``.
@@ -123,8 +123,8 @@ def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "
     Utilization is derived from the structured event trace: a device is
     *busy* while a kernel interval occupies its lane, the PCIe bus while a
     transfer occupies the ``pcie`` lane; *elapsed* is the latest event end.
-    Kernel-launch / transfer / flop counters are bridged from
-    :class:`~repro.gpu.counters.Counters`.
+    Kernel-launch / transfer / flop counts are read from ``ctx.counters``,
+    which the trace tallies as it records each event.
     """
     if not reg.enabled:
         return

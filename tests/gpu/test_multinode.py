@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres
+from repro.faults import FaultEvent, FaultPlan
+from repro.faults.errors import DeviceLost
 from repro.gpu.multinode import MultiNodeContext, NetworkSpec, infiniband_qdr
 from repro.matrices import poisson2d
 
@@ -65,6 +67,21 @@ class TestTransferSemantics:
         ctx.reset_clocks()
         assert ctx.current_time() == 0.0
         assert all(link.busy_until == 0.0 for link in ctx._links)
+
+    def test_remote_transfer_records_one_event_per_hop(self):
+        ctx = MultiNodeContext(2, 1)
+        ctx.h2d(ctx.devices[1], np.zeros(10))
+        ctx.d2h(ctx.devices[1].zeros(10))
+        hops = [(e.kind, e.lane) for e in ctx.trace.events]
+        assert hops == [("h2d", "net1"), ("h2d", "pcie1"), ("d2h", "pcie1"), ("d2h", "net1")]
+        assert ctx.counters.h2d_messages == ctx.counters.d2h_messages == 2
+        assert ctx.trace.lanes() == ["host", "pcie", "regions", "net1", "pcie1"]
+
+    def test_deactivated_remote_device_transfer_raises(self):
+        ctx = MultiNodeContext(2, 1)
+        ctx.deactivate_device(1)
+        with pytest.raises(DeviceLost):
+            ctx.h2d(ctx.all_devices[1], np.zeros(4))
 
     def test_per_node_buses_overlap(self):
         """Transfers from different nodes use independent PCIe buses."""
@@ -131,3 +148,25 @@ class TestSolversOnMultiNode:
             )
             speedups[latency] = r_g.time_per_restart() / r_c.time_per_restart()
         assert speedups[40e-6] > speedups[2e-6]
+
+
+class TestOneRecordOnMultiNode:
+    def test_profile_transfers_equal_counters(self):
+        A = poisson2d(24)
+        r = gmres(A, np.ones(A.n_rows), ctx=MultiNodeContext(2, 2), m=20, max_restarts=3)
+        transfers = r.profile["transfers"]
+        assert r.counters["h2d_messages"] > 1000
+        for kind in ("h2d", "d2h"):
+            assert transfers[kind]["count"] == r.counters[f"{kind}_messages"]
+            assert transfers[kind]["bytes"] == r.counters[f"{kind}_bytes"]
+        assert r.profile["bus"]["busy_time"] > 0.0
+
+    def test_scripted_pcie_corrupt_is_detected_and_recovered(self):
+        A = poisson2d(16)
+        b = np.random.default_rng(0).random(A.n_rows)
+        ctx = MultiNodeContext(2, 2)
+        ctx.arm_fault_plan(FaultPlan(events=(FaultEvent("pcie", "corrupt", trigger=5),)))
+        r = ca_gmres(A, b, ctx=ctx, s=4, m=12, max_restarts=8)
+        counts = r.details["faults"]["counts"]
+        assert counts == {"injected": 1, "detected": 1, "recovered": 1, "unrecovered": 0}
+        assert r.converged

@@ -20,18 +20,6 @@ class TestTraceRecorder:
         assert e.start == 1.0 and e.duration == 0.5 and e.end == 1.5
         assert e.args["op"] == "dot"
 
-    def test_disabled_recorder_drops_events(self):
-        tr = TraceRecorder(enabled=False)
-        tr.record("x", "gpu0", "kernel", 0.0, 1.0)
-        assert tr.events == []
-
-    def test_disabled_recorder_still_tracks_exclusive(self):
-        tr = TraceRecorder(enabled=False)
-        tr.region_enter("phase", 0.0)
-        tr.region_exit("phase", 2.0)
-        assert tr.exclusive_totals() == {"phase": 2.0}
-        assert tr.events == []
-
     def test_region_nesting_exclusive_times(self):
         tr = TraceRecorder()
         tr.region_enter("outer", 0.0)
@@ -256,3 +244,89 @@ class TestSolverProfiles:
         result = pipelined_gmres(A, b, m=8, max_restarts=2)
         assert result.profile is not None
         assert len(result.profile["cycles"]) == result.n_restarts
+
+
+def _single_node_run():
+    from repro.core.ca_gmres import ca_gmres
+    from repro.matrices.stencil import poisson2d
+
+    A = poisson2d(12)
+    ctx = MultiGpuContext(3)
+    return ctx, [ca_gmres(A, np.ones(A.n_rows), ctx=ctx, s=4, m=12, max_restarts=3)]
+
+
+def _multinode_run():
+    from repro.core.gmres import gmres
+    from repro.gpu.multinode import MultiNodeContext
+    from repro.matrices.stencil import poisson2d
+
+    A = poisson2d(12)
+    ctx = MultiNodeContext(2, 2)
+    return ctx, [gmres(A, np.ones(A.n_rows), ctx=ctx, m=10, max_restarts=3)]
+
+
+def _rate_faulted_run():
+    from repro.core.ca_gmres import ca_gmres
+    from repro.faults import FaultPlan
+    from repro.matrices.stencil import poisson2d
+
+    A = poisson2d(16)
+    ctx = MultiGpuContext(3, fault_plan=FaultPlan(seed=3, rate=2e-3))
+    b = np.random.default_rng(0).random(A.n_rows)
+    result = ca_gmres(A, b, ctx=ctx, s=4, m=12, max_restarts=20)
+    assert result.details["faults"]["counts"]["injected"] > 0
+    return ctx, [result]
+
+
+def _degraded_run():
+    from repro.core import DegradePolicy
+    from repro.core.ca_gmres import ca_gmres
+    from repro.faults import FaultEvent, FaultPlan
+    from repro.matrices.stencil import poisson2d
+
+    A = poisson2d(16)
+    plan = FaultPlan(events=(
+        FaultEvent("gpu1", "dropout", trigger=40),
+        FaultEvent("gpu2", "dropout", trigger=90),
+    ))
+    ctx = MultiGpuContext(3, fault_plan=plan)
+    result = ca_gmres(
+        A, np.ones(A.n_rows), ctx=ctx, s=4, m=12, max_restarts=10,
+        degrade=DegradePolicy(),
+    )
+    assert result.counters["device_deactivations"] == 2
+    return ctx, [result]
+
+
+def _solve_many_run():
+    from repro.matrices.stencil import poisson2d
+    from repro.serve import SolverSession
+
+    A = poisson2d(12)
+    session = SolverSession(A, solver="ca", n_gpus=2, s=4, m=12, max_restarts=3)
+    b = np.ones(A.n_rows)
+    return session.ctx, session.solve_many([b, 2 * b, b + 1])
+
+
+class TestOneRecord:
+    """Counters are tallied by the trace, so they equal its aggregates."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [_single_node_run, _multinode_run, _rate_faulted_run, _degraded_run,
+         _solve_many_run],
+        ids=["single-node", "multinode", "rate-faulted", "degraded", "solve-many"],
+    )
+    def test_counters_equal_trace_aggregates(self, run):
+        ctx, results = run()
+        for result in results:
+            counters, profile = result.counters, result.profile
+            assert counters["kernel_counts"] == {
+                k: v["count"] for k, v in profile["kernels"].items()
+            }
+            for kind in ("h2d", "d2h"):
+                assert counters[f"{kind}_messages"] == profile["transfers"][kind]["count"]
+                assert counters[f"{kind}_bytes"] == profile["transfers"][kind]["bytes"]
+        kinds = [e.kind for e in ctx.trace.fault_events()]
+        assert ctx.counters.device_deactivations == kinds.count("degraded")
+        assert ctx.counters.repartitions == kinds.count("repartition")
