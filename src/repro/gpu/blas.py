@@ -1,9 +1,10 @@
 """Device BLAS for the simulated GPUs.
 
 Every routine takes :class:`~repro.gpu.device.DeviceArray` operands, verifies
-residency, performs the real float64 arithmetic with NumPy, and charges the
-owning device's clock using the per-variant kernel cost models from
-:mod:`repro.perf.kernels`.
+residency, performs the real float64 arithmetic with NumPy (the SpMVs with
+the compiled CSR kernel behind :func:`repro.sparse.csr.csr_matvec`), and
+charges the owning device's clock using the per-variant kernel cost models
+from :mod:`repro.perf.kernels`.
 
 The ``variant`` arguments mirror the kernel implementations the paper
 compares (Section V-F):
@@ -22,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from ..sparse.csr import csr_matvec
+from ..sparse.ellpack import ell_matvec
 from .device import Device, DeviceArray
 
 __all__ = [
@@ -230,18 +233,17 @@ def spmv_ell(
 ) -> None:
     """ELLPACK SpMV ``out = A @ x`` on the device.
 
-    ``values``/``col_idx`` are the padded (n_rows, width) ELLPACK arrays.
-    Padded slots cost time too (they are streamed on a real GPU).
+    ``values``/``col_idx`` are the padded (n_rows, width) ELLPACK arrays,
+    whose column indices address the extended vector ``x``.  Padded slots
+    cost time too (they are streamed on a real GPU) and are summed like
+    stored entries (:func:`~repro.sparse.ellpack.ell_matvec`).
     """
     dev = _device_of(values, col_idx, x, out)
     n_rows, width = values.data.shape
+    if out.data.shape != (n_rows,):
+        raise ValueError(f"out must have shape ({n_rows},), got {out.data.shape}")
     dev.charge_kernel("spmv", variant, nnz=n_rows * width, n_rows=n_rows)
-    out.data[:] = 0.0
-    vals = values.data
-    cols = col_idx.data
-    xd = x.data
-    for j in range(width):
-        out.data += vals[:, j] * xd[cols[:, j]]
+    ell_matvec(values.data, col_idx.data, x.data, out.data, x.data.size)
     dev.apply_pending_faults(out)
 
 
@@ -258,6 +260,7 @@ def spmv_csr_prefix(
 
     The matrix powers kernel computes a shrinking prefix of the level-ordered
     extended local matrix at each step; only the touched nonzeros are costed.
+    The column indices address the extended vector ``x``.
     """
     dev = _device_of(indptr, indices, data, x, out)
     ptr = indptr.data
@@ -265,12 +268,9 @@ def spmv_csr_prefix(
         raise ValueError(f"n_active_rows out of range: {n_active_rows}")
     end = int(ptr[n_active_rows])
     dev.charge_kernel("spmv", variant, nnz=end, n_rows=n_active_rows)
-    products = data.data[:end] * x.data[indices.data[:end]]
-    out.data[:n_active_rows] = 0.0
-    diffs = np.diff(ptr[: n_active_rows + 1])
-    nonempty = np.flatnonzero(diffs > 0)
-    if nonempty.size:
-        out.data[nonempty] = np.add.reduceat(products, ptr[:-1][nonempty])
+    csr_matvec(
+        ptr, indices.data, data.data, x.data, out.data, n_active_rows, x.data.size
+    )
     # Poison only the rows this step actually computed — anything beyond
     # the active prefix is never read back.
     dev.apply_pending_faults(out.data[:n_active_rows])

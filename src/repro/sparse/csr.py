@@ -5,17 +5,75 @@ structural operation in this library works on: row extraction for the matrix
 powers kernel, symmetric permutation for reordering, row/column scaling for
 matrix balancing, and the reference SpMV.
 
-All kernels are vectorized NumPy; the only Python-level loops are over rows in
-operations that are inherently sequential (none in the hot paths).
+Every sparse matrix-vector product in the library -- the host ``matvec`` of
+CSR and ELLPACK matrices, the distributed SpMV and the matrix powers kernel's
+step on the simulated devices -- runs through :func:`csr_matvec`, one call
+into scipy's compiled CSR kernel.  It sums each row's products in storage
+order, so all of them round identically.  The structural operations are
+vectorized NumPy.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec as _compiled_csr_matvec
 
 from .._validation import as_float64_array, as_index_array
 
-__all__ = ["CsrMatrix", "csr_from_dense", "eye_csr"]
+__all__ = ["CsrMatrix", "csr_from_dense", "csr_matvec", "eye_csr"]
+
+
+def _require_contiguous(arr: np.ndarray, dtype, name: str) -> None:
+    if arr.dtype != dtype or arr.ndim != 1 or not arr.flags.c_contiguous:
+        raise ValueError(
+            f"{name} must be a contiguous 1-D {np.dtype(dtype).name} array, "
+            f"got {arr.dtype} with shape {arr.shape}"
+        )
+
+
+def csr_matvec(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    x: np.ndarray,
+    out: np.ndarray,
+    n_rows: int,
+    n_cols: int,
+) -> np.ndarray:
+    """``out[:n_rows] = A[:n_rows, :] @ x`` for the CSR arrays of ``A``.
+
+    Only the leading ``n_rows`` rows are computed (``indptr`` may describe
+    more: the matrix powers kernel's shrinking prefix), and only
+    ``out[:n_rows]`` is written.  Each row is summed sequentially in storage
+    order, starting from zero.
+
+    The compiled kernel checks no bounds and silently copies inputs of the
+    wrong type, so every size and type is checked here first, in O(1):
+    ``indptr``/``indices`` must be contiguous int64 and ``data``/``x``
+    contiguous float64.  ``out`` must be float64 and may be strided (a
+    column of a distributed multivector); scipy then writes it back through
+    a contiguous copy.  The caller guarantees that every column index of the
+    computed rows is below ``n_cols`` (the :class:`CsrMatrix` and
+    ``EllpackMatrix`` constructors validate this), and ``x`` must hold
+    ``n_cols`` entries.
+    """
+    _require_contiguous(indptr, np.int64, "indptr")
+    _require_contiguous(indices, np.int64, "indices")
+    _require_contiguous(data, np.float64, "data")
+    _require_contiguous(x, np.float64, "x")
+    if out.dtype != np.float64 or out.ndim != 1:
+        raise ValueError(f"out must be a 1-D float64 array, got {out.dtype} with shape {out.shape}")
+    if not 0 <= n_rows < indptr.size:
+        raise ValueError(f"n_rows out of range: {n_rows} (indptr has {indptr.size} entries)")
+    if out.size < n_rows:
+        raise ValueError(f"out has {out.size} entries, fewer than n_rows={n_rows}")
+    if x.size < n_cols:
+        raise ValueError(f"x has {x.size} entries, fewer than n_cols={n_cols}")
+    if indices.size != data.size or int(indptr[n_rows]) > data.size:
+        raise ValueError("indptr, indices and data describe different nonzero counts")
+    out[:n_rows] = 0.0
+    _compiled_csr_matvec(n_rows, n_cols, indptr, indices, data, x, out)
+    return out
 
 
 class CsrMatrix:
@@ -87,50 +145,22 @@ class CsrMatrix:
     # Numerical kernels
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Sparse matrix-vector product ``y = A @ x``.
+        """Sparse matrix-vector product ``y = A @ x`` (see :func:`csr_matvec`).
 
-        Implemented with a segmented sum (``np.add.reduceat``) so the whole
-        product is a handful of vectorized operations.
+        ``out``, when given, must be a float64 array of shape ``(n_rows,)``.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.n_cols:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 1 or x.shape[0] != self.n_cols:
             raise ValueError(
-                f"dimension mismatch: matrix has {self.n_cols} columns, x has {x.shape[0]}"
+                f"dimension mismatch: matrix has {self.n_cols} columns, x has shape {x.shape}"
             )
         if out is None:
-            out = np.zeros(self.n_rows, dtype=np.float64)
-        else:
-            out[:] = 0.0
-        if self.nnz == 0:
-            return out
-        products = self.data * x[self.indices]
-        # reduceat needs segment starts strictly inside the array; empty rows
-        # are handled by masking them out afterwards.
-        starts = self.indptr[:-1]
-        nonempty = np.flatnonzero(np.diff(self.indptr) > 0)
-        if nonempty.size:
-            sums = np.add.reduceat(products, starts[nonempty])
-            out[nonempty] = sums
-        return out
-
-    def matvec_rows(self, x: np.ndarray, n_active_rows: int, out: np.ndarray) -> np.ndarray:
-        """SpMV restricted to the leading ``n_active_rows`` rows.
-
-        Used by the matrix powers kernel, whose per-step working set is a
-        prefix of the level-ordered extended local matrix.  ``out`` must have
-        length >= ``n_active_rows``; only that prefix is written.
-        """
-        if n_active_rows < 0 or n_active_rows > self.n_rows:
-            raise ValueError(f"n_active_rows out of range: {n_active_rows}")
-        end = self.indptr[n_active_rows]
-        products = self.data[:end] * x[self.indices[:end]]
-        out[:n_active_rows] = 0.0
-        diffs = np.diff(self.indptr[: n_active_rows + 1])
-        nonempty = np.flatnonzero(diffs > 0)
-        if nonempty.size:
-            sums = np.add.reduceat(products, self.indptr[:-1][nonempty])
-            out[nonempty] = sums
-        return out
+            out = np.empty(self.n_rows, dtype=np.float64)
+        elif out.shape != (self.n_rows,):
+            raise ValueError(f"out must have shape ({self.n_rows},), got {out.shape}")
+        return csr_matvec(
+            self.indptr, self.indices, self.data, x, out, self.n_rows, self.n_cols
+        )
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """Transpose product ``x = A.T @ y`` (scatter-add formulation)."""

@@ -2,9 +2,9 @@
 
 The paper runs GPU SpMV on the ELLPACK layout (Fig. 3 caption): each row is
 padded to the maximum row length so the nonzeros form dense 2-D arrays that
-GPUs can stream with coalesced accesses.  On the simulated device the same
-layout lets NumPy process the product one padded column at a time, which is
-the vectorization-friendly equivalent.
+GPUs can stream with coalesced accesses.  The same arrays, read row-major,
+are a CSR matrix whose rows all hold ``width`` entries, so the product runs
+through the library's one compiled CSR kernel (:func:`ell_matvec`).
 
 ELLPACK wastes memory when row lengths are skewed; :meth:`EllpackMatrix.from_csr`
 reports the padding ratio so benchmarks can account for it, mirroring the
@@ -15,9 +15,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import CsrMatrix
+from .csr import CsrMatrix, csr_matvec
 
-__all__ = ["EllpackMatrix"]
+__all__ = ["EllpackMatrix", "ell_matvec"]
+
+
+def ell_matvec(
+    values: np.ndarray, col_idx: np.ndarray, x: np.ndarray, out: np.ndarray, n_cols: int
+) -> np.ndarray:
+    """``out[:n_rows] = A @ x`` for the padded ``(n_rows, width)`` ELLPACK arrays.
+
+    The arrays are viewed, without copying, as CSR with the row pointer
+    ``arange(n_rows + 1) * width``.  Padded slots take part like stored
+    entries: each adds ``0.0 * x[j]``, which is exact for finite ``x[j]``
+    and NaN for a NaN ``x[j]``, as the slots a GPU streams would.
+    """
+    n_rows, width = values.shape
+    indptr = np.arange(n_rows + 1, dtype=np.int64) * width
+    return csr_matvec(
+        indptr, col_idx.reshape(-1), values.reshape(-1), x, out, n_rows, n_cols
+    )
 
 
 class EllpackMatrix:
@@ -96,24 +113,20 @@ class EllpackMatrix:
         )
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """SpMV ``y = A @ x`` column-of-the-padded-layout at a time.
+        """SpMV ``y = A @ x`` (see :func:`ell_matvec`).
 
-        Each iteration of the (short, width-length) loop is a fully
-        vectorized gather + fused multiply-add over all rows, the NumPy
-        analog of the coalesced ELLPACK GPU kernel.
+        ``out``, when given, must be a float64 array of shape ``(n_rows,)``.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.shape[1]:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 1 or x.shape[0] != self.shape[1]:
             raise ValueError(
-                f"dimension mismatch: matrix has {self.shape[1]} columns, x has {x.shape[0]}"
+                f"dimension mismatch: matrix has {self.shape[1]} columns, x has shape {x.shape}"
             )
         if out is None:
-            out = np.zeros(self.shape[0], dtype=np.float64)
-        else:
-            out[:] = 0.0
-        for j in range(self.width):
-            out += self.values[:, j] * x[self.col_idx[:, j]]
-        return out
+            out = np.empty(self.shape[0], dtype=np.float64)
+        elif out.shape != (self.shape[0],):
+            raise ValueError(f"out must have shape ({self.shape[0]},), got {out.shape}")
+        return ell_matvec(self.values, self.col_idx, x, out, self.shape[1])
 
     def to_dense(self) -> np.ndarray:
         """Return the dense equivalent (padding contributes nothing)."""

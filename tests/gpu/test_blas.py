@@ -144,6 +144,38 @@ class TestSpmv:
         blas.spmv_ell(vals, cols, x, out)
         np.testing.assert_allclose(out.data, dense @ x.data, atol=1e-13)
 
+    def test_spmv_ell_nan_reaches_the_same_rows(self, dev):
+        # Row 0 stores column 2; rows 1 and 3 are padded and their padded
+        # slots read x[1] and x[3] (0.0 * x).  A NaN in x[2] reaches row 0
+        # only; a NaN in x[3] also reaches padded row 3, exactly as the
+        # padded-column loop (and a GPU streaming the slots) propagates it.
+        ell = EllpackMatrix.from_csr(csr_from_dense(np.array([
+            [1.0, 0.0, 2.0, 0.0],
+            [0.0, 3.0, 0.0, 0.0],
+            [4.0, 0.0, 0.0, 5.0],
+            [0.0, 0.0, 0.0, 6.0],
+        ])))
+        assert ell.width == 2
+        for nan_at, nan_rows in ((2, [0]), (3, [2, 3])):
+            x = np.arange(1.0, 5.0)
+            x[nan_at] = np.nan
+            ref = np.zeros(4)
+            for j in range(ell.width):
+                ref += ell.values[:, j] * x[ell.col_idx[:, j]]
+            out = dev.zeros(4)
+            blas.spmv_ell(dev.adopt(ell.values), dev.adopt(ell.col_idx), dev.adopt(x), out)
+            np.testing.assert_array_equal(np.flatnonzero(np.isnan(out.data)), nan_rows)
+            np.testing.assert_array_equal(np.isnan(ref), np.isnan(out.data))
+            assert out.data.tobytes() == ref.tobytes()
+
+    def test_spmv_ell_width_zero(self, dev):
+        out = dev.adopt(np.full(3, 9.0))
+        blas.spmv_ell(
+            dev.adopt(np.zeros((3, 0))), dev.adopt(np.zeros((3, 0), dtype=np.int64)),
+            dev.adopt(np.ones(1)), out,
+        )
+        np.testing.assert_array_equal(out.data, 0.0)
+
     def test_spmv_csr_prefix(self, dev, rng):
         dense = rng.standard_normal((8, 8))
         dense[rng.random((8, 8)) < 0.5] = 0.0

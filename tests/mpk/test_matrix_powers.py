@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.dist.matrix import DistributedMatrix
 from repro.dist.multivector import DistMultiVector
 from repro.gpu.context import MultiGpuContext
-from repro.matrices import poisson2d, g3_circuit
+from repro.matrices import cant, poisson2d, g3_circuit
 from repro.matrices.random_sparse import random_sparse
 from repro.mpk.matrix_powers import MatrixPowersKernel
 from repro.mpk.shifts import ShiftOp
@@ -78,6 +79,47 @@ class TestMonomialCorrectness:
             np.testing.assert_allclose(
                 V.gather_column_to_host(k), ref, rtol=1e-12, atol=1e-12
             )
+
+
+ONE_ARITHMETIC_MATRICES = {
+    "cant": lambda: cant(nx=12, ny=4, nz=4),
+    "g3": lambda: g3_circuit(nx=20, ny=20),
+    "poisson": lambda: poisson2d(12),
+}
+
+
+class TestOneArithmetic:
+    """The MPK step, the distributed SpMV and the host matvec round alike.
+
+    All three sum each row in storage order through one kernel, so ``k``
+    MPK powers equal ``k`` chained distributed SpMVs and ``k`` chained host
+    products byte for byte: a CA-GMRES basis differs from a GMRES one only
+    through orthogonalization, never through the SpMV.
+    """
+
+    @pytest.mark.parametrize("name", sorted(ONE_ARITHMETIC_MATRICES))
+    @pytest.mark.parametrize("n_gpus", [1, 2, 3])
+    @pytest.mark.parametrize("partitioner", ["block", "kway"])
+    def test_mpk_equals_chained_spmvs(self, name, n_gpus, partitioner):
+        A = ONE_ARITHMETIC_MATRICES[name]()
+        s = 4
+        part = (
+            kway_partition(A, n_gpus)
+            if partitioner == "kway"
+            else block_row_partition(A.n_rows, n_gpus)
+        )
+        v0 = np.random.default_rng(n_gpus).standard_normal(A.n_rows)
+        ctx, _, V = run_mpk(A, n_gpus, s, v0, partition=part)
+        W = DistMultiVector(ctx, part, s + 1)
+        W.set_column_from_host(0, v0)
+        dmat = DistributedMatrix(ctx, A, part)
+        host = v0
+        for k in range(1, s + 1):
+            dmat.spmv(W, k - 1, W, k)
+            host = A.matvec(host)
+            mpk_col = V.gather_column_to_host(k).tobytes()
+            assert mpk_col == W.gather_column_to_host(k).tobytes(), k
+            assert mpk_col == host.tobytes(), k
 
 
 class TestNewtonBasis:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sparse.coo import CooMatrix
-from repro.sparse.csr import CsrMatrix, csr_from_dense, eye_csr
+from repro.sparse import csr as csr_module
+from repro.sparse.csr import CsrMatrix, csr_from_dense, csr_matvec, eye_csr
 
 
 def random_csr(n_rows, n_cols, nnz, seed=0):
@@ -104,14 +105,21 @@ class TestMatvec:
         A = random_csr(10, 10, 40, seed=3)
         x = np.random.default_rng(4).standard_normal(10)
         full = A.matvec(x)
-        out = np.zeros(10)
-        A.matvec_rows(x, 6, out)
-        np.testing.assert_allclose(out[:6], full[:6], atol=1e-14)
+        out = np.full(10, 7.0)
+        csr_matvec(A.indptr, A.indices, A.data, x, out, 6, 10)
+        np.testing.assert_array_equal(out[:6], full[:6])
+        np.testing.assert_array_equal(out[6:], 7.0)
 
     def test_matvec_rows_out_of_range(self):
         A = eye_csr(3)
-        with pytest.raises(ValueError):
-            A.matvec_rows(np.ones(3), 4, np.zeros(4))
+        for n_rows in (4, -1):
+            with pytest.raises(ValueError, match="n_rows out of range"):
+                csr_matvec(A.indptr, A.indices, A.data, np.ones(3), np.zeros(4), n_rows, 3)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_out_must_match_rows(self, size):
+        with pytest.raises(ValueError, match="out must have shape"):
+            eye_csr(3).matvec(np.ones(3), out=np.zeros(size))
 
     def test_rmatvec_against_dense(self):
         A = random_csr(8, 6, 30, seed=5)
@@ -227,3 +235,85 @@ class TestScalingAndNorms:
     def test_row_norms_bad_order(self):
         with pytest.raises(ValueError):
             eye_csr(2).row_norms(3.0)
+
+
+class TestCsrMatvecKernel:
+    """Bounds and types checked before the unchecked compiled kernel runs."""
+
+    def arrays(self):
+        A = random_csr(5, 4, 12, seed=8)
+        x = np.random.default_rng(9).standard_normal(4)
+        return A, x
+
+    def test_compiled_kernel_is_pinned(self):
+        # The kernel lives in a private scipy module: an upgrade that moves
+        # it or changes its calling convention must fail here, loudly.
+        import scipy.sparse._sparsetools as sparsetools
+
+        kernel = csr_module._compiled_csr_matvec
+        assert kernel is sparsetools.csr_matvec
+        y = np.array([1.0, 0.0])
+        kernel(2, 2, np.array([0, 1, 2]), np.array([1, 0]), np.array([2.0, 3.0]),
+               np.array([5.0, 7.0]), y)
+        np.testing.assert_array_equal(y, [15.0, 15.0])  # accumulates into y
+
+    def test_short_out_rejected(self):
+        A, x = self.arrays()
+        with pytest.raises(ValueError, match="fewer than n_rows"):
+            csr_matvec(A.indptr, A.indices, A.data, x, np.zeros(4), 5, 4)
+
+    def test_short_x_rejected(self):
+        A, x = self.arrays()
+        with pytest.raises(ValueError, match="fewer than n_cols"):
+            csr_matvec(A.indptr, A.indices, A.data, x[:3], np.zeros(5), 5, 4)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("indptr", lambda A, x: (A.indptr.astype(np.int32), A.indices, A.data, x)),
+            ("indices", lambda A, x: (A.indptr, A.indices.astype(np.int32), A.data, x)),
+            ("data", lambda A, x: (A.indptr, A.indices, A.data.astype(np.float32), x)),
+            ("x", lambda A, x: (A.indptr, A.indices, A.data, np.repeat(x, 2)[::2])),
+            ("x", lambda A, x: (A.indptr, A.indices, A.data, x.astype(np.int64))),
+        ],
+    )
+    def test_types_checked(self, name, bad):
+        A, x = self.arrays()
+        with pytest.raises(ValueError, match=f"^{name} must be a contiguous"):
+            csr_matvec(*bad(A, x), np.zeros(5), 5, 4)
+
+    def test_out_type_checked(self):
+        A, x = self.arrays()
+        with pytest.raises(ValueError, match="^out must be a 1-D float64"):
+            csr_matvec(A.indptr, A.indices, A.data, x, np.zeros(5, dtype=np.float32), 5, 4)
+
+    def test_strided_out_written_in_place(self):
+        # Distributed SpMV writes into one column of a row-major multivector.
+        A, x = self.arrays()
+        panel = np.full((5, 3), 7.0)
+        csr_matvec(A.indptr, A.indices, A.data, x, panel[:, 1], 5, 4)
+        assert panel[:, 1].tobytes() == A.matvec(x).tobytes()
+        np.testing.assert_array_equal(panel[:, [0, 2]], 7.0)
+
+    def test_mismatched_nonzero_counts_rejected(self):
+        A, x = self.arrays()
+        with pytest.raises(ValueError, match="different nonzero counts"):
+            csr_matvec(A.indptr, A.indices[:-1], A.data, x, np.zeros(5), 5, 4)
+
+    def test_zero_row_prefix_writes_nothing(self):
+        A, x = self.arrays()
+        out = np.full(5, 3.0)
+        csr_matvec(A.indptr, A.indices, A.data, x, out, 0, 4)
+        np.testing.assert_array_equal(out, 3.0)
+
+    def test_no_nonzeros(self):
+        A = CooMatrix((3, 2)).to_csr()
+        out = np.full(3, 3.0)
+        csr_matvec(A.indptr, A.indices, A.data, np.ones(2), out, 3, 2)
+        np.testing.assert_array_equal(out, 0.0)
+
+    def test_sums_each_row_in_storage_order(self):
+        # Sequential accumulation from zero, not pairwise: (0 + 1) + 1e16
+        # + -1e16 is 0 in float64, while 1 + (1e16 + -1e16) would be 1.
+        A = CsrMatrix((1, 3), [0, 3], [0, 1, 2], [1.0, 1e16, -1e16])
+        np.testing.assert_array_equal(A.matvec(np.ones(3)), [0.0])

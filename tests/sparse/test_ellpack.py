@@ -92,3 +92,26 @@ class TestMatvec:
         A = CooMatrix((3, 3)).to_csr()
         ell = EllpackMatrix.from_csr(A)
         np.testing.assert_array_equal(ell.matvec(np.ones(3)), np.zeros(3))
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_out_must_match_rows(self, size):
+        ell = EllpackMatrix.from_csr(eye_csr(3))
+        with pytest.raises(ValueError, match="out must have shape"):
+            ell.matvec(np.ones(3), out=np.zeros(size))
+
+    def test_width_zero(self):
+        ell = EllpackMatrix((3, 2), np.zeros((3, 0)), np.zeros((3, 0), dtype=np.int64))
+        out = np.full(3, 5.0)
+        np.testing.assert_array_equal(ell.matvec(np.ones(2), out=out), np.zeros(3))
+
+    def test_equals_padded_column_loop(self):
+        # The padded-column loop is the ELLPACK reference: each row is summed
+        # over its padded slots in order, which the compiled kernel keeps.
+        A = random_csr(40, 40, 150, seed=11)
+        ell = EllpackMatrix.from_csr(A)
+        x = np.random.default_rng(12).standard_normal(40)
+        ref = np.zeros(40)
+        for j in range(ell.width):
+            ref += ell.values[:, j] * x[ell.col_idx[:, j]]
+        assert ell.matvec(x).tobytes() == ref.tobytes()
+        assert A.matvec(x).tobytes() == ref.tobytes()
