@@ -1,9 +1,13 @@
 """Distributed vectors and multivectors.
 
 A :class:`DistMultiVector` is an ``n x m`` dense multivector split block-row
-across the context's devices; each device holds a ``(local_n, m)`` panel.
-Column and panel accessors return *views* (no copies), mirroring how the
-GPU code operates on sub-panels of the stored basis ``V_{1:m+1}``.
+across the context's devices; each device holds a ``(local_n, m)`` panel
+stored column-major (Fortran order), the way cuBLAS and MAGMA store the
+basis ``V_{1:m+1}``.  Column and panel accessors return *views* (no
+copies), and because of that layout every column ``V[:, j]`` and every
+sub-panel ``V[:, j0:j1]`` is one contiguous block of memory: the SpMV and
+the BLAS-1/2 kernels stream it with unit stride, and the BLAS-3 updates in
+:mod:`repro.gpu.blas` write it in place.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ __all__ = ["DistMultiVector", "DistVector"]
 
 class DistMultiVector:
     """Block-row distributed ``n x n_cols`` multivector.
+
+    Each device's ``(local_n, n_cols)`` panel is allocated column-major, so
+    :meth:`column` and :meth:`panel` return F-contiguous views.
 
     Parameters
     ----------
@@ -52,13 +59,13 @@ class DistMultiVector:
 
     # -- views -------------------------------------------------------------
     def column(self, j: int) -> list[DeviceArray]:
-        """Per-device views of column ``j``."""
+        """Per-device contiguous views of column ``j``."""
         if not 0 <= j < self.n_cols:
             raise IndexError(f"column {j} out of range [0, {self.n_cols})")
         return [panel.view((slice(None), j)) for panel in self.local]
 
     def panel(self, j0: int, j1: int) -> list[DeviceArray]:
-        """Per-device views of columns ``[j0, j1)``."""
+        """Per-device F-contiguous views of columns ``[j0, j1)``."""
         if not 0 <= j0 <= j1 <= self.n_cols:
             raise IndexError(f"panel [{j0}, {j1}) out of range")
         return [panel.view((slice(None), slice(j0, j1))) for panel in self.local]

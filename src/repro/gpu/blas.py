@@ -6,6 +6,15 @@ the compiled CSR kernel behind :func:`repro.sparse.csr.csr_matvec`), and
 charges the owning device's clock using the per-variant kernel cost models
 from :mod:`repro.perf.kernels`.
 
+The basis panels are column-major (see :mod:`repro.dist.multivector`), as
+cuBLAS and MAGMA store them.  So the BLAS-3 updates of block
+orthogonalization and CholQR/SVQR (:func:`gemm_nn_update`,
+:func:`trsm_right`) and the vector update :func:`gemv_n_update` call
+``dgemm``/``dtrsm``/``dgemv`` from :mod:`scipy.linalg.blas` to overwrite the
+contiguous panel or column in place, with no temporary.  An operand of
+another layout still gives the right answer: BLAS then returns a new
+buffer, which is copied back.
+
 The ``variant`` arguments mirror the kernel implementations the paper
 compares (Section V-F):
 
@@ -21,7 +30,7 @@ only in charged time, exactly as the real kernels differ only in speed
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import blas as _blas
 
 from ..sparse.csr import csr_matvec
 from ..sparse.ellpack import ell_matvec
@@ -122,7 +131,10 @@ def gemv_n_update(
     if r.data.shape != (k,) or x.data.shape != (n,):
         raise ValueError("shape mismatch in gemv_n_update")
     dev.charge_kernel("gemv_n", variant, n=n, k=k)
-    x.data -= V.data @ r.data
+    if n and k:
+        out = _blas.dgemv(-1.0, V.data, r.data, beta=1.0, y=x.data, overwrite_y=1)
+        if out is not x.data:  # x strided: BLAS worked on a copy
+            x.data[...] = out
     dev.apply_pending_faults(x)
 
 
@@ -140,6 +152,12 @@ def gemm_tn(V: DeviceArray, W: DeviceArray, variant: str = "batched") -> DeviceA
     if n != n2:
         raise ValueError("gemm_tn operands must share the long dimension")
     dev.charge_kernel("gemm_tn", variant, n=n, k=k, j=j)
+    # Stays on numpy's matmul: for ``p.T @ p`` it takes BLAS's symmetric
+    # (syrk) path, which returns an exactly symmetric Gram.  The CholQR
+    # breakdown test (tests/orth/test_tsqr_properties.py::
+    # TestSvqrSurvivesWhereCholqrBreaks) depends on that path's rounding: a
+    # ``dgemm(trans_a=1)`` Gram of its kappa ~ 5e11 panel stays numerically
+    # positive definite, and CholQR fails to break down where it must.
     if variant == "batched_sp":
         product = (
             V.data.astype(np.float32).T @ W.data.astype(np.float32)
@@ -161,7 +179,10 @@ def gemm_nn_update(
     if k != k2 or W.data.shape != (n, j):
         raise ValueError("shape mismatch in gemm_nn_update")
     dev.charge_kernel("gemm_nn", variant, n=n, k=k, j=j)
-    W.data -= V.data @ B.data
+    if W.data.size:
+        out = _blas.dgemm(-1.0, V.data, B.data, beta=1.0, c=W.data, overwrite_c=1)
+        if out is not W.data:  # W not F-contiguous: BLAS worked on a copy
+            W.data[...] = out
     dev.apply_pending_faults(W)
 
 
@@ -202,10 +223,11 @@ def trsm_right(V: DeviceArray, R: np.ndarray, variant: str = "magma") -> None:
     if R.shape != (k, k):
         raise ValueError(f"R must be ({k},{k}), got {R.shape}")
     dev.charge_kernel("trsm", variant, n=n, k=k)
-    # Solve X R = V  <=>  R^T X^T = V^T with lower-triangular R^T.
-    V.data[...] = scipy.linalg.solve_triangular(
-        R.T, V.data.T, lower=True, check_finite=False
-    ).T
+    # Solve X R = V for X with R upper triangular on the right (side=1),
+    # overwriting the column-major panel V in place.
+    out = _blas.dtrsm(1.0, R, V.data, side=1, lower=0, overwrite_b=1)
+    if out is not V.data:  # V not F-contiguous: BLAS worked on a copy
+        V.data[...] = out
     dev.apply_pending_faults(V)
 
 

@@ -132,13 +132,13 @@ class Device(_Clocked):
         self.device_id = int(device_id)
 
     # -- array management -------------------------------------------------
-    def empty(self, shape, dtype=np.float64) -> DeviceArray:
-        """Uninitialized device allocation (allocation itself is uncosted)."""
-        return DeviceArray(np.empty(shape, dtype=dtype), self)
-
     def zeros(self, shape, dtype=np.float64) -> DeviceArray:
-        """Zeroed device allocation."""
-        return DeviceArray(np.zeros(shape, dtype=dtype), self)
+        """Zeroed column-major device allocation (uncosted).
+
+        Column-major, as cuBLAS and MAGMA lay out matrices: the columns and
+        sub-panels of a 2-D allocation are contiguous views.
+        """
+        return DeviceArray(np.zeros(shape, dtype=dtype, order="F"), self)
 
     def adopt(self, array: np.ndarray) -> DeviceArray:
         """Declare ``array`` resident on this device *without* a transfer.

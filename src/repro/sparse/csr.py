@@ -50,10 +50,11 @@ def csr_matvec(
     The compiled kernel checks no bounds and silently copies inputs of the
     wrong type, so every size and type is checked here first, in O(1):
     ``indptr``/``indices`` must be contiguous int64 and ``data``/``x``
-    contiguous float64.  ``out`` must be float64 and may be strided (a
-    column of a distributed multivector); scipy then writes it back through
-    a contiguous copy.  The caller guarantees that every column index of the
-    computed rows is below ``n_cols`` (the :class:`CsrMatrix` and
+    contiguous float64.  ``out`` must be float64 and may be strided; scipy
+    then writes it back through a contiguous copy.  A column of a
+    distributed multivector is contiguous (its panels are column-major), so
+    the SpMVs write it directly.  The caller guarantees that every column
+    index of the computed rows is below ``n_cols`` (the :class:`CsrMatrix` and
     ``EllpackMatrix`` constructors validate this), and ``x`` must hold
     ``n_cols`` entries.
     """

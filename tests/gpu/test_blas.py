@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from repro.dist.multivector import DistMultiVector
+from repro.faults import FaultEvent, FaultPlan
 from repro.gpu import blas
 from repro.gpu.context import MultiGpuContext
+from repro.order.partition import block_row_partition
 from repro.sparse.csr import csr_from_dense
 from repro.sparse.ellpack import EllpackMatrix
 
@@ -220,3 +224,158 @@ class TestVariantTiming:
         a = blas.gemv_t(V, x, variant="cublas")
         b = blas.gemv_t(V, x, variant="magma")
         np.testing.assert_array_equal(a.data, b.data)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def basis_panel(dev, rng, n=40, n_cols=9):
+    """A column-major ``(n, n_cols)`` basis panel, as DistMultiVector stores V."""
+    V = dev.zeros((n, n_cols))
+    V.data[...] = rng.standard_normal((n, n_cols))
+    return V
+
+
+def gemm_update_bound(V, B, W):
+    """Componentwise rounding bound of ``W - V @ B`` (k products + 1 sum)."""
+    k = V.shape[1]
+    return (k + 2) * EPS * (np.abs(W) + np.abs(V) @ np.abs(B))
+
+
+def upper_r(rng, k):
+    return np.triu(rng.standard_normal((k, k))) + 4.0 * np.eye(k)
+
+
+class TestInPlaceUpdates:
+    """gemm_nn_update, trsm_right and gemv_n_update overwrite F-contiguous
+    panels through BLAS; other layouts go through the copy-back fallback."""
+
+    def test_gemm_nn_update_in_place_on_basis_panel(self, dev, rng):
+        V = basis_panel(dev, rng)
+        base = V.data
+        q, w = V.view((slice(None), slice(0, 5))), V.view((slice(None), slice(5, 9)))
+        B = dev.adopt(rng.standard_normal((5, 4)))
+        expected = w.data - q.data @ B.data
+        bound = gemm_update_bound(q.data, B.data, w.data)
+        before = base[:, :5].copy()
+        blas.gemm_nn_update(q, B, w)
+        assert w.data.flags.f_contiguous
+        assert np.shares_memory(w.data, base)
+        assert np.all(np.abs(base[:, 5:] - expected) <= bound)
+        np.testing.assert_array_equal(base[:, :5], before)
+
+    def test_trsm_right_in_place_on_basis_panel(self, dev, rng):
+        V = basis_panel(dev, rng)
+        base = V.data
+        p = V.view((slice(None), slice(2, 7)))
+        R = upper_r(rng, 5)
+        expected = scipy.linalg.solve_triangular(R.T, p.data.T, lower=True).T
+        blas.trsm_right(p, R)
+        assert np.shares_memory(p.data, base)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(base[:, 2:7], expected, rtol=0, atol=8 * EPS * scale)
+
+    def test_gemv_n_update_in_place_on_basis_column(self, dev, rng):
+        V = basis_panel(dev, rng)
+        q, x = V.view((slice(None), slice(0, 6))), V.view((slice(None), 6))
+        r = dev.adopt(rng.standard_normal(6))
+        expected = x.data - q.data @ r.data
+        bound = gemm_update_bound(q.data, r.data[:, None], x.data[:, None])[:, 0]
+        blas.gemv_n_update(q, r, x)
+        assert np.shares_memory(x.data, V.data)
+        assert np.all(np.abs(V.data[:, 6] - expected) <= bound)
+
+    @pytest.mark.parametrize("layout", ["c_order", "strided"])
+    def test_gemm_nn_update_fallback_layouts(self, dev, rng, layout):
+        V = dev.adopt(rng.standard_normal((30, 5)))
+        B = dev.adopt(rng.standard_normal((5, 3)))
+        if layout == "c_order":
+            base = rng.standard_normal((30, 3))
+            W = dev.adopt(base)
+        else:
+            base = rng.standard_normal((30, 6))
+            W = dev.adopt(base).view((slice(None), slice(0, 6, 2)))
+        expected = W.data - V.data @ B.data
+        bound = gemm_update_bound(V.data, B.data, W.data)
+        blas.gemm_nn_update(V, B, W)
+        assert np.shares_memory(W.data, base)
+        assert np.all(np.abs(W.data - expected) <= bound)
+
+    @pytest.mark.parametrize("layout", ["c_order", "strided"])
+    def test_trsm_right_fallback_layouts(self, dev, rng, layout):
+        R = upper_r(rng, 4)
+        if layout == "c_order":
+            base = rng.standard_normal((25, 4))
+            V = dev.adopt(base)
+        else:
+            base = rng.standard_normal((25, 8))
+            V = dev.adopt(base).view((slice(None), slice(1, 8, 2)))
+        original = V.data.copy()
+        blas.trsm_right(V, R)
+        assert np.shares_memory(V.data, base)
+        np.testing.assert_allclose(V.data @ R, original, rtol=0, atol=1e-13)
+
+    def test_gemv_n_update_strided_fallback(self, dev, rng):
+        V = dev.adopt(rng.standard_normal((20, 3)))
+        r = dev.adopt(rng.standard_normal(3))
+        base = rng.standard_normal((20, 2))
+        x = dev.adopt(base).view((slice(None), 1))
+        expected = x.data - V.data @ r.data
+        blas.gemv_n_update(V, r, x)
+        assert not x.data.flags.c_contiguous
+        np.testing.assert_allclose(base[:, 1], expected, rtol=0, atol=1e-13)
+
+    def test_empty_operands_are_no_ops(self, dev):
+        W = dev.adopt(np.ones((0, 3)))
+        blas.gemm_nn_update(dev.zeros((0, 2)), dev.zeros((2, 3)), W)
+        x = dev.adopt(np.ones(4))
+        blas.gemv_n_update(dev.zeros((4, 0)), dev.zeros(0), x)
+        np.testing.assert_array_equal(x.data, np.ones(4))
+        V = dev.adopt(np.ones((0, 2)))
+        blas.trsm_right(V, np.eye(2))
+        assert V.data.shape == (0, 2)
+
+    def test_bad_shapes_raise(self, dev):
+        V = dev.zeros((6, 3))
+        with pytest.raises(ValueError, match="gemm_nn_update"):
+            blas.gemm_nn_update(V, dev.zeros((2, 2)), dev.zeros((6, 2)))
+        with pytest.raises(ValueError, match="gemm_nn_update"):
+            blas.gemm_nn_update(V, dev.zeros((3, 2)), dev.zeros((5, 2)))
+        with pytest.raises(ValueError, match="gemv_n_update"):
+            blas.gemv_n_update(V, dev.zeros(2), dev.zeros(6))
+        with pytest.raises(ValueError, match="R must be"):
+            blas.trsm_right(V, np.eye(2))
+
+    @pytest.mark.parametrize("kernel", ["gemm_nn_update", "trsm_right"])
+    def test_scripted_poison_lands_in_updated_panel(self, rng, kernel):
+        event = FaultEvent("gpu0", "poison", trigger=0, position=7)
+        ctx = MultiGpuContext(1, fault_plan=FaultPlan.scripted((event,)))
+        dev = ctx.devices[0]
+        V = basis_panel(dev, rng)
+        target = V.view((slice(None), slice(5, 9)))
+        if kernel == "gemm_nn_update":
+            q = V.view((slice(None), slice(0, 5)))
+            blas.gemm_nn_update(q, dev.adopt(rng.standard_normal((5, 4))), target)
+        else:
+            blas.trsm_right(target, upper_r(rng, 4))
+        row, col = np.unravel_index(event.position % target.data.size, target.data.shape)
+        assert np.isinf(V.data[row, 5 + col])  # odd position: +Inf
+        assert np.isfinite(np.delete(V.data.ravel(order="F"), (5 + col) * 40 + row)).all()
+        assert ctx.faults.schedule() == [("gpu0", "poison", 0)]
+
+
+class TestGramSymmetry:
+    def test_gram_of_basis_panel_is_exactly_symmetric(self, ctx1, rng):
+        """CholQR's Gram ``p.T @ p`` is exactly symmetric on an F panel.
+
+        ``gemm_tn`` keeps numpy's matmul, which takes BLAS's symmetric path
+        for ``p.T @ p`` on a contiguous panel; CholQR's breakdown on the
+        ill-conditioned panels it must reject depends on that path
+        (tests/orth/test_tsqr_properties.py::TestSvqrSurvivesWhereCholqrBreaks).
+        """
+        mv = DistMultiVector(ctx1, block_row_partition(501, 1), 16)
+        mv.local[0].data[...] = rng.standard_normal((501, 16))
+        p = mv.panel(1, 13)[0]
+        assert p.data.flags.f_contiguous
+        G = blas.gemm_tn(p, p).data
+        assert np.array_equal(G, G.T)
