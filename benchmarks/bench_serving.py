@@ -25,9 +25,15 @@ setup is uncosted) and recorded once per case as a cross-check.
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
+
+# One BLAS/OpenMP thread, pinned before numpy is first imported (as
+# perfbench/run.py does), so host wall-clock numbers do not depend on how
+# many cores the BLAS library grabs.
+os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import numpy as np
 

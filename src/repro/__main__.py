@@ -377,7 +377,7 @@ def _cmd_serve(args) -> int:
         f"{stats['invalidations']} invalidation(s) over "
         f"{stats['n_solves']} solve(s)"
     )
-    print(f"fingerprint: pattern {session.fingerprint.pattern[:16]}…, "
+    print(f"fingerprint: pattern {session.fingerprint.host.pattern[:16]}…, "
           f"roster {'+'.join(session.fingerprint.roster)}")
     print(f"warm == cold (bit-identical): {identical}")
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")

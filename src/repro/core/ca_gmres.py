@@ -45,7 +45,6 @@ import scipy.linalg
 
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
-from ..mpk.matrix_powers import MatrixPowersKernel
 from ..mpk.shifts import ShiftOp, monomial_shift_ops, newton_shift_ops
 from ..order.partition import Partition
 from ..orth.borth import borth
@@ -85,8 +84,8 @@ class CaGmresRun(RestartedRun):
 
     The CA-specific arguments are as in :func:`ca_gmres`; every other
     argument is documented on :class:`~repro.core.gmres.RestartedRun`.
-    With a structural ``plan`` the MPK dependency closures are reused as
-    well.
+    The MPK kernels come from the run's current structural plan, so a
+    given ``plan`` supplies its dependency closures as well.
     """
 
     name = "ca_gmres"
@@ -139,25 +138,6 @@ class CaGmresRun(RestartedRun):
     def mpk_lengths(self) -> tuple[int, ...]:
         return mpk_block_lengths(self.s, self.m) if self.use_mpk else ()
 
-    def _attach_kernels(self, source) -> None:
-        """Build the MPK kernels for the current partition's halo structure.
-
-        ``st.mpk`` maps block length -> kernel; it is the structural plan's
-        shared, persistent dict on plan-driven runs.
-        """
-        self.st.mpk = source.mpk if source is not None else {}
-        for length in self.mpk_lengths:
-            self._get_mpk(length)
-
-    def _get_mpk(self, length: int) -> MatrixPowersKernel:
-        """Matrix powers kernel for one block length (cached per partition)."""
-        mpk = self.st.mpk
-        if length not in mpk:
-            mpk[length] = MatrixPowersKernel(
-                self.ctx, self.A_solve, self.st.partition, length
-            )
-        return mpk[length]
-
     def _details(self) -> dict:
         details: dict = {}
         if self.tsqr_errors is not None:
@@ -171,7 +151,7 @@ class CaGmresRun(RestartedRun):
         if self.basis == "newton" and self.shifts is None:
             # Shift-seeding cycle: standard GMRES, Ritz values from its H.
             info = run_gmres_cycle(
-                ctx, st.dmat, st.V, st.x, st.b, self.m, self.abs_tol,
+                ctx, st.plan.dmat, st.plan.V, st.x, st.b, self.m, self.abs_tol,
                 history=self.history, iteration_offset=offset,
             )
             true_res = checked_true_residual(ctx, self.A_solve, self.b_solve, st.x)
@@ -189,9 +169,10 @@ class CaGmresRun(RestartedRun):
 
     def _ca_cycle(self, offset, restart_index) -> tuple[int, int]:
         """One CA-GMRES restart cycle; returns (iterations, breakdowns)."""
-        ctx, V, m = self.ctx, self.st.V, self.m
+        ctx, plan, m = self.ctx, self.st.plan, self.m
+        V = plan.V
         with ctx.region("spmv"):
-            beta = compute_residual(ctx, self.st.dmat, self.st.x, self.st.b, V)
+            beta = compute_residual(ctx, plan.dmat, self.st.x, self.st.b, V)
         guard_finite(ctx, beta, "cycle residual norm")
         if beta == 0.0:
             return 0, 0
@@ -217,10 +198,10 @@ class CaGmresRun(RestartedRun):
                 try:
                     if self.use_mpk:
                         with ctx.region("mpk"):
-                            self._get_mpk(s_cur).run(V, j, ops)
+                            plan.mpk_kernel(s_cur).run(V, j, ops)
                     else:
                         with ctx.region("spmv"):
-                            _spmv_block(ctx, self.st.dmat, V, j, ops)
+                            _spmv_block(ctx, plan.dmat, V, j, ops)
                     C, R, block_breakdowns = _orthogonalize(
                         ctx, V, j, s_cur,
                         tsqr_method=self.tsqr_method,

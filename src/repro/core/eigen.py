@@ -9,8 +9,9 @@ This module demonstrates that claim with the library's own kernels: a
 CA-Arnoldi process builds an ``m``-dimensional Krylov basis in blocks of
 ``s`` using MPK + BOrth + TSQR (one communication phase per block instead
 of per vector) on CA-GMRES's own orthogonalization path and
-Hessenberg assembly (:mod:`repro.core.ca_gmres`), and returns its Ritz
-values/vectors as eigen-estimates of ``A``.
+Hessenberg assembly (:mod:`repro.core.ca_gmres`) and on a structural plan
+from the solvers' plan builder (:mod:`repro.serve.plan`), and returns its
+Ritz values/vectors as eigen-estimates of ``A``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dist.multivector import DistMultiVector
 from ..gpu.context import MultiGpuContext
-from ..mpk.matrix_powers import MatrixPowersKernel
-from ..order.partition import Partition, block_row_partition
+from ..order.partition import Partition
 from ..sparse.csr import CsrMatrix
-from .ca_gmres import _BlockHessenberg, _block_shift_ops, _orthogonalize
+from .ca_gmres import _BlockHessenberg, _block_shift_ops, _orthogonalize, mpk_block_lengths
 
 __all__ = ["CaArnoldiResult", "ca_arnoldi_eigs"]
 
@@ -94,8 +93,6 @@ def ca_arnoldi_eigs(
         raise ValueError(f"need 1 <= s <= m <= n, got s={s}, m={m}, n={n}")
     if ctx is None:
         ctx = MultiGpuContext(n_gpus)
-    if partition is None:
-        partition = block_row_partition(n, ctx.n_gpus)
     if v0 is None:
         v0 = np.random.default_rng(seed).standard_normal(n)
     else:
@@ -106,20 +103,25 @@ def ca_arnoldi_eigs(
     if norm0 == 0.0:
         raise ValueError("starting vector is zero")
 
-    V = DistMultiVector(ctx, partition, m + 1)
+    from ..serve.plan import PlanCache
+
+    cache = PlanCache()
+    lengths = mpk_block_lengths(s, m)
+    plan = cache.structural_plan(
+        ctx, cache.host_plan(matrix, "natural", balance=False), m, lengths,
+        partition=partition, prebuild_mpk=lengths,
+    )
+    V = plan.V
     V.set_column_from_host(0, v0 / norm0)
     ctx.reset_clocks()
     ctx.counters.reset()
 
     hessenberg = _BlockHessenberg(m)
-    mpk_cache: dict[int, MatrixPowersKernel] = {}
     for j in range(0, m, s):
         s_cur = min(s, m - j)
-        if s_cur not in mpk_cache:
-            mpk_cache[s_cur] = MatrixPowersKernel(ctx, matrix, partition, s_cur)
         ops = _block_shift_ops("newton", shifts, s_cur)
         with ctx.region("mpk"):
-            mpk_cache[s_cur].run(V, j, ops)
+            plan.mpk_kernel(s_cur).run(V, j, ops)
         C, R, _ = _orthogonalize(
             ctx, V, j, s_cur, tsqr_method=tsqr_method, borth_method=borth_method
         )

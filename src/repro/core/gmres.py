@@ -23,10 +23,9 @@ from ..dist.matrix import DistributedMatrix
 from ..dist.multivector import DistMultiVector, DistVector
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
-from ..order.partition import Partition, block_row_partition
+from ..order.partition import Partition
 from ..orth.single import orthogonalize_vector
 from ..sparse.csr import CsrMatrix
-from .balance import balance_matrix
 from .convergence import ConvergenceHistory, SolveResult
 from .degrade import DegradationManager, DegradePolicy
 from .lsq import GivensHessenbergSolver
@@ -178,9 +177,12 @@ class RestartedRun:
     :class:`~repro.core.ca_gmres.CaGmresRun` and the pipelined variant
     (:mod:`repro.core.pipelined`) differ only in how one restart cycle
     builds its basis, which they supply as :meth:`cycle`.  The driver owns
-    everything else: input validation, balancing and distribution (or a
-    prebuilt ``plan``), the distributed state and its degraded-mode
-    rebuild, the deadline / cycle-redo / ``on_cycle`` loop, and the
+    everything else: input validation, the structural plan (the caller's
+    ``plan``, or one built through a private
+    :class:`~repro.serve.plan.PlanCache` — the library's one balancing,
+    partitioning, distribution and MPK setup path), the distributed state
+    and its degraded-mode rebuild, the deadline / cycle-redo /
+    ``on_cycle`` loop, and the
     :class:`~repro.core.convergence.SolveResult`.
 
     :meth:`step` advances the solve by exactly one restart cycle, so a
@@ -231,9 +233,13 @@ class RestartedRun:
         records the trip).
     plan
         Optional prebuilt :class:`repro.serve.plan.StructuralPlan` for this
-        matrix/context: the structural setup (balancing, partitioning,
-        distribution, halo index sets, MPK dependency closures) is reused
-        instead of recomputed, bit-identically.  Mutually exclusive with
+        matrix/context, e.g. a :class:`~repro.serve.session.SolverSession`'s.
+        Without it, the run builds the same kind of plan (natural ordering,
+        the given ``partition``, ``balance`` and ``preconditioner``) on a
+        private :class:`~repro.serve.plan.PlanCache`; either way the
+        structural setup (balancing, partitioning, distribution, halo index
+        sets, MPK dependency closures) comes from the one plan builder, and
+        a given plan is reused bit-identically.  Mutually exclusive with
         ``partition``; ``balance`` and ``preconditioner`` are taken from
         the plan.
     on_cycle
@@ -284,42 +290,38 @@ class RestartedRun:
             # full device set (and pristine fault state) before partitioning.
             ctx.reset_clocks()
         self.ctx = ctx
-        self.plan = plan
-
-        if plan is not None:
-            if partition is not None:
-                raise ValueError("pass either plan= or partition=, not both")
-            if plan.V.n_cols != m + 1:
-                raise ValueError(
-                    f"plan was built for m={plan.V.n_cols - 1}, solve requested m={m}"
-                )
-            partition = plan.partition
-            if partition.n_parts != ctx.n_gpus:
-                raise ValueError("plan partition does not match the active roster")
-            preconditioner = plan.preconditioner
-            bal = plan.bal
-            A_solve = plan.operator
-        else:
-            if partition is None:
-                partition = block_row_partition(n, ctx.n_gpus)
-            A_pre = preconditioner.fold(matrix) if preconditioner is not None else matrix
-            bal = balance_matrix(A_pre) if balance else None
-            A_solve = bal.matrix if bal is not None else A_pre
-        b_solve = bal.scale_rhs(b) if bal is not None else b
-        self.preconditioner = preconditioner
-        self.bal = bal
-        self.A_solve = A_solve
-        self.b_solve = b_solve
         self.m = int(m)
         self.max_restarts = int(max_restarts)
 
+        if plan is None:
+            from ..serve.plan import PlanCache
+
+            cache = PlanCache()
+            plan = cache.structural_plan(
+                ctx, cache.host_plan(matrix, "natural", balance, preconditioner),
+                m, self.mpk_lengths, partition=partition,
+                prebuild_mpk=self.mpk_lengths,
+            )
+        elif partition is not None:
+            raise ValueError("pass either plan= or partition=, not both")
+        if plan.V.n_cols != m + 1:
+            raise ValueError(
+                f"plan was built for m={plan.V.n_cols - 1}, solve requested m={m}"
+            )
+        partition = plan.partition
+        if partition.n_parts != ctx.n_gpus:
+            raise ValueError("plan partition does not match the active roster")
+        self.preconditioner = preconditioner = plan.preconditioner
+        self.bal = bal = plan.bal
+        self.A_solve = A_solve = plan.operator
+        self.b_solve = b_solve = bal.scale_rhs(b) if bal is not None else b
+
         # Mutable solver state: the cycles and the degraded-mode rebuild
-        # both go through it, so a repartition swaps every distributed
-        # object at once and replayed cycles pick up the rebuilt versions.
+        # both go through it, so a repartition swaps the plan (and with it
+        # every distributed object) at once and replayed cycles pick up the
+        # rebuilt versions.
         self.st = st = SimpleNamespace(
-            partition=partition,
-            dmat=plan.dmat if plan is not None else DistributedMatrix(ctx, A_solve, partition),
-            V=plan.V if plan is not None else DistMultiVector(ctx, partition, m + 1),
+            plan=plan,
             x=DistVector(ctx, partition),
             b=DistVector.from_host(ctx, partition, b_solve),
         )
@@ -328,7 +330,6 @@ class RestartedRun:
                 raise ValueError("x0 with a preconditioner is not supported")
             start = (x0 / bal.col_scale) if bal is not None else x0
             st.x.set_from_host(np.asarray(start, dtype=np.float64))
-        self._attach_kernels(plan)
         ctx.reset_clocks()
         ctx.counters.reset()
 
@@ -365,13 +366,6 @@ class RestartedRun:
         if not 1 <= m <= n:
             raise ValueError(f"restart length m={m} out of range [1, {n}]")
 
-    def _attach_kernels(self, source) -> None:
-        """Set up per-partition kernels after (re)distribution.
-
-        ``source`` is the structural plan the state came from, or ``None``
-        when it was built fresh.
-        """
-
     def cycle(self, offset: int, restart_index: int) -> tuple[int, int, float]:
         """Run one restart cycle on ``self.st``.
 
@@ -389,23 +383,13 @@ class RestartedRun:
     def _rebuild(self, new_partition, x_host):
         """Degraded-mode rebuild of the distributed state over survivors.
 
-        With a structural plan attached, the rebuild is routed through the
-        plan cache (the dead roster's entries are invalidated; the survivor
-        roster's entries are built or reused).
+        The survivor roster's plan comes from the plan's cache (built on
+        the first degradation to that roster, reused after).
         """
         ctx, st = self.ctx, self.st
-        st.partition = new_partition
-        sub = None
-        if self.plan is not None:
-            sub = self.plan.derive(new_partition, mpk_lengths=self.mpk_lengths)
-            st.dmat = sub.dmat
-            st.V = sub.V
-        else:
-            st.dmat = DistributedMatrix(ctx, self.A_solve, new_partition)
-            st.V = DistMultiVector(ctx, new_partition, self.m + 1)
+        st.plan = st.plan.derive(new_partition, mpk_lengths=self.mpk_lengths)
         st.b = DistVector.from_host(ctx, new_partition, self.b_solve)
         st.x = DistVector.from_host(ctx, new_partition, x_host)
-        self._attach_kernels(sub)
         return st.x
 
     @property
@@ -496,7 +480,7 @@ class GmresRun(RestartedRun):
     def cycle(self, offset, restart_index):
         ctx, st = self.ctx, self.st
         info = run_gmres_cycle(
-            ctx, st.dmat, st.V, st.x, st.b, self.m, self.abs_tol,
+            ctx, st.plan.dmat, st.plan.V, st.x, st.b, self.m, self.abs_tol,
             orth_method=self.orth_method, gemv_variant=self.gemv_variant,
             history=self.history, iteration_offset=offset,
         )

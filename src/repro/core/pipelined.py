@@ -68,7 +68,7 @@ class PipelinedRun(RestartedRun):
     def cycle(self, offset, restart_index):
         ctx, st = self.ctx, self.st
         j_used = _pipelined_cycle(
-            ctx, st.dmat, st.V, st.x, st.b, self.m, self.abs_tol,
+            ctx, st.plan.dmat, st.plan.V, st.x, st.b, self.m, self.abs_tol,
             self.gemv_variant, self.history, offset,
         )
         return j_used, 0, checked_true_residual(ctx, self.A_solve, self.b_solve, st.x)

@@ -16,7 +16,6 @@ from .collect import (
     cycle_observer,
     observe_context,
     observe_faults,
-    observe_plan_cache,
     observe_result,
     observe_solve,
 )
@@ -54,6 +53,5 @@ __all__ = [
     "observe_result",
     "observe_faults",
     "observe_solve",
-    "observe_plan_cache",
     "cycle_observer",
 ]

@@ -36,7 +36,6 @@ __all__ = [
     "observe_result",
     "observe_faults",
     "observe_solve",
-    "observe_plan_cache",
     "cycle_observer",
 ]
 
@@ -339,33 +338,6 @@ def observe_solve(reg: MetricsRegistry, ctx, result, solver: str = "", matrix: s
     """Record one solve end-to-end: runtime telemetry + convergence."""
     observe_context(reg, ctx, solver=solver, matrix=matrix)
     observe_result(reg, result, solver=solver, matrix=matrix)
-
-
-# ---------------------------------------------------------------------------
-# Plan cache
-# ---------------------------------------------------------------------------
-def observe_plan_cache(reg: MetricsRegistry, cache) -> None:
-    """Mirror a :class:`~repro.serve.plan.PlanCache`'s stats into gauges.
-
-    Live hit/miss/build metrics are emitted by the cache itself when its
-    ``metrics`` attribute is set; this after-the-fact bridge covers caches
-    that were not born instrumented.
-    """
-    if not reg.enabled:
-        return
-    stat_gauge = reg.gauge(
-        "repro_plan_cache_stat",
-        "PlanCache.stats values (cumulative over the cache's lifetime)",
-        labelnames=("stat",),
-    )
-    for stat, value in sorted(cache.stats.items()):
-        stat_gauge.set(value, stat=stat)
-    size = reg.gauge(
-        "repro_plan_cache_entries", "Resident plan-cache entries by level",
-        labelnames=("level",),
-    )
-    size.set(len(cache.host_plans), level="host")
-    size.set(len(cache.plans), level="structural")
 
 
 # ---------------------------------------------------------------------------

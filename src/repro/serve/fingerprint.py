@@ -1,32 +1,29 @@
-"""Structural fingerprints for plan caching.
+"""Plan-cache keys.
 
-Everything the serving layer precomputes — ordering, partition, MPK
-dependency closure, exchange index sets, autotuner decisions — depends on
-the matrix *sparsity pattern* and the solver configuration, never on the
-numerical values of ``b`` (and on the values of ``A`` only through
-balancing, which the plan also owns).  The fingerprint captures exactly
-those inputs, so two sessions agree on a plan key iff their plans would be
-structurally identical.
+Everything the serving layer precomputes — ordering, balancing, partition,
+MPK dependency closure, exchange index sets — is a function of the matrix
+sparsity pattern, the matrix *values* (balancing and the folded operator
+the distributed state and MPK closures hold), and the solver
+configuration; never of ``b``.  :class:`HostKey` and :class:`Fingerprint`
+list exactly those inputs, so two solves share a plan only when the plan
+would be rebuilt identically for both.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..sparse.csr import CsrMatrix
 
-__all__ = ["pattern_hash", "value_hash", "fingerprint", "Fingerprint"]
+__all__ = ["pattern_hash", "value_hash", "HostKey", "Fingerprint"]
 
 
 def pattern_hash(matrix: CsrMatrix) -> str:
-    """SHA-256 of the sparsity pattern (shape + indptr + indices).
-
-    Deliberately excludes ``matrix.data``: the ordering, partition, halo
-    and MPK dependency structure are functions of the pattern alone.
-    """
+    """SHA-256 of the sparsity pattern (shape + indptr + indices)."""
     h = hashlib.sha256()
     h.update(np.asarray(matrix.shape, dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(matrix.indptr, dtype=np.int64).tobytes())
@@ -35,29 +32,24 @@ def pattern_hash(matrix: CsrMatrix) -> str:
 
 
 def value_hash(matrix: CsrMatrix) -> str:
-    """SHA-256 of the nonzero values (used to detect operator swaps)."""
+    """SHA-256 of the nonzero values."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(matrix.data, dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Hashable plan-cache key.
+class HostKey(NamedTuple):
+    """Roster-independent key of a :class:`~repro.serve.plan.HostPlan`.
 
     Attributes
     ----------
     pattern
         :func:`pattern_hash` of the (unpermuted) matrix.
+    values
+        :func:`value_hash` of the (unpermuted) matrix: balancing and the
+        folded operator depend on the values, not only on the pattern.
     ordering
         ``"natural"`` / ``"rcm"`` / ``"kway"``.
-    m
-        Restart length (fixes the basis multivector width ``m + 1``).
-    mpk_lengths
-        Sorted tuple of MPK block lengths the solver will request
-        (``{s, m % s} - {0}`` for CA-GMRES, ``()`` for standard GMRES).
-    roster
-        Names of the active devices the plan's distributed state lives on.
     balance
         Whether diagonal balancing is folded into the operator.
     preconditioner
@@ -66,34 +58,30 @@ class Fingerprint:
     """
 
     pattern: str
+    values: str
     ordering: str
-    m: int
-    mpk_lengths: tuple
-    roster: tuple
     balance: bool
     preconditioner: str | None
 
-    def host_key(self) -> tuple:
-        """The roster-independent part (host-side ordering/balance plan)."""
-        return (self.pattern, self.ordering, self.balance, self.preconditioner)
 
+@dataclass(frozen=True)
+class Fingerprint:
+    """Hashable key of a :class:`~repro.serve.plan.StructuralPlan`.
 
-def fingerprint(
-    matrix: CsrMatrix,
-    ordering: str,
-    m: int,
-    mpk_lengths,
-    roster,
-    balance: bool,
-    preconditioner=None,
-) -> Fingerprint:
-    """Build the :class:`Fingerprint` for one (matrix, config, roster)."""
-    return Fingerprint(
-        pattern=pattern_hash(matrix),
-        ordering=str(ordering),
-        m=int(m),
-        mpk_lengths=tuple(sorted(int(x) for x in mpk_lengths)),
-        roster=tuple(str(r) for r in roster),
-        balance=bool(balance),
-        preconditioner=None if preconditioner is None else repr(preconditioner),
-    )
+    Attributes
+    ----------
+    host
+        The :class:`HostKey` of the host plan the structural plan is built on.
+    m
+        Restart length (fixes the basis multivector width ``m + 1``).
+    mpk_lengths
+        Sorted tuple of MPK block lengths the solver will request
+        (``{s, m % s} - {0}`` for CA-GMRES, ``()`` for standard GMRES).
+    roster
+        Names of the active devices the plan's distributed state lives on.
+    """
+
+    host: HostKey
+    m: int
+    mpk_lengths: tuple
+    roster: tuple

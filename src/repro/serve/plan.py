@@ -5,17 +5,22 @@ A solve against a fixed operator splits cleanly into
 * **structure** — ordering permutation, balancing, row partition, the
   distributed ELLPACK matrix with its halo index sets, the basis
   multivector, the MPK dependency closures, and the staged-exchange
-  staging buffers.  Pure functions of the sparsity pattern + config +
-  device roster; *expensive* on the host (k-way partitioning and the MPK
-  closure dominate) and wholly uncosted in the simulated timeline.
+  staging buffers.  Functions of the matrix (pattern *and* values: the
+  balanced, folded operator is what the distributed matrix and the MPK
+  closures hold) + config + device roster; *expensive* on the host (k-way
+  partitioning and the MPK closure dominate) and wholly uncosted in the
+  simulated timeline.
 * **numerics** — everything touching ``b``: the RHS/solution vectors and
   the iteration itself.
 
 :class:`StructuralPlan` owns the first half.  :class:`PlanCache` builds
-plans on demand, keyed by :class:`~repro.serve.fingerprint.Fingerprint`,
-and splits the roster-independent host work (:class:`HostPlan`) from the
-roster-dependent device state so a mid-solve repartition invalidates only
-the latter.
+plans on demand, keyed by :class:`~repro.serve.fingerprint.HostKey` and
+:class:`~repro.serve.fingerprint.Fingerprint`, and splits the
+roster-independent host work (:class:`HostPlan`) from the roster-dependent
+device state so a mid-solve repartition invalidates only the latter.  It
+is the library's one structural setup path: every solver run without a
+``plan=`` builds its plan through a private cache, and CA-Arnoldi builds
+its basis and MPK kernels through one as well.
 
 Bit-identity
 ------------
@@ -43,7 +48,7 @@ from ..order.kway import kway_partition
 from ..order.partition import Partition, block_row_partition
 from ..order.rcm import rcm
 from ..sparse.csr import CsrMatrix
-from .fingerprint import Fingerprint, pattern_hash
+from .fingerprint import Fingerprint, HostKey, pattern_hash, value_hash
 
 __all__ = ["HostPlan", "StructuralPlan", "PlanCache"]
 
@@ -58,9 +63,8 @@ class HostPlan:
     Attributes
     ----------
     key
-        The :meth:`Fingerprint.host_key` tuple this entry is cached under.
-    ordering
-        ``"natural"`` / ``"rcm"`` / ``"kway"``.
+        The :class:`~repro.serve.fingerprint.HostKey` this entry is cached
+        under.
     perm
         RCM permutation (``perm[k]`` = original index at position ``k``),
         or ``None`` for orderings that keep the native row order.
@@ -74,8 +78,7 @@ class HostPlan:
         The preconditioner folded into ``operator`` (or ``None``).
     """
 
-    key: tuple
-    ordering: str
+    key: HostKey
     perm: np.ndarray | None
     matrix: CsrMatrix
     bal: object | None
@@ -98,11 +101,11 @@ class HostPlan:
 class StructuralPlan:
     """Roster-dependent structural state for one (host plan, partition).
 
-    Exposes exactly the attributes the solvers' ``plan=`` path consumes:
+    Exposes exactly the attributes the solvers consume:
     ``partition`` / ``dmat`` / ``V`` / ``mpk`` plus the host-plan
     delegates ``bal`` / ``operator`` / ``preconditioner``, and
-    :meth:`derive` for degraded-mode repartitions.  ``mpk`` is a plain
-    ``dict`` the solver fills through its own per-length accessor, so MPK
+    :meth:`derive` for degraded-mode repartitions.  ``mpk`` maps block
+    length to kernel; :meth:`mpk_kernel` fills it on demand, so MPK
     closures built during the first solve persist for every later one.
     """
 
@@ -139,13 +142,18 @@ class StructuralPlan:
     def preconditioner(self):
         return self.host.preconditioner
 
+    def mpk_kernel(self, length: int) -> MatrixPowersKernel:
+        """The MPK kernel for one block length, built on first request."""
+        if length not in self.mpk:
+            self.mpk[length] = MatrixPowersKernel(
+                self.ctx, self.operator, self.partition, int(length)
+            )
+        return self.mpk[length]
+
     def ensure_mpk(self, lengths) -> None:
         """Prebuild MPK closures for the given block lengths."""
         for length in lengths:
-            if length not in self.mpk:
-                self.mpk[length] = MatrixPowersKernel(
-                    self.ctx, self.operator, self.partition, int(length)
-                )
+            self.mpk_kernel(length)
 
     def derive(self, new_partition: Partition, mpk_lengths=()) -> "StructuralPlan":
         """Plan for the current (shrunken) roster after a repartition.
@@ -185,11 +193,18 @@ class PlanCache:
     """Two-level plan cache with roster-aware invalidation.
 
     Level 1 caches :class:`HostPlan` entries (ordering + balancing), keyed
-    by the roster-independent :meth:`Fingerprint.host_key`.  Level 2
-    caches :class:`StructuralPlan` entries keyed by the full
-    :class:`Fingerprint` — these hold device-resident state, so entries
-    are dropped when their roster or context goes away while the host
-    entries survive untouched.
+    by the roster-independent :class:`~repro.serve.fingerprint.HostKey`
+    (pattern and value hashes + ordering, balance, preconditioner).
+    Level 2 caches :class:`StructuralPlan` entries keyed by the full
+    :class:`Fingerprint` — these hold device-resident state, so an entry is
+    replaced when its context goes away or a repartition changes its
+    assignment, while the host entries survive untouched.
+
+    ``stats`` counts lookups per level.  A
+    :class:`~repro.serve.session.SolverSession` resolves its host plan once,
+    at its first plan access, so ``host_hits`` counts host plans reused
+    *across sessions*, not solves; ``plan_hits`` counts structural-plan
+    reuse per solve.
 
     With a :class:`~repro.metrics.registry.MetricsRegistry` attached via
     :attr:`metrics`, every lookup increments
@@ -241,16 +256,21 @@ class PlanCache:
         balance: bool = True,
         preconditioner=None,
     ) -> HostPlan:
-        """Fetch or build the ordering/balance plan for ``matrix``."""
+        """Fetch or build the ordering/balance plan for ``matrix``.
+
+        Hashes the matrix pattern and values, so call it once per matrix
+        and keep the result.
+        """
         if ordering not in ORDERINGS:
             raise ValueError(
                 f"unknown ordering {ordering!r}; choose from {ORDERINGS}"
             )
-        key = (
-            pattern_hash(matrix),
-            ordering,
-            bool(balance),
-            None if preconditioner is None else repr(preconditioner),
+        key = HostKey(
+            pattern=pattern_hash(matrix),
+            values=value_hash(matrix),
+            ordering=ordering,
+            balance=bool(balance),
+            preconditioner=None if preconditioner is None else repr(preconditioner),
         )
         cached = self.host_plans.get(key)
         if cached is not None:
@@ -266,7 +286,6 @@ class PlanCache:
         bal = balance_matrix(A_pre) if balance else None
         plan = HostPlan(
             key=key,
-            ordering=ordering,
             perm=perm,
             matrix=A_p,
             bal=bal,
@@ -290,13 +309,10 @@ class PlanCache:
         """Fetch or build the device-level plan for the *active* roster."""
         roster = tuple(dev.name for dev in ctx.devices)
         key = Fingerprint(
-            pattern=host.key[0],
-            ordering=host.ordering,
+            host=host.key,
             m=int(m),
             mpk_lengths=tuple(sorted(int(x) for x in mpk_lengths)),
             roster=roster,
-            balance=host.key[2],
-            preconditioner=host.key[3],
         )
         cached = self.plans.get(key)
         if cached is not None:
@@ -314,7 +330,7 @@ class PlanCache:
         self._note_request("structural", "miss")
         build_start = time.perf_counter()
         if partition is None:
-            if host.ordering == "kway":
+            if host.key.ordering == "kway":
                 partition = kway_partition(host.operator, len(roster))
             else:
                 partition = block_row_partition(host.operator.n_rows, len(roster))
@@ -354,21 +370,3 @@ class PlanCache:
                 plan_cache_invalidations_total(self.metrics).inc()
             return True
         return False
-
-    def invalidate_device(self, name: str) -> int:
-        """Drop every structural plan whose roster includes ``name``.
-
-        Called when a device is retired for good; host plans — ordering
-        and balancing know nothing of devices — survive.
-        """
-        doomed = [k for k in self.plans if name in k.roster]
-        for k in doomed:
-            self.invalidate(k)
-        return len(doomed)
-
-    def clear_device_plans(self) -> int:
-        """Drop all structural plans (e.g. when the context is replaced)."""
-        n = len(self.plans)
-        for k in list(self.plans):
-            self.invalidate(k)
-        return n

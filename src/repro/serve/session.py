@@ -3,13 +3,15 @@
 :class:`SolverSession` binds one matrix + one solver configuration to one
 :class:`~repro.gpu.context.MultiGpuContext` and answers repeated
 ``solve(b)`` calls.  The first call computes the structural plan —
-ordering, partition, distributed matrix, MPK dependency closure,
-staged-exchange index sets, autotuner decisions — and caches it under a
-structural fingerprint; every later call (including after
-``ctx.reset_clocks()`` or a mid-solve repartition) reuses it.  Warm solves
-are bit-identical to cold ones: the plan holds no RHS-dependent state, and
-structural setup is uncosted in the simulated timeline, so even the
-simulated timers/counters match exactly — only host wall-clock changes.
+ordering, balancing, partition, distributed matrix, MPK dependency
+closure, staged-exchange index sets — and caches it under a key of the
+matrix pattern, its values, the configuration and the device roster;
+every later call (including after ``ctx.reset_clocks()`` or a mid-solve
+repartition) reuses it.  The matrix is hashed once, at the first plan
+access, not per solve.  Warm solves are bit-identical to cold ones: the
+plan holds no RHS-dependent state, and structural setup is uncosted in the
+simulated timeline, so even the simulated timers/counters match exactly —
+only host wall-clock changes.
 
 ``solve_many`` batches right-hand sides over the shared plan.  By default
 the restart cycles of all pending solves are interleaved round-robin on
@@ -76,8 +78,9 @@ class SolverSession:
         :func:`repro.core.gmres.gmres`.  ``m`` defaults to 60 for CA-GMRES
         and 30 for GMRES.
     cache
-        Optional shared :class:`~repro.serve.plan.PlanCache`; sessions on
-        the same context may share one to pool host-level plans.
+        Optional shared :class:`~repro.serve.plan.PlanCache`; sessions may
+        share one to pool host-level plans (and, on the same context,
+        structural plans) of identical matrices.
     metrics
         Optional :class:`~repro.metrics.registry.MetricsRegistry`.  The
         session then records serving telemetry — request counts, cold vs
@@ -141,6 +144,7 @@ class SolverSession:
         if metrics is not None:
             self.cache.metrics = metrics
         self.n_solves = 0
+        self._host = None
         if solver == "ca":
             use_mpk = self.solver_kwargs.get("use_mpk", True)
             self._mpk_lengths = mpk_block_lengths(self.s, self.m) if use_mpk else ()
@@ -152,13 +156,16 @@ class SolverSession:
     def plan(self) -> StructuralPlan:
         """The structural plan for the context's *active* roster.
 
-        Built on first access (or first :meth:`solve`), then reused.
+        Built on first access (or first :meth:`solve`), then reused.  The
+        host plan — and so the hash of the matrix — is resolved once, at
+        the first access.
         """
-        host = self.cache.host_plan(
-            self.matrix, self.ordering, self.balance, self.preconditioner
-        )
+        if self._host is None:
+            self._host = self.cache.host_plan(
+                self.matrix, self.ordering, self.balance, self.preconditioner
+            )
         return self.cache.structural_plan(
-            self.ctx, host, self.m, self._mpk_lengths
+            self.ctx, self._host, self.m, self._mpk_lengths
         )
 
     @property
@@ -202,7 +209,7 @@ class SolverSession:
             self.ctx.reset_clocks()
         plan_misses_before = self.cache.stats["plan_misses"]
         plan = self.plan
-        host = plan.host
+        host = self._host
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.matrix.n_rows,):
             raise ValueError(
@@ -245,16 +252,14 @@ class SolverSession:
                 "plan-build", REGION_LANE, "plan", self.ctx.current_time(),
                 0.0, **self.cache.last_structural_build,
             )
-        run._serve_host = host
         return run
 
     def _postprocess(self, run) -> SolveResult:
         result = run.result()
         self.n_solves += 1
-        host = run._serve_host
-        if host.perm is None:
+        if self._host.perm is None:
             return result
-        return dataclasses.replace(result, x=host.from_solve_order(result.x))
+        return dataclasses.replace(result, x=self._host.from_solve_order(result.x))
 
     def solve(self, b: np.ndarray, **overrides) -> SolveResult:
         """Solve ``A x = b`` reusing the session's structural plan.

@@ -44,19 +44,6 @@ class TestPipelinedCorrectness:
         # Restarted GMRES(1) is slow but must make progress without errors.
         assert r.n_iterations > 0
 
-    def test_validation(self):
-        A = poisson2d(4)
-        with pytest.raises(ValueError, match="square"):
-            from repro.sparse.csr import csr_from_dense
-
-            pipelined_gmres(csr_from_dense(np.ones((2, 3))), np.ones(2))
-        with pytest.raises(ValueError, match="shape"):
-            pipelined_gmres(A, np.ones(5))
-        with pytest.raises(ValueError, match="non-finite"):
-            pipelined_gmres(A, np.full(16, np.nan), m=4)
-        with pytest.raises(ValueError, match="restart length"):
-            pipelined_gmres(A, np.ones(16), m=0)
-
     def test_zero_rhs(self):
         A = poisson2d(4)
         r = pipelined_gmres(A, np.zeros(16), m=8)

@@ -47,6 +47,13 @@ def test_wrong_b_shape(solver, problem):
         run_cls(A, np.ones(A.n_rows + 1), **kw)
 
 
+def test_zero_restart_length_rejected(solver, problem):
+    run_cls, _, kw = solver
+    A, b = problem
+    with pytest.raises(ValueError):
+        run_cls(A, b, **{**kw, "m": 0})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_b(solver, problem, bad):
     run_cls, _, kw = solver

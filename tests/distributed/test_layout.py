@@ -8,7 +8,7 @@ tests pin that layout on every path that allocates a ``DistMultiVector``.
 import numpy as np
 import pytest
 
-import repro.core.eigen as eigen_module
+import repro.serve.plan as plan_module
 import repro.sparse.csr as csr_module
 from repro.core import DegradePolicy
 from repro.core.ca_gmres import CaGmresRun, ca_gmres
@@ -64,8 +64,8 @@ class TestMultivectorLayout:
                          degrade=DegradePolicy())
         res = run.result()
         assert res.details["degradation"]["n_repartitions"] == 1
-        assert run.st.partition.n_parts == 2
-        assert_column_major(run.st.V)
+        assert run.st.plan.partition.n_parts == 2
+        assert_column_major(run.st.plan.V)
         assert_column_major(run.st.x)
 
     def test_ca_arnoldi_basis_is_column_major(self, monkeypatch):
@@ -76,7 +76,8 @@ class TestMultivectorLayout:
                 super().__init__(*args, **kwargs)
                 made.append(self)
 
-        monkeypatch.setattr(eigen_module, "DistMultiVector", Recording)
+        # CA-Arnoldi takes its basis from the structural-plan builder.
+        monkeypatch.setattr(plan_module, "DistMultiVector", Recording)
         ca_arnoldi_eigs(poisson2d(10), n_gpus=2, s=4, m=12)
         assert made
         for mv in made:

@@ -1,10 +1,12 @@
-"""Structural fingerprints: pattern-only hashing and key composition."""
+"""Plan-cache keys: pattern and value hashing and key composition."""
 
 import numpy as np
 import pytest
 
+from repro.gpu.context import MultiGpuContext
 from repro.matrices import poisson2d
-from repro.serve.fingerprint import Fingerprint, fingerprint, pattern_hash, value_hash
+from repro.serve import PlanCache
+from repro.serve.fingerprint import pattern_hash, value_hash
 from repro.sparse.csr import CsrMatrix
 
 
@@ -34,38 +36,57 @@ class TestPatternHash:
         assert pattern_hash(a) != pattern_hash(b)
 
 
+def plan_key(A, ordering="natural", m=20, mpk_lengths=(5,), n_gpus=2, balance=True):
+    cache = PlanCache()
+    host = cache.host_plan(A, ordering, balance=balance)
+    return cache.structural_plan(MultiGpuContext(n_gpus), host, m, mpk_lengths).key
+
+
 class TestFingerprint:
     def test_roundtrip_fields(self):
         A = poisson2d(6)
-        fp = fingerprint(A, "kway", 20, [5], ["gpu0", "gpu1"], True)
-        assert fp.ordering == "kway"
+        fp = plan_key(A, "kway", 20, [5])
+        assert fp.host.ordering == "kway"
         assert fp.m == 20
         assert fp.mpk_lengths == (5,)
         assert fp.roster == ("gpu0", "gpu1")
-        assert fp.balance is True
-        assert fp.preconditioner is None
+        assert fp.host.balance is True
+        assert fp.host.preconditioner is None
 
     def test_hashable_and_distinct_by_roster(self):
         A = poisson2d(6)
-        f2 = fingerprint(A, "natural", 20, [5], ["gpu0", "gpu1"], True)
-        f3 = fingerprint(A, "natural", 20, [5], ["gpu0", "gpu1", "gpu2"], True)
+        f2 = plan_key(A, n_gpus=2)
+        f3 = plan_key(A, n_gpus=3)
         assert f2 != f3
         assert len({f2, f3, f2}) == 2
 
     def test_host_key_drops_roster_and_m(self):
         A = poisson2d(6)
-        f2 = fingerprint(A, "rcm", 20, [5], ["gpu0"], True)
-        f3 = fingerprint(A, "rcm", 30, [15], ["gpu0", "gpu1"], True)
-        assert f2.host_key() == f3.host_key()
+        f2 = plan_key(A, "rcm", 20, [5], n_gpus=1)
+        f3 = plan_key(A, "rcm", 30, [15], n_gpus=2)
+        assert f2 != f3
+        assert f2.host == f3.host
 
     def test_mpk_lengths_sorted(self):
         A = poisson2d(6)
-        fa = fingerprint(A, "natural", 20, [15, 5], ["gpu0"], True)
-        fb = fingerprint(A, "natural", 20, [5, 15], ["gpu0"], True)
+        fa = plan_key(A, mpk_lengths=[15, 5], n_gpus=1)
+        fb = plan_key(A, mpk_lengths=[5, 15], n_gpus=1)
         assert fa == fb
 
     def test_frozen(self):
         A = poisson2d(6)
-        fp = fingerprint(A, "natural", 20, [], ["gpu0"], True)
+        fp = plan_key(A, mpk_lengths=[], n_gpus=1)
         with pytest.raises(AttributeError):
             fp.m = 99
+        with pytest.raises(AttributeError):
+            fp.host.values = "0"
+
+    def test_values_move_the_key(self):
+        A = poisson2d(6)
+        B = CsrMatrix(A.shape, A.indptr, A.indices, 2.0 * A.data)
+        fa, fb = plan_key(A), plan_key(B)
+        assert fa.host.pattern == fb.host.pattern
+        assert fa.host.values != fb.host.values
+        assert fa != fb
+        for balance in (True, False):
+            assert plan_key(A, balance=balance) != plan_key(B, balance=balance)

@@ -1,12 +1,15 @@
-"""PlanCache: two-level caching, stats, and roster-aware invalidation."""
+"""PlanCache: two-level caching, stats, invalidation, and keys that hold
+every input of a plan."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpu.context import MultiGpuContext
 from repro.matrices import poisson2d
 from repro.order.partition import Partition
-from repro.serve import PlanCache
+from repro.serve import PlanCache, SolverSession
+from repro.sparse.csr import CsrMatrix
 
 
 @pytest.fixture
@@ -128,28 +131,66 @@ class TestInvalidation:
         ctx3.devices = list(ctx3.all_devices)
         return full, survivors
 
-    def test_invalidate_device_drops_only_matching_rosters(self, A):
-        cache = PlanCache()
-        full, survivors = self._two_roster_plans(A, cache)
-        assert len(cache.plans) == 2
-        dropped = cache.invalidate_device("gpu1")
-        assert dropped == 1
-        assert survivors.key in cache.plans
-        assert full.key not in cache.plans
-        # Host plans are roster-free and must survive.
-        assert len(cache.host_plans) == 1
-
-    def test_clear_device_plans_keeps_host_plans(self, A):
-        cache = PlanCache()
-        self._two_roster_plans(A, cache)
-        assert cache.clear_device_plans() == 2
-        assert not cache.plans
-        assert len(cache.host_plans) == 1
-        assert cache.stats["invalidations"] == 2
-
     def test_invalidate_missing_key_is_noop(self, A):
         cache = PlanCache()
         full, _ = self._two_roster_plans(A, cache)
         assert cache.invalidate(full.key) is True
         assert cache.invalidate(full.key) is False
         assert cache.stats["invalidations"] == 1
+
+
+def row_scaled(A, seed=0):
+    """``A`` with its rows scaled by ``10**U(-2, 2)``: same pattern, new values."""
+    scale = 10.0 ** np.random.default_rng(seed).uniform(-2, 2, A.n_rows)
+    return CsrMatrix(A.shape, A.indptr, A.indices,
+                     A.data * np.repeat(scale, np.diff(A.indptr)))
+
+
+def result_bytes(r):
+    """Every output of a solve, as comparable bytes/values."""
+    return (
+        r.x.tobytes(), r.converged, r.n_restarts, r.n_iterations,
+        r.history.initial_residual, r.history.estimates,
+        r.history.true_residuals, r.timers, r.counters, r.breakdowns,
+        repr(r.details),
+    )
+
+
+class TestValueKeys:
+    """Sessions sharing a cache must not share plans of different values."""
+
+    def test_row_scaled_matrix_gets_its_own_plan(self):
+        A = poisson2d(16)
+        S = row_scaled(A)
+        b = np.ones(A.n_rows)
+        cfg = dict(solver="gmres", m=20, tol=1e-6)
+        ctx, cache = MultiGpuContext(2), PlanCache()
+        first = SolverSession(A, ctx=ctx, cache=cache, **cfg).solve(b)
+        shared = SolverSession(S, ctx=ctx, cache=cache, **cfg).solve(b)
+        private = SolverSession(S, n_gpus=2, **cfg).solve(b)
+        assert result_bytes(shared) == result_bytes(private)
+        assert not np.array_equal(shared.x, first.x)
+        assert cache.stats["host_misses"] == 2
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["poisson", "scaled", "other"]),
+                  st.booleans(), st.integers(1, 2)),
+        min_size=2, max_size=4,
+    ))
+    def test_shared_cache_equals_private_caches(self, sessions):
+        matrices = {
+            "poisson": poisson2d(8),
+            "scaled": row_scaled(poisson2d(8)),
+            "other": poisson2d(9),
+        }
+        cache = PlanCache()
+        contexts = {g: MultiGpuContext(g) for g in (1, 2)}
+        for name, balance, g in sessions:
+            A = matrices[name]
+            b = np.ones(A.n_rows)
+            cfg = dict(solver="gmres", m=12, tol=1e-6, max_restarts=30,
+                       balance=balance)
+            shared = SolverSession(A, ctx=contexts[g], cache=cache, **cfg).solve(b)
+            private = SolverSession(A, n_gpus=g, **cfg).solve(b)
+            assert result_bytes(shared) == result_bytes(private)
