@@ -6,7 +6,6 @@ conditioning degrades and recovers it when the basis is healthy.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.ca_gmres import ca_gmres
 from repro.harness import format_table

@@ -10,7 +10,6 @@
 """
 
 import numpy as np
-import pytest
 
 from repro.core.ca_gmres import ca_gmres
 from repro.gpu.context import MultiGpuContext

@@ -10,7 +10,6 @@ SpMV communication volume they imply.
 """
 
 import numpy as np
-import pytest
 
 from repro.harness import format_table
 from repro.matrices import g3_circuit

@@ -12,11 +12,9 @@ small and it wins; for skewed row lengths JDS wins decisively.
 """
 
 import numpy as np
-import pytest
 
 from repro.harness import format_table
 from repro.matrices import cant, g3_circuit, nlpkkt
-from repro.matrices.random_sparse import random_sparse
 from repro.perf.model import PerformanceModel
 from repro.sparse.csr import csr_from_dense
 from repro.sparse.ellpack import EllpackMatrix

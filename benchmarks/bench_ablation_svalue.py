@@ -10,7 +10,6 @@ s = 10-15.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres

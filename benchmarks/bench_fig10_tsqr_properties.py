@@ -7,13 +7,12 @@ column against the runtime's actual message counters for every method on
 """
 
 import numpy as np
-import pytest
 
 from repro.gpu.context import MultiGpuContext
 from repro.dist.multivector import DistMultiVector
 from repro.harness import format_table
 from repro.order.partition import block_row_partition
-from repro.orth import TSQR_PROPERTY_TABLE, tsqr, tsqr_properties
+from repro.orth import TSQR_PROPERTY_TABLE, tsqr
 
 S = 14  # panel of s + 1 = 15 columns, a paper-typical block
 N_ROWS = 6_000

@@ -15,7 +15,6 @@ CAQR at the bottom, all scaling with GPU count.
 """
 
 import numpy as np
-import pytest
 
 from repro.dist.multivector import DistMultiVector
 from repro.gpu.context import MultiGpuContext

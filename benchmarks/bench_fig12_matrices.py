@@ -11,12 +11,11 @@ theta_1/theta_2 very close to 1 for every matrix; kappa(B) enormous
 """
 
 import numpy as np
-import pytest
 
 from repro.dist.multivector import DistMultiVector
 from repro.gpu.context import MultiGpuContext
 from repro.harness import format_table
-from repro.matrices.suite import PAPER_SUITE, dominant_ritz_ratio, load_suite_matrix
+from repro.matrices.suite import dominant_ritz_ratio, load_suite_matrix
 from repro.mpk import MatrixPowersKernel, monomial_shift_ops
 from repro.order.partition import block_row_partition
 from repro.core.balance import balance_matrix

@@ -11,7 +11,6 @@ is shorter than the same-GPU GMRES bar; speedups land in the paper's
 """
 
 import numpy as np
-import pytest
 
 from repro.harness import format_table
 from repro.harness.experiment import run_solver_experiment

@@ -12,7 +12,6 @@ expensive communication is, the more avoiding it pays.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres

@@ -10,7 +10,9 @@
 #   --degrade   additionally run a degraded-mode smoke campaign: device
 #               dropouts are injected and absorbed by repartitioning the
 #               solve over the surviving GPUs (python -m repro faults
-#               --degrade), with a simulated-time deadline armed.
+#               --degrade), with a simulated-time deadline armed.  The
+#               campaign runs twice and the two JSON records must be
+#               byte-identical (fault and degradation records replay).
 #   --serve     additionally run a serving smoke: the plan-reuse CLI
 #               (python -m repro serve, exits nonzero unless warm solves
 #               are bit-identical to cold) plus a session-mode fault
@@ -61,10 +63,18 @@ if [[ "$run_degrade_smoke" == 1 ]]; then
     echo "== degraded-mode smoke campaign (dropout -> repartition) =="
     # seed 0 at this rate scripts a dropout on trial 0; with --degrade the
     # solve repartitions onto the surviving GPUs and still converges.  The
-    # generous deadline arms the watchdog without tripping it.
-    PYTHONPATH=src python -m repro faults \
-        --nx 16 --m 12 --s 4 --max-restarts 40 --trials 2 --rate 2e-3 \
-        --gpus 3 --kinds corrupt,poison,stall,dropout --degrade --deadline 1.0
+    # generous deadline arms the watchdog without tripping it.  Two runs
+    # must write byte-identical campaign records.
+    replay_dir="$(mktemp -d)"
+    trap 'rm -rf "$replay_dir"' EXIT
+    for run in 1 2; do
+        PYTHONPATH=src python -m repro faults \
+            --nx 16 --m 12 --s 4 --max-restarts 40 --trials 2 --rate 2e-3 \
+            --gpus 3 --kinds corrupt,poison,stall,dropout --degrade \
+            --deadline 1.0 --out "$replay_dir/run$run"
+    done
+    cmp "$replay_dir"/run{1,2}/faults_ca_gmres_poisson2d_seed0.json
+    echo "campaign records bit-identical across two runs"
 fi
 
 if [[ "$run_serve_smoke" == 1 ]]; then

@@ -268,7 +268,6 @@ def ca_gmres(
     degrade: DegradePolicy | None = None,
     deadline: float | None = None,
     plan=None,
-    on_cycle=None,
 ) -> SolveResult:
     """Solve ``A x = b`` with CA-GMRES(s, m) on simulated GPUs.
 
@@ -281,7 +280,7 @@ def ca_gmres(
     basis
         ``"newton"`` (Leja-ordered Ritz shifts; the first restart runs
         standard GMRES to obtain them, per Section IV-A, and counts as a
-        cycle for ``on_cycle``) or ``"monomial"``.
+        restart cycle) or ``"monomial"``.
     tsqr_method, tsqr_variant
         Intra-block factorization (``cholqr``/``svqr``/``cgs``/``mgs``/
         ``caqr``) and its device-kernel variant.
@@ -327,7 +326,7 @@ def ca_gmres(
         on_breakdown=on_breakdown, collect_tsqr_errors=collect_tsqr_errors,
         adaptive_s=adaptive_s, preconditioner=preconditioner,
         max_panel_retries=max_panel_retries, degrade=degrade,
-        deadline=deadline, plan=plan, on_cycle=on_cycle,
+        deadline=deadline, plan=plan,
     ).result()
 
 

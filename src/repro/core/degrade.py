@@ -34,9 +34,10 @@ Everything is deterministic and bit-replayable: the degradation schedule
 is a pure function of the fault plan, and ``ctx.reset_clocks()`` restores
 the full device roster along with the injector streams, so rerunning a
 solve on the same context replays the identical repartition sequence.
-``degraded`` / ``repartition`` / ``deadline-exceeded`` events land on the
-``"faults"`` trace lane next to the dropout that caused them, and the full
-record is attached as ``SolveResult.details["degradation"]``.
+The trace is the record: ``degraded`` / ``repartition`` /
+``deadline-exceeded`` events land on the ``"faults"`` trace lane next to
+the dropout that caused them, and ``SolveResult.details["degradation"]``
+is built from those events.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ class DegradationManager:
         RHS, MPK plans) on the shrunken context and returns the new
         solution vector initialized from the host checkpoint ``x_host``.
         Transfers it issues are costed normally — recovery takes
-        simulated time, deterministically.
+        simulated time, deterministically — and may fault like any other
+        (:func:`~repro.core.resilience.run_cycle_resilient` replays it).
     policy
         The :class:`DegradePolicy`, or ``None`` to run only the deadline
         watchdog (device loss then stays terminal, as without a manager).
@@ -164,8 +166,6 @@ class DegradationManager:
         self.policy = policy
         self.deadline = deadline
         self.initial_devices = ctx.n_gpus
-        self.events: list[dict] = []
-        self.deadline_exceeded_at: float | None = None
 
     # ------------------------------------------------------------------
     # Device-loss absorption
@@ -184,17 +184,20 @@ class DegradationManager:
         if self.ctx.n_gpus - n_lost < self.policy.min_devices:
             return False
         budget = self.policy.max_repartitions
-        return budget is None or len(self.events) < budget
+        return budget is None or self.ctx.counters.repartitions < budget
 
     def absorb(self, exc: DeviceLost, old_x, checkpoint: list[np.ndarray]):
-        """Try to absorb a :class:`DeviceLost`; returns the new ``x``.
+        """Try to absorb a :class:`DeviceLost`; returns the pending rebuild.
 
         Returns ``None`` when the policy forbids it (``on_exhausted ==
         "abort"``) so the caller falls through to the structured-abort
         path; re-raises ``exc`` when ``on_exhausted == "raise"``.  On
         success the dead devices are deactivated, a new partition is
-        derived over the survivors, the solver state is rebuilt from the
-        checkpoint, and the repartition is logged on the fault lane.
+        derived over the survivors, the repartition is logged on the fault
+        lane, and ``(partition, x_host)`` — the arguments of the
+        ``rebuild`` callback, ``x_host`` assembled from the checkpoint — is
+        returned for the caller to apply (and replay, should the rebuild's
+        own transfers fault).
         """
         dead = self._dead_active_devices(exc)
         if not self.can_absorb(len(dead)):
@@ -206,22 +209,15 @@ class DegradationManager:
             self.ctx.deactivate_device(dev)
         survivors = self.ctx.n_gpus
         partition = derive_partition(self.matrix, survivors, self.policy.strategy)
-        x_host = _assemble_global(old_x, checkpoint)
-        new_x = self.rebuild(partition, x_host)
-        event = {
-            "time": now,
-            "lost": sorted(d.name for d in dead),
-            "devices_before": survivors + len(dead),
-            "devices_after": survivors,
-            "strategy": self.policy.strategy,
-            "part_sizes": partition.part_sizes().tolist(),
-        }
-        self.events.append(event)
         self.ctx.faults.note_degradation(
-            "repartition", self.ctx.current_time(),
-            lost=event["lost"], devices=survivors,
+            "repartition", now,
+            lost=sorted(d.name for d in dead),
+            devices_before=survivors + len(dead),
+            devices_after=survivors,
+            strategy=self.policy.strategy,
+            part_sizes=partition.part_sizes().tolist(),
         )
-        return new_x
+        return partition, _assemble_global(old_x, checkpoint)
 
     # ------------------------------------------------------------------
     # Deadline watchdog
@@ -229,20 +225,17 @@ class DegradationManager:
     def deadline_reached(self) -> bool:
         """Check the simulated-time budget (call at restart boundaries).
 
-        Trips at most once; the trip is logged on the fault trace lane as
-        ``deadline-exceeded`` and recorded for the degradation report.
-        The check reads the simulated clock only — it is uncosted, so a
-        solve with no deadline (or one that never trips) is bit-identical
-        to a watchdog-free run.
+        A trip is logged on the fault trace lane as ``deadline-exceeded``;
+        the solve stops there, so it trips at most once.  The check reads
+        the simulated clock only — it is uncosted, so a solve with no
+        deadline (or one that never trips) is bit-identical to a
+        watchdog-free run.
         """
-        if self.deadline_exceeded_at is not None:
-            return True
         if self.deadline is None:
             return False
         now = self.ctx.current_time()
         if now <= self.deadline:
             return False
-        self.deadline_exceeded_at = now
         self.ctx.faults.note_degradation(
             "deadline-exceeded", now, deadline=self.deadline
         )
@@ -252,23 +245,28 @@ class DegradationManager:
     # Reporting
     # ------------------------------------------------------------------
     def report(self) -> dict:
-        """The ``SolveResult.details["degradation"]`` payload."""
+        """The ``SolveResult.details["degradation"]`` payload, built from
+        the ``repartition`` and ``deadline-exceeded`` fault-lane events."""
+        events = self.ctx.trace.fault_events()
+        repartitions = [
+            {"time": e.start, **e.args} for e in events if e.kind == "repartition"
+        ]
+        trips = [e.start for e in events if e.kind == "deadline-exceeded"]
         return {
             "policy": None if self.policy is None else self.policy.describe(),
             "deadline": self.deadline,
             "initial_devices": self.initial_devices,
             "final_devices": self.ctx.n_gpus,
-            "repartitions": [dict(e) for e in self.events],
-            "n_repartitions": len(self.events),
-            "deadline_exceeded": self.deadline_exceeded_at is not None,
-            "deadline_exceeded_at": self.deadline_exceeded_at,
+            "repartitions": repartitions,
+            "n_repartitions": len(repartitions),
+            "deadline_exceeded": bool(trips),
+            "deadline_exceeded_at": trips[0] if trips else None,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"DegradationManager(devices={self.ctx.n_gpus}/"
-            f"{self.initial_devices}, repartitions={len(self.events)}, "
-            f"deadline={self.deadline})"
+            f"{self.initial_devices}, deadline={self.deadline})"
         )
 
 

@@ -91,7 +91,9 @@ def update_solution(
 def gathered_solution(x: DistVector) -> np.ndarray:
     """Read the distributed solution without charging transfers (diagnostic)."""
     out = np.empty(x.n_rows, dtype=np.float64)
-    for d in range(x.ctx.n_gpus):
+    # Over the vector's own parts: a solve aborted mid-rebuild still holds
+    # the pre-loss solution while the context roster has already shrunk.
+    for d in range(x.partition.n_parts):
         out[x.partition.rows_of(d)] = x.parts()[d].data
     return out
 
@@ -181,9 +183,8 @@ class RestartedRun:
     ``plan``, or one built through a private
     :class:`~repro.serve.plan.PlanCache` — the library's one balancing,
     partitioning, distribution and MPK setup path), the distributed state
-    and its degraded-mode rebuild, the deadline / cycle-redo /
-    ``on_cycle`` loop, and the
-    :class:`~repro.core.convergence.SolveResult`.
+    and its degraded-mode rebuild, the deadline / cycle-redo loop, and
+    the :class:`~repro.core.convergence.SolveResult`.
 
     :meth:`step` advances the solve by exactly one restart cycle, so a
     batched frontend (:mod:`repro.serve`) can interleave the restart cycles
@@ -242,13 +243,12 @@ class RestartedRun:
         a given plan is reused bit-identically.  Mutually exclusive with
         ``partition``; ``balance`` and ``preconditioner`` are taken from
         the plan.
-    on_cycle
-        Optional per-cycle callback ``on_cycle(index, start, end)``
-        invoked after every completed restart cycle with the cycle index
-        and its simulated start/end times — the hook behind the
-        ``repro_solver_cycle_seconds`` metric (see
-        :func:`repro.metrics.collect.cycle_observer`).  Not called for a
-        cycle aborted by an unrecoverable fault.
+
+    Every restart cycle starts with a cycle mark in the context's trace,
+    so ``ctx.trace.cycle_windows()`` holds each cycle's simulated window;
+    faults, recoveries, terminal failures and degradations are events on
+    the trace's fault lane, from which ``details["faults"]`` and
+    ``details["degradation"]`` are built.
     """
 
     #: Solver name used in error messages.
@@ -272,7 +272,6 @@ class RestartedRun:
         degrade: DegradePolicy | None = None,
         deadline: float | None = None,
         plan=None,
-        on_cycle=None,
     ):
         if matrix.n_rows != matrix.n_cols:
             raise ValueError(f"{self.name} requires a square matrix")
@@ -347,8 +346,6 @@ class RestartedRun:
         self.restarts = 0
         self.iterations = 0
         self.breakdowns = 0
-        self.on_cycle = on_cycle
-        self.unrecovered: list[dict] = []
         self.abs_tol = tol * history.initial_residual
         # Already at (numerical) convergence: a relative criterion on a zero
         # residual would be meaningless.
@@ -414,11 +411,9 @@ class RestartedRun:
             if self.degrader is not None and self.degrader.deadline_reached():
                 return
             ctx.mark_cycle()
-            cycle_start = ctx.current_time()
             outcome, aborted = run_cycle_resilient(
                 ctx, lambda: self.cycle(self.iterations, self.restarts),
-                self.st.x, self.history, self.unrecovered,
-                degrader=self.degrader,
+                self.st.x, self.history, degrader=self.degrader,
             )
             if aborted:
                 return
@@ -426,8 +421,6 @@ class RestartedRun:
             self.restarts += 1
             self.iterations += iterations
             self.breakdowns += breakdowns
-            if self.on_cycle is not None:
-                self.on_cycle(self.restarts - 1, cycle_start, ctx.current_time())
             self.history.record_true(self.iterations, true_res)
             if true_res <= self.abs_tol:
                 self.converged = True
@@ -447,8 +440,8 @@ class RestartedRun:
                 x_host = self.preconditioner.recover(x_host)
             details = self._details()
             details["profile"] = ctx.trace.profile()
-            if ctx.faults.has_activity() or self.unrecovered:
-                details["faults"] = ctx.faults.report(self.unrecovered)
+            if ctx.faults.has_activity():
+                details["faults"] = ctx.faults.report()
             if self.degrader is not None:
                 details["degradation"] = self.degrader.report()
             self._result = SolveResult(
@@ -506,7 +499,6 @@ def gmres(
     degrade: DegradePolicy | None = None,
     deadline: float | None = None,
     plan=None,
-    on_cycle=None,
 ) -> SolveResult:
     """Solve ``A x = b`` with restarted GMRES(m) on simulated GPUs.
 
@@ -529,5 +521,5 @@ def gmres(
         max_restarts=max_restarts, orth_method=orth_method,
         gemv_variant=gemv_variant, balance=balance, x0=x0,
         preconditioner=preconditioner, degrade=degrade, deadline=deadline,
-        plan=plan, on_cycle=on_cycle,
+        plan=plan,
     ).result()

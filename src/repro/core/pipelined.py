@@ -87,7 +87,6 @@ def pipelined_gmres(
     balance: bool = True,
     degrade: DegradePolicy | None = None,
     deadline: float | None = None,
-    on_cycle=None,
 ) -> SolveResult:
     """Solve ``A x = b`` with one-stage pipelined GMRES(m).
 
@@ -110,7 +109,7 @@ def pipelined_gmres(
     return PipelinedRun(
         matrix, b, ctx=ctx, n_gpus=n_gpus, partition=partition, m=m, tol=tol,
         max_restarts=max_restarts, gemv_variant=gemv_variant, balance=balance,
-        degrade=degrade, deadline=deadline, on_cycle=on_cycle,
+        degrade=degrade, deadline=deadline,
     ).result()
 
 

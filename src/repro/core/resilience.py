@@ -19,11 +19,12 @@ timeline: with a zero-rate plan, results and timings are bit-identical to
 an unguarded run.
 
 Unrecoverable faults (exhausted retry budgets) do not raise out of the
-solvers; they abort the solve and surface as the structured
-``SolveResult.details["faults"]`` report (see
-:meth:`repro.faults.injector.FaultInjector.report`).  Device dropout is
-terminal too by default, but a solver that passes a
-:class:`~repro.core.degrade.DegradationManager` adds a fourth layer:
+solvers; they abort the solve as an ``unrecovered`` event on the trace's
+fault lane and surface in the structured ``SolveResult.details["faults"]``
+report built from that lane (see :func:`repro.faults.injector.
+fault_report`).  Device dropout is terminal too by default, but a solver
+that passes a :class:`~repro.core.degrade.DegradationManager` adds a
+fourth layer:
 
 4. **Degraded-mode repartition** — a :class:`~repro.faults.errors.
    DeviceLost` that escapes the cycle is absorbed by deactivating the dead
@@ -103,15 +104,15 @@ def _restore_history(history, snap: tuple[int, int]) -> None:
 
 
 def run_cycle_resilient(
-    ctx, cycle, x, history, unrecovered: list[dict],
-    max_redos: int = MAX_CYCLE_REDOS, degrader=None,
+    ctx, cycle, x, history, max_redos: int = MAX_CYCLE_REDOS, degrader=None,
 ):
     """Run one restart cycle with checkpoint/redo semantics.
 
     Parameters
     ----------
     ctx
-        The execution context (its injector logs recoveries).
+        The execution context (its injector logs recoveries and terminal
+        failures on the trace's fault lane).
     cycle
         Zero-argument callable performing the cycle; may raise any of
         :data:`RECOVERABLE_FAULTS` or :class:`DeviceLost`.  When a
@@ -125,38 +126,44 @@ def run_cycle_resilient(
     history
         The convergence history; estimate entries recorded by a failed
         attempt are rolled back with the solution.
-    unrecovered
-        Output list: a terminal failure appends one structured record
-        (``error``/``message``/``time``[/``site``]) here.
     max_redos
         Redo budget per cycle.
     degrader
         Optional :class:`~repro.core.degrade.DegradationManager`.  A
         :class:`DeviceLost` is offered to it first: on absorption the
-        problem is repartitioned over the survivors and the cycle replayed
-        (not charged against the redo budget — losing a device is not the
-        cycle's fault); on refusal the historical structured-abort path
-        runs unchanged.
+        problem is repartitioned over the survivors, the distributed state
+        rebuilt from the checkpoint, and the cycle replayed (not charged
+        against the redo budget — losing a device is not the cycle's
+        fault); on refusal the structured-abort path runs.  The rebuild is
+        part of the replayed attempt: a recoverable fault in its transfers
+        costs a redo, a device lost during it is offered to the degrader
+        again.
 
     Returns
     -------
     (result, aborted)
         ``result`` is ``cycle()``'s return value (``None`` when aborted);
-        ``aborted`` is True when the solve must stop and report.
+        ``aborted`` is True when the solve must stop.  The terminal
+        failure is then an ``unrecovered`` fault-lane event.
     """
     if not ctx.resilience_enabled:
         return cycle(), False
     checkpoint = snapshot_solution(x)
     hist_mark = _snapshot_history(history)
     attempt = 0
+    rebuild = None  # (partition, x_host) of an absorbed device loss
     while True:
         try:
+            if rebuild is not None:
+                x = degrader.rebuild(*rebuild)
+                rebuild = None
+                checkpoint = snapshot_solution(x)
             return cycle(), False
         except RECOVERABLE_FAULTS as exc:
             restore_solution(x, checkpoint)
             _restore_history(history, hist_mark)
             if attempt == max_redos:
-                unrecovered.append(
+                ctx.faults.note_unrecovered(
                     {
                         "error": type(exc).__name__,
                         "message": str(exc),
@@ -172,18 +179,14 @@ def run_cycle_resilient(
             attempt += 1
         except DeviceLost as exc:
             _restore_history(history, hist_mark)
-            new_x = None
             if degrader is not None:
-                new_x = degrader.absorb(exc, x, checkpoint)
-            if new_x is not None:
-                # Absorbed: the solver state now lives on the survivors.
-                # Re-checkpoint and replay the cycle from the restart
-                # boundary; the redo budget is untouched.
-                x = new_x
-                checkpoint = snapshot_solution(x)
+                rebuild = degrader.absorb(exc, x, checkpoint)
+            if rebuild is not None:
+                # Absorbed: rebuild on the survivors and replay the cycle
+                # from the restart boundary; the redo budget is untouched.
                 continue
             restore_solution(x, checkpoint)
-            unrecovered.append(
+            ctx.faults.note_unrecovered(
                 {
                     "error": "DeviceLost",
                     "site": exc.site,

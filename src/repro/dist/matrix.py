@@ -128,7 +128,3 @@ class DistributedMatrix:
             values, col_idx = self.local_ell[d]
             out.append(int(values.nbytes + col_idx.nbytes + self._z[d].nbytes))
         return out
-
-    def spmv_host_reference(self, x_host: np.ndarray) -> np.ndarray:
-        """Uncosted host-side reference product (for testing)."""
-        return self.global_matrix.matvec(x_host)

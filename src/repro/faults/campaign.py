@@ -19,6 +19,7 @@ from collections import Counter
 
 import numpy as np
 
+from .injector import fault_report
 from .plan import DEFAULT_KINDS, FaultPlan
 
 __all__ = ["run_campaign", "run_trial", "campaign_tables", "make_session"]
@@ -40,13 +41,6 @@ def _problems() -> dict:
         "poisson3d": poisson3d,
         "convdiff2d": convection_diffusion2d,
     }
-
-
-_EMPTY_FAULTS = {
-    "injected": [], "detected": [], "recovered": [], "unrecovered": [],
-    "lost_devices": [], "aborted": False,
-    "counts": {"injected": 0, "detected": 0, "recovered": 0, "unrecovered": 0},
-}
 
 
 def make_session(
@@ -149,7 +143,7 @@ def run_trial(
             from ..metrics.collect import observe_solve
 
             observe_solve(metrics, ctx, result, solver=solver, matrix=problem)
-    faults = result.details.get("faults", _EMPTY_FAULTS)
+    faults = result.details.get("faults") or fault_report()
     degradation = result.details.get("degradation")
     injected_by_kind = dict(Counter(r["kind"] for r in faults["injected"]))
     recoveries_by_action = dict(Counter(r["action"] for r in faults["recovered"]))

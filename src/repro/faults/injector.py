@@ -12,17 +12,21 @@ device, the host, and the PCIe bus.  The hook points:
   drawn corruption into the *arriving* copy) and :meth:`check_alive`.
   Only ``ctx.bus`` (node 0's bus on a multi-node context) draws faults.
 
-Every injection, detection, and recovery is appended to the injector's
-log **and** recorded as a zero/short-duration event in the ``"faults"``
-trace lane, so Chrome/Perfetto exports show faults in timeline context
-next to the kernels and transfers they hit; degraded-mode events
-(:meth:`note_degradation`) are recorded in the trace only.
+The log is the trace: every injection, detection, recovery, terminal
+failure (``unrecovered``) and degraded-mode event is recorded as a
+zero/short-duration event in the ``"faults"`` trace lane, so
+Chrome/Perfetto exports show faults in timeline context next to the
+kernels and transfers they hit.  :func:`fault_report` rebuilds the
+``SolveResult.details["faults"]`` payload from that lane; the injector
+itself keeps only functional state (RNG streams, occurrence counters, the
+pending corruption and the set of dead devices).
 
 Determinism: per-site RNG streams are seeded from ``(plan.seed,
 crc32(site))``; occurrence counters advance once per opportunity; RNG
 calls happen in a fixed pattern.  ``reset()`` (called by
-``ctx.reset_clocks()``, i.e. at the start of every solve) restores the
-streams, so each solve on a context replays the same schedule.
+``ctx.reset_clocks()``, i.e. at the start of every solve, together with
+the trace reset) restores the streams, so each solve on a context replays
+the same schedule.
 """
 
 from __future__ import annotations
@@ -34,25 +38,78 @@ import numpy as np
 from .errors import DeviceLost
 from .plan import FaultEvent, FaultPlan
 
-__all__ = ["FAULT_LANE", "FaultInjector"]
+__all__ = ["FAULT_LANE", "FaultInjector", "fault_report"]
 
 #: Trace lane carrying injected/detected/recovered fault events.
 FAULT_LANE = "faults"
 
 
+def _injected(e) -> dict:
+    args = dict(e.args)
+    record = {
+        "site": args.pop("site"), "kind": args.pop("fault_kind"),
+        "index": args.pop("index"), "time": float(e.start), **args,
+    }
+    if record["kind"] == "stall":
+        record["extra_time"] = float(e.duration)
+    return record
+
+
+def _detected(e) -> dict:
+    args = dict(e.args)
+    return {"what": args.pop("what"), "site": args.pop("site"),
+            "time": float(e.start), **args}
+
+
+def _recovered(e) -> dict:
+    args = dict(e.args)
+    return {"action": args.pop("action"), "time": float(e.start), **args}
+
+
+#: Fault-lane event kind -> (payload list, record builder).
+_REPORTED = {
+    "fault": ("injected", _injected),
+    "detect": ("detected", _detected),
+    "recover": ("recovered", _recovered),
+    "unrecovered": ("unrecovered", lambda e: dict(e.args)),
+}
+
+
+def fault_report(events=(), dead=()) -> dict:
+    """The ``SolveResult.details["faults"]`` payload of fault-lane ``events``.
+
+    ``dead`` is the set of lost device names.  ``unrecovered`` holds the
+    terminal failures (device loss, retry budgets exhausted); an empty list
+    means the solve survived everything thrown at it.  Degraded-mode
+    events on the same lane are not part of this payload (see
+    :meth:`repro.core.degrade.DegradationManager.report`).
+    """
+    lists: dict[str, list] = {key: [] for key, _ in _REPORTED.values()}
+    for e in events:
+        entry = _REPORTED.get(e.kind)
+        if entry is not None:
+            lists[entry[0]].append(entry[1](e))
+    return {
+        **lists,
+        "lost_devices": sorted(dead),
+        "aborted": bool(lists["unrecovered"]),
+        "counts": {key: len(records) for key, records in lists.items()},
+    }
+
+
 class FaultInjector:
-    """Deterministic fault source + fault/detection/recovery log.
+    """Deterministic fault source; logs to the trace's fault lane.
 
     Parameters
     ----------
     plan
         The :class:`~repro.faults.plan.FaultPlan` to execute, or ``None``
         for an inert injector (``active`` is False; every hook is a cheap
-        no-op and only the detection log remains usable, e.g. for
+        no-op and only the ``note_*`` methods remain in use, e.g. for
         ``validate_transfers`` without any injection).
     trace
-        The context's :class:`~repro.gpu.trace.TraceRecorder`; the log is
-        mirrored into its fault lane.
+        The context's :class:`~repro.gpu.trace.TraceRecorder`; every
+        ``note_*`` call records into its fault lane.
     """
 
     def __init__(self, plan: FaultPlan | None, trace):
@@ -67,10 +124,7 @@ class FaultInjector:
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Restore the pristine schedule state (streams, counters, logs)."""
-        self.injected: list[dict] = []
-        self.detections: list[dict] = []
-        self.recoveries: list[dict] = []
+        """Restore the pristine schedule state (streams, counters, dead set)."""
         self.dead: set[str] = set()
         self._counts: dict[str, int] = {}
         self._rngs: dict[str, np.random.Generator] = {}
@@ -180,100 +234,76 @@ class FaultInjector:
         poison_array(data, event)
 
     # ------------------------------------------------------------------
-    # Detection / recovery log (used by solvers and the exchange layer)
+    # The fault-lane log (used by solvers and the exchange layer)
     # ------------------------------------------------------------------
     def note_detection(self, what: str, time: float, site: str | None = None, **info) -> None:
         """Log that a guard caught non-finite data (``what`` names it)."""
-        record = {"what": what, "site": site, "time": float(time), **info}
-        self.detections.append(record)
         self.trace.record(
-            f"detect {what}", FAULT_LANE, "detect", time, 0.0, site=site, **info,
+            f"detect {what}", FAULT_LANE, "detect", time, 0.0,
+            what=what, site=site, **info,
         )
 
     def note_recovery(self, action: str, time: float, **info) -> None:
         """Log a recovery action (``transfer-retry`` | ``panel-retry`` |
         ``cycle-redo``)."""
-        record = {"action": action, "time": float(time), **info}
-        self.recoveries.append(record)
         self.trace.record(
-            f"recover {action}", FAULT_LANE, "recover", time, 0.0, **info
+            f"recover {action}", FAULT_LANE, "recover", time, 0.0,
+            action=action, **info,
+        )
+
+    def note_unrecovered(self, record: dict) -> None:
+        """Log a terminal failure; ``record`` (with its ``time``) is the
+        ``details["faults"]["unrecovered"]`` entry verbatim."""
+        self.trace.record(
+            f"unrecovered {record['error']}", FAULT_LANE, "unrecovered",
+            record["time"], 0.0, **record,
         )
 
     def note_degradation(self, event: str, time: float, site: str | None = None, **info) -> None:
         """Log a degraded-mode event (``degraded`` | ``repartition`` |
         ``deadline-exceeded``) on the fault trace lane.
 
-        The canonical degradation record lives in
-        ``SolveResult.details["degradation"]`` (built by
-        :class:`repro.core.degrade.DegradationManager`); this event puts
-        it next to the faults/kernels it follows in timeline exports, and
-        works even with no plan attached (deadline watchdogs run on
-        fault-free contexts too).
+        Works even with no plan attached (deadline watchdogs run on
+        fault-free contexts too).  :class:`repro.core.degrade.
+        DegradationManager` builds ``details["degradation"]`` from these
+        events.
         """
-        name = event if site is None else f"{event} {site}"
-        self.trace.record(name, FAULT_LANE, event, time, 0.0, site=site, **info)
+        if site is None:
+            name = event
+        else:
+            name = f"{event} {site}"
+            info = {"site": site, **info}
+        self.trace.record(name, FAULT_LANE, event, time, 0.0, **info)
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def report(self) -> dict:
+        """The ``details["faults"]`` payload of the current trace."""
+        return fault_report(self.trace.fault_events(), self.dead)
+
     def has_activity(self) -> bool:
-        """True when anything was injected, detected, or recovered."""
-        return bool(
-            self.injected or self.detections or self.recoveries or self.dead
+        """True when anything was injected, detected, recovered or lost."""
+        return bool(self.dead) or any(
+            e.kind in _REPORTED for e in self.trace.fault_events()
         )
 
     def schedule(self) -> list[tuple]:
         """The injected schedule as comparable ``(site, kind, index)`` rows."""
-        return [(r["site"], r["kind"], r["index"]) for r in self.injected]
-
-    def report(self, unrecovered: list[dict] | None = None) -> dict:
-        """The ``SolveResult.details["faults"]`` payload.
-
-        Parameters
-        ----------
-        unrecovered
-            Solver-supplied terminal failures (device loss, retry budgets
-            exhausted); an empty/None value means the solve survived
-            everything that was thrown at it.
-        """
-        unrecovered = list(unrecovered or [])
-        return {
-            "injected": [dict(r) for r in self.injected],
-            "detected": [dict(r) for r in self.detections],
-            "recovered": [dict(r) for r in self.recoveries],
-            "unrecovered": unrecovered,
-            "lost_devices": sorted(self.dead),
-            "aborted": bool(unrecovered),
-            "counts": {
-                "injected": len(self.injected),
-                "detected": len(self.detections),
-                "recovered": len(self.recoveries),
-                "unrecovered": len(unrecovered),
-            },
-        }
+        return [(r["site"], r["kind"], r["index"]) for r in self.report()["injected"]]
 
     # ------------------------------------------------------------------
     def _log_injection(
         self, event: FaultEvent, site: str, index: int, start: float,
         extra: float, **info,
     ) -> None:
-        record = {
-            "site": site, "kind": event.kind, "index": index,
-            "time": float(start), **info,
-        }
-        if event.kind == "stall":
-            record["extra_time"] = float(extra)
-        self.injected.append(record)
         self.trace.record(
             f"{event.kind} {site}", FAULT_LANE, "fault", start, extra,
             site=site, fault_kind=event.kind, index=index, **info,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FaultInjector(active={self.active}, injected={len(self.injected)}, "
-            f"detected={len(self.detections)}, recovered={len(self.recoveries)})"
-        )
+        return f"FaultInjector(active={self.active}, dead={sorted(self.dead)})"
 
 
 def poison_array(data: np.ndarray, event: FaultEvent) -> None:

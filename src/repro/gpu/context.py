@@ -241,18 +241,6 @@ class MultiGpuContext:
         """Mark a restart-cycle boundary in the trace at the current time."""
         self.trace.mark_cycle(self.current_time())
 
-    def observe_metrics(self, registry, solver: str = "", matrix: str = "") -> None:
-        """Record this context's runtime telemetry into a metrics registry.
-
-        Per-lane busy seconds / utilization and PCIe occupancy are derived
-        from the event trace; kernel-launch, transfer, and flop counts are
-        read from :attr:`counters`, which the trace tallies.  See
-        :func:`repro.metrics.collect.observe_context`.
-        """
-        from repro.metrics.collect import observe_context
-
-        observe_context(registry, self, solver=solver, matrix=matrix)
-
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------

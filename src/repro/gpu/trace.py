@@ -43,10 +43,12 @@ PCIE_LANE = "pcie"
 
 #: Lane name used for injected/detected/recovered fault events (see
 #: :mod:`repro.faults`): ``kind`` is ``"fault"`` | ``"detect"`` |
-#: ``"recover"``, so Chrome/Perfetto exports show faults in timeline
-#: context next to the kernels and transfers they hit.  Degraded-mode
-#: events (:mod:`repro.core.degrade`) share the lane with ``kind``
-#: ``"degraded"`` | ``"repartition"`` | ``"deadline-exceeded"``.
+#: ``"recover"`` | ``"unrecovered"``, so Chrome/Perfetto exports show
+#: faults in timeline context next to the kernels and transfers they hit.
+#: Degraded-mode events (:mod:`repro.core.degrade`) share the lane with
+#: ``kind`` ``"degraded"`` | ``"repartition"`` | ``"deadline-exceeded"``.
+#: The lane is the only record of all of them: ``details["faults"]`` and
+#: ``details["degradation"]`` are built from it.
 FAULT_LANE = "faults"
 
 
@@ -182,11 +184,6 @@ class TraceRecorder:
             )
         )
         return exclusive
-
-    @property
-    def region_depth(self) -> int:
-        """Number of currently open regions."""
-        return len(self._region_stack)
 
     def mark_cycle(self, t: float) -> None:
         """Mark a restart-cycle boundary at simulated time ``t``."""
@@ -342,7 +339,7 @@ class TraceRecorder:
         return ordered
 
     def fault_events(self) -> list[TraceEvent]:
-        """All events in the fault lane (injections, detections, recoveries)."""
+        """All events in the fault lane (faults, recoveries, degradations)."""
         return [e for e in self.events if e.lane == FAULT_LANE]
 
     def to_chrome_trace(self) -> dict:

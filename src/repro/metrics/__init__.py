@@ -13,7 +13,6 @@
 """
 
 from .collect import (
-    cycle_observer,
     observe_context,
     observe_faults,
     observe_result,
@@ -53,5 +52,4 @@ __all__ = [
     "observe_result",
     "observe_faults",
     "observe_solve",
-    "cycle_observer",
 ]

@@ -1,8 +1,8 @@
 """Observers: bridge runtime, solver, serving, and fault state into metrics.
 
 Every metric family the repo emits is declared here, once, with its
-canonical label schema — callers (the solvers' cycle hook, the serving
-session, the fault campaign, ``python -m repro metrics``) all go through
+canonical label schema — callers (the serving session, the fault
+campaign, ``python -m repro metrics``) all go through
 these constructors, so a name can never be registered twice with different
 labels.
 
@@ -24,6 +24,8 @@ metrics live with their emitters (:mod:`repro.serve`) and are flagged
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .registry import (
     BLOCK_LENGTH_BUCKETS,
     MetricsRegistry,
@@ -36,7 +38,6 @@ __all__ = [
     "observe_result",
     "observe_faults",
     "observe_solve",
-    "cycle_observer",
 ]
 
 _SM = ("solver", "matrix")  # the common label pair
@@ -46,7 +47,8 @@ _SM = ("solver", "matrix")  # the common label pair
 # Canonical family constructors (get-or-create on the given registry)
 # ---------------------------------------------------------------------------
 def solver_cycle_seconds(reg: MetricsRegistry):
-    """Per-restart-cycle simulated duration (fed by the on_cycle hook)."""
+    """Per-restart-cycle simulated duration (fed from the trace's cycle
+    windows by :func:`observe_context`)."""
     return reg.histogram(
         "repro_solver_cycle_seconds",
         "Simulated duration of one restart cycle",
@@ -123,7 +125,9 @@ def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "
     *busy* while a kernel interval occupies its lane, the PCIe bus while a
     transfer occupies the ``pcie`` lane; *elapsed* is the latest event end.
     Kernel-launch / transfer / flop counts are read from ``ctx.counters``,
-    which the trace tallies as it records each event.
+    which the trace tallies as it records each event.  Each completed
+    restart cycle — a trace cycle window holding no ``unrecovered`` fault
+    event — is one sample of the cycle-duration histogram.
     """
     if not reg.enabled:
         return
@@ -208,6 +212,18 @@ def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "
         "Live repartitions performed by the runtime",
         labelnames=_SM,
     ).inc(counters.repartitions, **labels)
+
+    # A window runs from its cycle mark to the next (the last is open
+    # above), so a terminal failure logged exactly at a mark belongs to the
+    # cycle that mark starts; that aborted cycle is no sample.
+    aborted = {
+        bisect_right(trace.cycle_marks, e.start) - 1
+        for e in trace.fault_events() if e.kind == "unrecovered"
+    }
+    cycle_seconds = solver_cycle_seconds(reg)
+    for i, (start, end) in enumerate(trace.cycle_windows()):
+        if i not in aborted:
+            cycle_seconds.observe(end - start, **labels)
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +355,3 @@ def observe_solve(reg: MetricsRegistry, ctx, result, solver: str = "", matrix: s
     observe_context(reg, ctx, solver=solver, matrix=matrix)
     observe_result(reg, result, solver=solver, matrix=matrix)
 
-
-# ---------------------------------------------------------------------------
-# Per-cycle hook
-# ---------------------------------------------------------------------------
-def cycle_observer(reg: MetricsRegistry, solver: str = "", matrix: str = ""):
-    """An ``on_cycle`` callback feeding the cycle-duration histogram.
-
-    The solvers call it as ``on_cycle(index, start, end)`` (simulated
-    seconds) at every completed restart cycle.
-    """
-    family = solver_cycle_seconds(reg)
-
-    def on_cycle(index: int, start: float, end: float) -> None:
-        family.observe(end - start, solver=solver, matrix=matrix)
-
-    return on_cycle

@@ -113,7 +113,3 @@ class BlockJacobiPreconditioner:
             stop = min(start + self.block_size, self.n)
             x[start:stop] = self._inverses[b] @ y[start:stop]
         return x
-
-    def apply_inverse(self, y: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`recover` (applies ``M^{-1}``)."""
-        return self.recover(y)

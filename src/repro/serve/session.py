@@ -86,8 +86,8 @@ class SolverSession:
         session then records serving telemetry — request counts, cold vs
         warm host wall-clock latency (``repro_serve_request_seconds``,
         nondeterministic by nature), batch occupancy for
-        :meth:`solve_many`, per-cycle simulated durations via the
-        solvers' ``on_cycle`` hook, and the full per-solve runtime +
+        :meth:`solve_many`, per-cycle simulated durations read from the
+        trace's cycle windows, and the full per-solve runtime +
         convergence telemetry (see :mod:`repro.metrics.collect`) — and
         attaches itself to the plan cache for hit/miss accounting.
     metrics_label
@@ -218,12 +218,6 @@ class SolverSession:
         kwargs = dict(self.solver_kwargs)
         kwargs.pop("use_mpk", None)
         kwargs.update(overrides)
-        if self.metrics is not None and "on_cycle" not in kwargs:
-            from ..metrics.collect import cycle_observer
-
-            kwargs["on_cycle"] = cycle_observer(
-                self.metrics, solver=self._solver_label, matrix=self.metrics_label
-            )
         x0 = kwargs.pop("x0", None)
         if x0 is not None:
             x0 = host.to_solve_order(np.asarray(x0, dtype=np.float64))

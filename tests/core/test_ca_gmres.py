@@ -6,7 +6,6 @@ import pytest
 from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres
 from repro.matrices import convection_diffusion2d, poisson2d
-from repro.matrices.random_sparse import random_sparse
 from repro.order import kway_partition
 from repro.orth.errors import CholeskyBreakdown
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.gmres import gmres
-from repro.gpu.context import MultiGpuContext
 from repro.matrices import convection_diffusion2d, poisson2d
 from repro.matrices.random_sparse import random_sparse
 from repro.order import kway_partition

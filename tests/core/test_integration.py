@@ -6,12 +6,10 @@ performance model).
 """
 
 import numpy as np
-import pytest
 
 from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres
 from repro.matrices import cant, convection_diffusion2d, g3_circuit, poisson2d
-from repro.order import kway_partition
 
 
 def residual(A, b, x):

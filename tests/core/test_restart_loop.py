@@ -1,7 +1,7 @@
 """The restart-loop driver shared by GMRES, CA-GMRES and pipelined GMRES.
 
 Every solver runs on :class:`repro.core.gmres.RestartedRun`, so the
-boundary checks, the trivial zero right-hand side, the ``on_cycle`` hook,
+boundary checks, the trivial zero right-hand side, the trace's cycle windows,
 the deadline and the ``step()`` interface are tested once, for each run
 class.
 """
@@ -12,6 +12,7 @@ import pytest
 from repro.core.ca_gmres import CaGmresRun, ca_gmres
 from repro.core.gmres import GmresRun, gmres
 from repro.core.pipelined import PipelinedRun, pipelined_gmres
+from repro.gpu.context import MultiGpuContext
 from repro.matrices.stencil import poisson2d
 from repro.sparse.csr import csr_from_dense
 
@@ -74,32 +75,31 @@ def test_zero_rhs_converged_without_restarts(solver, problem):
     np.testing.assert_array_equal(r.x, np.zeros(A.n_rows))
 
 
-def test_on_cycle_windows(solver, problem):
+def test_cycle_windows(solver, problem):
     _, solve, kw = solver
     A, b = problem
-    windows = []
-    r = solve(A, b, n_gpus=2, on_cycle=lambda *w: windows.append(w), **kw)
-    assert r.n_restarts > 1
-    assert [w[0] for w in windows] == list(range(r.n_restarts))
-    times = [t for _, start, end in windows for t in (start, end)]
+    ctx = MultiGpuContext(2)
+    r = solve(A, b, ctx=ctx, **kw)
+    windows = ctx.trace.cycle_windows()
+    assert r.n_restarts > 1 and len(windows) == r.n_restarts
+    times = [t for start, end in windows for t in (start, end)]
     assert times == sorted(times)
+    assert windows[-1][1] == r.details["profile"]["total_time"]
 
 
 def test_deadline_stops_at_restart_boundary(solver, problem):
     _, solve, kw = solver
     A, b = problem
     full = solve(A, b, n_gpus=2, **kw)
-    windows = []
     deadline = full.details["profile"]["cycles"][1]["end"] * 0.99
-    r = solve(
-        A, b, n_gpus=2, deadline=deadline,
-        on_cycle=lambda *w: windows.append(w), **kw,
-    )
+    ctx = MultiGpuContext(2)
+    r = solve(A, b, ctx=ctx, deadline=deadline, **kw)
     deg = r.details["degradation"]
     assert deg["deadline_exceeded"] and not r.converged
     # The cycle in flight at the deadline completes; no further one starts.
+    windows = ctx.trace.cycle_windows()
     assert r.n_restarts == 2 == len(windows) == len(r.history.true_residuals)
-    assert windows[0][2] < deadline <= windows[1][2]
+    assert windows[0][1] < deadline <= windows[1][1]
 
 
 def test_step_to_completion_equals_function_call(solver, problem):

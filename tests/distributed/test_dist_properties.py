@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for the distributed layer."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dist.matrix import DistributedMatrix

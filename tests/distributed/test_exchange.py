@@ -105,7 +105,7 @@ class TestStagedExchange:
         rec = ex.exchange(ctx, dist_parts(ctx, part, v))
         assert rec[0][0] == v[4]
         assert rec[1][0] == v[1]
-        [recovery] = ctx.faults.recoveries
+        [recovery] = ctx.faults.report()["recovered"]
         assert recovery["action"] == "transfer-retry"
 
     def test_retry_budget_exhausted_raises(self):

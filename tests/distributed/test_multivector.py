@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dist.multivector import DistMultiVector, DistVector
-from repro.gpu.context import MultiGpuContext
 from repro.order.partition import Partition, block_row_partition
 
 from ..conftest import gather_multivector, make_dist_multivector

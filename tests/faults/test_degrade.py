@@ -19,7 +19,7 @@ from repro.core.pipelined import pipelined_gmres
 from repro.faults import FaultEvent, FaultPlan
 from repro.faults.errors import DeviceLost
 from repro.gpu.context import MultiGpuContext
-from repro.matrices.stencil import poisson2d
+from repro.matrices.stencil import convection_diffusion2d, poisson2d
 
 DROPOUT = FaultEvent("gpu1", "dropout", trigger=40)
 
@@ -144,6 +144,64 @@ class TestDropoutAbsorbed:
         res = solve(ctx, A, b, degrade=DegradePolicy(strategy="kway"))
         assert res.converged
         assert res.details["degradation"]["n_repartitions"] == 1
+
+
+class TestFaultDuringRebuild:
+    """The rebuild onto the survivors issues transfers, which may fault too."""
+
+    #: PCIe opportunity index of the rebuild's first h2d after DROPOUT
+    #: (calibrated on :func:`make_problem`, 3 GPUs, :func:`solve` defaults).
+    REBUILD_H2D = 54
+
+    def corrupted_rebuild(self, n_corrupt):
+        events = [DROPOUT] + [
+            FaultEvent("pcie", "corrupt", trigger=self.REBUILD_H2D + i)
+            for i in range(n_corrupt)
+        ]
+        A, b = make_problem()
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = solve(dropout_ctx(*events), A, b, degrade=DegradePolicy())
+        return A, b, res
+
+    def test_corrupt_rebuild_is_replayed_as_cycle_redo(self):
+        A, b, res = self.corrupted_rebuild(1)
+        faults = res.details["faults"]
+        recovered = [(r["action"], r["cause"]) for r in faults["recovered"]]
+        assert recovered == [("cycle-redo", "TransferCorruption")]
+        assert not faults["aborted"]
+        # The replayed rebuild restarts from the same checkpoint.
+        ref = solve(dropout_ctx(), A, b, degrade=DegradePolicy())
+        assert res.converged
+        np.testing.assert_array_equal(res.x, ref.x)
+        assert res.history == ref.history
+
+    def test_rebuild_beyond_redo_budget_aborts_structured(self):
+        A, b, res = self.corrupted_rebuild(4)
+        faults = res.details["faults"]
+        assert not res.converged and faults["aborted"]
+        (rec,) = faults["unrecovered"]
+        assert rec["error"] == "TransferCorruption"
+        assert rec["action"] == "cycle-redo budget exhausted"
+        assert [r["action"] for r in faults["recovered"]] == ["cycle-redo"] * 3
+        # The returned iterate is the full pre-loss checkpoint.
+        assert res.x.shape == (A.n_rows,) and np.all(np.isfinite(res.x))
+        assert res.details["degradation"]["n_repartitions"] == 1
+
+    def test_rate_plan_fault_in_rebuild_does_not_escape(self):
+        A = convection_diffusion2d(24)
+        b = np.random.default_rng(0).standard_normal(A.n_rows)
+        plan = FaultPlan(
+            seed=10, rate=0.005, kinds=("corrupt", "poison", "stall", "dropout")
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = ca_gmres(
+                A, b, ctx=MultiGpuContext(3, fault_plan=plan), m=12, s=4,
+                tol=1e-8, max_restarts=30, degrade=DegradePolicy(),
+            )
+        faults = res.details["faults"]
+        assert res.details["degradation"]["n_repartitions"] >= 1
+        assert res.converged or faults["aborted"]
+        assert np.all(np.isfinite(res.x))
 
 
 class TestPolicyBudgets:

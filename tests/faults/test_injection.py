@@ -6,7 +6,6 @@ import pytest
 from repro.faults import DeviceLost, FaultEvent, FaultPlan, TransferCorruption
 from repro.gpu import blas
 from repro.gpu.context import MultiGpuContext
-from repro.gpu.device import DeviceArray
 
 
 def faulted_ctx(events=(), n_gpus=1, **plan_kw):
@@ -52,7 +51,7 @@ class TestKernelFaults:
         )
         # Numerics untouched.
         assert np.all(stalled.devices[0].adopt(np.ones(1)).data == 1.0)
-        [rec] = stalled.faults.injected
+        [rec] = stalled.faults.report()["injected"]
         assert rec["kind"] == "stall" and rec["extra_time"] > 0
 
     def test_dropout_raises_and_marks_device_dead(self):
@@ -84,7 +83,7 @@ class TestTransferFaults:
         with pytest.raises(TransferCorruption):
             ctx.h2d(ctx.devices[0], src)
         assert np.all(np.isfinite(src))  # transient: source intact
-        assert ctx.faults.detections  # the arrival guard logged it
+        assert ctx.faults.report()["detected"]  # the arrival guard logged it
         # The next transfer (trigger 1) is clean: a retry succeeds.
         arr = ctx.h2d(ctx.devices[0], src)
         assert np.all(arr.data == 1.0)
@@ -158,7 +157,7 @@ class TestDeterminism:
     def test_max_faults_caps_rate_draws(self):
         ctx = faulted_ctx(seed=3, rate=0.5, max_faults=2)
         self._exercise(ctx)
-        assert len(ctx.faults.injected) <= 2
+        assert len(ctx.faults.schedule()) <= 2
 
     def test_zero_rate_plan_is_inert(self):
         clean = MultiGpuContext(2)

@@ -1,15 +1,15 @@
-"""Observers against real solves: coverage, hooks, and non-interference."""
+"""Observers against real solves: coverage, cycle samples, non-interference."""
 
 import numpy as np
 import pytest
 
-from repro.gpu.context import MultiGpuContext
 from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres
+from repro.faults import FaultEvent, FaultPlan
+from repro.gpu.context import MultiGpuContext
 from repro.matrices.stencil import poisson2d
 from repro.metrics import (
     MetricsRegistry,
-    cycle_observer,
     observe_context,
     observe_result,
     observe_solve,
@@ -80,46 +80,54 @@ def test_observe_solve_covers_runtime_and_convergence(problem):
         assert res == expected
 
 
-def test_cycle_observer_counts_restarts(problem):
-    A, b = problem
-    for make in (
-        lambda hook, ctx: gmres(
-            A, b, ctx=ctx, m=10, tol=1e-8, max_restarts=40, on_cycle=hook
-        ),
-        lambda hook, ctx: ca_gmres(
-            A, b, ctx=ctx, m=12, s=4, tol=1e-8, max_restarts=40, on_cycle=hook
-        ),
-    ):
-        reg = MetricsRegistry()
-        hook = cycle_observer(reg, solver="s", matrix="m")
-        ctx = MultiGpuContext(n_gpus=2)
-        result = make(hook, ctx)
-        ((_, entry),) = reg.get("repro_solver_cycle_seconds").samples()
-        assert entry["count"] == result.n_restarts
-        # Cycle times are simulated durations: positive, summing to less
-        # than the whole timeline.
-        assert 0.0 < entry["sum"] <= ctx.current_time()
+def _cycle_samples(reg):
+    ((_, entry),) = reg.get("repro_solver_cycle_seconds").samples()
+    return entry
 
 
-def test_on_cycle_hook_does_not_change_results(problem):
+def test_cycle_histogram_counts_completed_cycles(problem):
     A, b = problem
-    r_plain = ca_gmres(
-        A, b, ctx=MultiGpuContext(n_gpus=2), m=12, s=4, tol=1e-8, max_restarts=40
-    )
+    # One solve: a sample per restart cycle, summing the profile's windows.
     reg = MetricsRegistry()
-    hook = cycle_observer(reg, solver="s", matrix="m")
-    r_hooked = ca_gmres(
-        A,
-        b,
-        ctx=MultiGpuContext(n_gpus=2),
-        m=12,
-        s=4,
-        tol=1e-8,
-        max_restarts=40,
-        on_cycle=hook,
+    ctx = MultiGpuContext(n_gpus=2)
+    result = gmres(A, b, ctx=ctx, m=10, tol=1e-8, max_restarts=40)
+    observe_context(reg, ctx, solver="gmres", matrix="poisson2d")
+    entry = _cycle_samples(reg)
+    cycles = result.details["profile"]["cycles"]
+    assert result.n_restarts > 1
+    assert entry["count"] == result.n_restarts == len(cycles)
+    assert entry["sum"] == sum(c["end"] - c["start"] for c in cycles)
+
+    # A solve_many batch: the interleaved trace holds every request's cycles.
+    reg = MetricsRegistry()
+    sess = SolverSession(
+        A, solver="ca", n_gpus=2, m=12, s=4, tol=1e-8, max_restarts=40,
+        metrics=reg,
     )
-    assert np.array_equal(r_plain.x, r_hooked.x)
-    assert r_plain.timers == r_hooked.timers
+    batch = sess.solve_many([b, 2.0 * b, b[::-1].copy()])
+    assert _cycle_samples(reg)["count"] == sum(r.n_restarts for r in batch)
+
+    # An aborted solve: the cycle a device loss cut short is no sample.
+    reg = MetricsRegistry()
+    plan = FaultPlan.scripted([FaultEvent("gpu1", "dropout", trigger=200)])
+    ctx = MultiGpuContext(n_gpus=2, fault_plan=plan)
+    result = ca_gmres(
+        A, b, ctx=ctx, m=12, s=4, basis="monomial", tol=1e-8, max_restarts=40
+    )
+    observe_context(reg, ctx, solver="ca_gmres", matrix="poisson2d")
+    assert result.details["faults"]["aborted"] and result.n_restarts > 0
+    assert len(ctx.trace.cycle_windows()) == result.n_restarts + 1
+    assert _cycle_samples(reg)["count"] == result.n_restarts
+
+
+def test_session_metrics_do_not_change_results(problem):
+    A, b = problem
+    kw = dict(solver="ca", n_gpus=2, m=12, s=4, tol=1e-8, max_restarts=40)
+    plain = SolverSession(A, **kw).solve(b)
+    observed = SolverSession(A, metrics=MetricsRegistry(), **kw).solve(b)
+    assert np.array_equal(plain.x, observed.x)
+    assert plain.timers == observed.timers
+    assert plain.counters == observed.counters
 
 
 def test_observe_result_records_adaptive_and_faults():
@@ -243,16 +251,3 @@ def test_disabled_registry_bit_identical_and_empty(problem):
     assert np.array_equal(r_off.x, r_plain.x)
     assert r_off.timers == r_plain.timers
     assert len(off) == 0
-
-
-def test_observe_context_via_ctx_method(problem):
-    A, b = problem
-    reg = MetricsRegistry()
-    ctx = MultiGpuContext(n_gpus=2)
-    gmres(A, b, ctx=ctx, m=10, tol=1e-8, max_restarts=40)
-    ctx.observe_metrics(reg, solver="gmres", matrix="poisson2d")
-    alt = MetricsRegistry()
-    observe_context(alt, ctx, solver="gmres", matrix="poisson2d")
-    assert [
-        (f.name, f.samples()) for f in reg.families()
-    ] == [(f.name, f.samples()) for f in alt.families()]

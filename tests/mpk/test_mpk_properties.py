@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for the matrix powers kernel."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dist.multivector import DistMultiVector

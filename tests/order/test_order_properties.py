@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for reordering and partitioning."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.order.kway import kway_partition, recursive_bisection

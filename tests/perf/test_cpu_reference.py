@@ -1,7 +1,6 @@
 """Tests for the Fig. 3 CPU-reference machine."""
 
 import numpy as np
-import pytest
 
 from repro.core.gmres import gmres
 from repro.gpu.context import MultiGpuContext

@@ -5,11 +5,10 @@ must place each kernel implementation in the right performance band so the
 orthogonalization-time comparisons (Figs. 13-15) follow the paper's logic.
 """
 
-import numpy as np
 import pytest
 
 from repro.perf.kernels import KERNEL_TABLE, kernel_flops_bytes, kernel_time
-from repro.perf.machine import CpuSpec, GpuSpec, MachineSpec, PcieSpec, keeneland_node
+from repro.perf.machine import CpuSpec, GpuSpec, PcieSpec, keeneland_node
 from repro.perf.model import PerformanceModel
 
 

@@ -1,6 +1,5 @@
 """Sessions under faults: plan invalidation/derivation and campaign mode."""
 
-import numpy as np
 import pytest
 
 from repro.core.ca_gmres import ca_gmres

@@ -1,7 +1,6 @@
 """Tests for the reproduce_all collation script."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
