@@ -50,9 +50,11 @@ def build_table():
         A = build()
         ell = EllpackMatrix.from_csr(A)
         jds = JdsMatrix.from_csr(A)
-        t_ell = model.gpu_time("spmv", "ellpack", nnz=ell.padded_size, n_rows=A.n_rows)
-        t_jds = model.gpu_time("spmv", "ellpack", nnz=jds.nnz, n_rows=A.n_rows)
-        t_csr = model.gpu_time("spmv", "csr", nnz=A.nnz, n_rows=A.n_rows)
+        t_ell, _ = model.kernel_cost(
+            "spmv", "ellpack", on="gpu", nnz=ell.padded_size, n_rows=A.n_rows
+        )
+        t_jds, _ = model.kernel_cost("spmv", "ellpack", on="gpu", nnz=jds.nnz, n_rows=A.n_rows)
+        t_csr, _ = model.kernel_cost("spmv", "csr", on="gpu", nnz=A.nnz, n_rows=A.n_rows)
         metrics[name] = (ell.padding_ratio(), t_ell, t_jds, t_csr)
         rows.append(
             [name, A.n_rows, round(A.nnz / A.n_rows, 1),

@@ -59,9 +59,9 @@ def sweep(matrix, ordering):
             indptr = mpk._local[d][0].data
             for k in range(1, s + 1):
                 active = dep.active_rows(k)
-                spmv_only += ctx.perf.gpu_time(
-                    "spmv", "ellpack", nnz=int(indptr[active]), n_rows=active
-                )
+                spmv_only += ctx.perf.kernel_cost(
+                    "spmv", "ellpack", on="gpu", nnz=int(indptr[active]), n_rows=active
+                )[0]
         spmv_ms.append(1e3 * spmv_only * calls / N_GPUS)
     return {"total (ms)": total_ms, "spmv only (ms)": spmv_ms}
 

@@ -21,7 +21,6 @@ from repro.gpu.context import MultiGpuContext
 from repro.harness import format_series, format_table
 from repro.order.partition import block_row_partition
 from repro.orth import tsqr
-from repro.perf.kernels import kernel_flops_bytes
 from repro.perf.model import PerformanceModel
 
 K = 30  # s + 1 = 30, the paper's panel width
@@ -29,8 +28,7 @@ N_VALUES = [100_000, 200_000, 400_000, 700_000, 1_000_000]
 
 
 def model_gflops(model, op, variant, cpu=False, **shape):
-    flops, _ = kernel_flops_bytes(op, variant, **shape)
-    t = model.cpu_time(op, variant, **shape) if cpu else model.gpu_time(op, variant, **shape)
+    t, flops = model.kernel_cost(op, variant, on="cpu" if cpu else "gpu", **shape)
     return flops / t / 1e9
 
 

@@ -66,11 +66,11 @@ def mpk_timing(name, matrix, partition):
         total_ms.append(1e3 * ctx.timers["mpk"])
         # SpMV-only time: re-run charging only the per-step kernel cost.
         spmv_only = sum(
-            ctx.perf.gpu_time(
-                "spmv", "ellpack",
+            ctx.perf.kernel_cost(
+                "spmv", "ellpack", on="gpu",
                 nnz=int(mpk._local[d][0].data[dep.active_rows(k)]),
                 n_rows=dep.active_rows(k),
-            )
+            )[0]
             for d, dep in enumerate(mpk.deps)
             for k in range(1, s + 1)
         ) / N_GPUS * calls

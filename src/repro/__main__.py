@@ -91,19 +91,13 @@ def _cmd_fig10(args) -> int:
 
 def _cmd_fig11(args) -> int:
     from repro.harness import format_series
-    from repro.perf.kernels import kernel_flops_bytes
     from repro.perf.model import PerformanceModel
 
     model = PerformanceModel()
     n_values = [100_000, 400_000, 1_000_000]
 
     def rate(op, variant, cpu=False, **shape):
-        flops, _ = kernel_flops_bytes(op, variant, **shape)
-        t = (
-            model.cpu_time(op, variant, **shape)
-            if cpu
-            else model.gpu_time(op, variant, **shape)
-        )
+        t, flops = model.kernel_cost(op, variant, on="cpu" if cpu else "gpu", **shape)
         return flops / t / 1e9
 
     gemm = {

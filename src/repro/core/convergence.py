@@ -47,7 +47,12 @@ class SolveResult:
     x
         Solution in the *original* (unbalanced) variables, on the host.
     converged
-        True if the relative residual reached the tolerance.
+        True if the true residual of the *balanced* system
+        ``D_r A D_c y = D_r b`` reached ``tol`` times its initial norm
+        (the solver runs on that system when ``balance=True``, the
+        default).  It does not yet guarantee the relative residual of the
+        system the caller passed: on badly row-scaled matrices the two
+        differ (see ``tol`` in :class:`~repro.core.gmres.RestartedRun`).
     n_restarts
         Completed restart cycles (the paper's "Rest." column).
     n_iterations

@@ -91,37 +91,22 @@ class MultiGpuContext:
         #: Per-device transfer hops, device side first; each hop's
         #: ``schedule(ready_at, nbytes, kind, peer)`` records its interval.
         self._routes = {dev: (self.bus,) for dev in self.all_devices}
-        self._autotuner = None
-
-    @property
-    def autotuner(self):
-        """Shared :class:`~repro.perf.autotune.KernelAutotuner` for this node.
-
-        Lazily built; kernels that auto-resolve a variant per call share its
-        shape->variant cache instead of rebuilding the tuner on the hot path.
-        Decisions depend only on the machine spec, so the cache survives
-        :meth:`reset_clocks` and device deactivations.
-        """
-        if self._autotuner is None:
-            from ..perf.autotune import KernelAutotuner
-
-            self._autotuner = KernelAutotuner(self.machine)
-        return self._autotuner
 
     def arm_fault_plan(self, fault_plan) -> None:
         """Swap in a new fault plan on the existing context.
 
         Rebuilds the injector (fresh RNG streams and occurrence counters)
-        and re-arms every device, the host, and the bus with it, so one
-        long-lived context — e.g. a serving session's — can run a sequence
-        of fault-campaign trials without rebuilding its distributed state.
+        and re-arms every device, the host, and the PCIe bus that is the
+        first hop of each device's route with it, so one long-lived context
+        — e.g. a serving session's — can run a sequence of fault-campaign
+        trials without rebuilding its distributed state.
         Pass ``None`` to disarm.
         """
         self.faults = FaultInjector(fault_plan, self.trace)
         for dev in self.all_devices:
             dev.faults = self.faults
+            self._routes[dev][0].faults = self.faults
         self.host.faults = self.faults
-        self.bus.faults = self.faults
 
     @property
     def resilience_enabled(self) -> bool:

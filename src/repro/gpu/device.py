@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf.model import PerformanceModel
-from ..perf.kernels import kernel_flops_bytes
 
 __all__ = ["Device", "DeviceArray", "Host"]
 
@@ -56,6 +55,9 @@ class DeviceArray:
 class _Clocked:
     """Shared clock behavior for devices and the host."""
 
+    #: Which machine rates price this resource's kernels (``"gpu"``/``"cpu"``).
+    rates = "gpu"
+
     def __init__(self, name: str, perf: PerformanceModel, trace, faults=None):
         self.name = name
         self.perf = perf
@@ -68,18 +70,23 @@ class _Clocked:
         self._poison_pending = None
         self.clock = 0.0
 
-    def _record_kernel(self, op: str, variant: str, start: float, t: float, **args) -> None:
-        """Log one kernel interval into the trace."""
+    def charge_kernel(self, op: str, variant: str, **shape) -> float:
+        """Advance this resource's clock by one kernel's modeled time."""
+        t, flops = self.perf.kernel_cost(op, variant, on=self.rates, **shape)
+        return self._charge(op, variant, t, flops=flops)
+
+    def _charge(self, op: str, variant: str, t: float, **args) -> float:
+        """Run the fault hook (stall/poison/dropout) on one kernel of modeled
+        time ``t``, advance the clock and record the interval in the trace."""
+        start = self.clock
+        fi = self.faults
+        if fi is not None and fi.active:
+            t = fi.on_kernel(self, op, variant, start, t)
+        self.advance(t)
         self.trace.record(
             f"{op}/{variant}", self.name, "kernel", start, t, op=op,
             variant=variant, **args,
         )
-
-    def _faulted_time(self, op: str, variant: str, start: float, t: float) -> float:
-        """Run the fault hook for one kernel charge (stall/poison/dropout)."""
-        fi = self.faults
-        if fi is not None and fi.active:
-            return fi.on_kernel(self, op, variant, start, t)
         return t
 
     def apply_pending_faults(self, *outputs) -> None:
@@ -149,16 +156,6 @@ class Device(_Clocked):
         """
         return DeviceArray(np.asarray(array), self)
 
-    # -- execution ---------------------------------------------------------
-    def charge_kernel(self, op: str, variant: str, **shape) -> float:
-        """Advance this device's clock by one kernel's modeled time."""
-        start = self.clock
-        t = self._faulted_time(op, variant, start, self.perf.gpu_time(op, variant, **shape))
-        self.advance(t)
-        flops, _ = kernel_flops_bytes(op, variant, **shape)
-        self._record_kernel(op, variant, start, t, flops=flops)
-        return t
-
     def require_resident(self, *arrays: DeviceArray) -> None:
         """Raise unless every array lives on this device."""
         for arr in arrays:
@@ -176,22 +173,11 @@ class Device(_Clocked):
 class Host(_Clocked):
     """The 16-core host CPU: reductions and small dense factorizations."""
 
+    rates = "cpu"
+
     def __init__(self, perf: PerformanceModel, trace, faults=None):
         super().__init__("host", perf, trace, faults=faults)
 
-    def charge_kernel(self, op: str, variant: str = "mkl", **shape) -> float:
-        """Advance the host clock by one threaded-BLAS kernel's time."""
-        start = self.clock
-        t = self._faulted_time(op, variant, start, self.perf.cpu_time(op, variant, **shape))
-        self.advance(t)
-        flops, _ = kernel_flops_bytes(op, variant, **shape)
-        self._record_kernel(op, variant, start, t, flops=flops)
-        return t
-
     def charge_small_dense(self, op: str, k: int) -> float:
         """Advance the host clock by a small k x k LAPACK factorization."""
-        start = self.clock
-        t = self._faulted_time(op, "lapack", start, self.perf.host_small_dense(op, k))
-        self.advance(t)
-        self._record_kernel(op, "lapack", start, t)
-        return t
+        return self._charge(op, "lapack", self.perf.host_small_dense(op, k))

@@ -16,8 +16,9 @@ value of MPK/CholQR grows exactly as the paper anticipates.
 The context only builds per-device transfer routes (node bus, then network
 link) that the inherited ``h2d``/``d2h`` walk, so remote transfers are
 traced, counted, fault-checked and validated like local ones.  Node ``k``'s
-bus and link record one message each on the ``pcie<k>``/``net<k>`` lanes;
-only node 0's bus (``ctx.bus``) consults the fault injector.
+bus and link record one message each on the ``pcie<k>``/``net<k>`` lanes.
+Every node's PCIe bus consults the fault injector (all draw from its one
+``pcie`` site); network links have no fault model.
 
 The root host plays the MPI-rank-0 role of the staging CPU; remote hosts
 act as relays (their relay time is folded into the network message).
@@ -112,7 +113,7 @@ class MultiNodeContext(MultiGpuContext):
         # class bus serves node 0).
         self._buses, self._links = [], []
         for k in range(1, self.n_nodes):
-            bus = PcieBus(machine.pcie, trace=self.trace)
+            bus = PcieBus(machine.pcie, trace=self.trace, faults=self.faults)
             bus.lane = f"pcie{k}"
             self._buses.append(bus)
             self._links.append(_NetworkLink(self.network, self.trace, f"net{k}"))

@@ -49,10 +49,10 @@ _PRIMARY_KERNEL = {
 def _resolve_auto_variant(ctx, method: str, n_rows: int, k_cols: int) -> str:
     """Pick the dominant kernel's fastest variant for this panel shape.
 
-    The model-level autotuner of :mod:`repro.perf.autotune` — the paper's
-    footnote 7/8 direction ("the potential of using an auto-tuner").
+    Model-level autotuning (:meth:`repro.perf.model.PerformanceModel.
+    best_variant`) — the paper's footnote 7/8 direction ("the potential of
+    using an auto-tuner").
     """
-    tuner = ctx.autotuner
     op = _PRIMARY_KERNEL[method]
     local_n = max(n_rows // ctx.n_gpus, 1)
     if op in ("gemm_tn",):
@@ -62,7 +62,7 @@ def _resolve_auto_variant(ctx, method: str, n_rows: int, k_cols: int) -> str:
     else:
         shape = dict(n=local_n)
     try:
-        return tuner.best_variant(op, **shape)
+        return ctx.perf.best_variant(op, **shape)
     except KeyError:
         return _DEFAULT_VARIANTS[method]
 
@@ -87,8 +87,8 @@ def tsqr(
         One of ``mgs``, ``cgs``, ``cholqr``, ``svqr``, ``caqr``.
     variant
         Device kernel implementation; defaults to the paper's optimized
-        choice for each method.  ``"auto"`` consults the kernel autotuner
-        for the dominant kernel at this panel shape.
+        choice for each method.  ``"auto"`` picks the dominant kernel's
+        fastest variant at this panel shape (``ctx.perf.best_variant``).
     reorth
         Number of factorization passes (1 = single, 2 = the paper's "2x").
     check_finite

@@ -19,9 +19,8 @@ from .machine import (
     cpu_reference_node,
     keeneland_node,
 )
-from .kernels import KernelModel, KERNEL_TABLE, kernel_time
+from .kernels import KernelModel, KERNEL_TABLE
 from .model import PerformanceModel
-from .autotune import KernelAutotuner
 
 __all__ = [
     "CpuSpec",
@@ -32,7 +31,5 @@ __all__ = [
     "cpu_reference_node",
     "KernelModel",
     "KERNEL_TABLE",
-    "kernel_time",
     "PerformanceModel",
-    "KernelAutotuner",
 ]

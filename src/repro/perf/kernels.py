@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["KernelModel", "KERNEL_TABLE", "kernel_time", "kernel_flops_bytes"]
+__all__ = ["KernelModel", "KERNEL_TABLE"]
 
 _F64 = 8  # bytes per double
 _I64 = 8  # bytes per index (we store int64 indices)
@@ -270,25 +270,3 @@ KERNEL_TABLE: dict[tuple[str, str], KernelModel] = {
     ("spmv", "csr"): KernelModel(_spmv_flops, _spmv_bytes, 0.05, 0.60),
     ("spmv", "mkl"): KernelModel(_spmv_flops, _spmv_bytes, 0.08, 0.80),
 }
-
-
-def kernel_time(
-    op: str,
-    variant: str,
-    peak_flops: float,
-    bandwidth: float,
-    overhead: float,
-    **shape,
-) -> float:
-    """Time one kernel on a device described by the given raw rates."""
-    try:
-        model = KERNEL_TABLE[(op, variant)]
-    except KeyError:
-        raise KeyError(f"no kernel model for op={op!r} variant={variant!r}") from None
-    return model.time(peak_flops, bandwidth, overhead, **shape)
-
-
-def kernel_flops_bytes(op: str, variant: str, **shape) -> tuple[float, float]:
-    """Flop and byte counts for one kernel invocation (for counters)."""
-    model = KERNEL_TABLE[(op, variant)]
-    return float(model.flops(**shape)), float(model.bytes_moved(**shape))

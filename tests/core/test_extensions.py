@@ -81,8 +81,8 @@ class TestMixedPrecisionCholQR:
 
     def test_sp_gram_faster_in_model(self):
         ctx = MultiGpuContext(1)
-        t_dp = ctx.perf.gpu_time("gemm_tn", "batched", n=500_000, k=30, j=30)
-        t_sp = ctx.perf.gpu_time("gemm_tn", "batched_sp", n=500_000, k=30, j=30)
+        t_dp = ctx.perf.kernel_cost("gemm_tn", "batched", on="gpu", n=500_000, k=30, j=30)[0]
+        t_sp = ctx.perf.kernel_cost("gemm_tn", "batched_sp", on="gpu", n=500_000, k=30, j=30)[0]
         assert t_sp < 0.7 * t_dp
 
     def test_solver_with_sp_gram_converges(self):

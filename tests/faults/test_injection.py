@@ -54,6 +54,18 @@ class TestKernelFaults:
         [rec] = stalled.faults.report()["injected"]
         assert rec["kind"] == "stall" and rec["extra_time"] > 0
 
+    def test_stall_on_repeated_shape_leaves_cost_memo_clean(self):
+        ctx = faulted_ctx([FaultEvent("gpu0", "stall", trigger=1, factor=4.0)])
+        dev = ctx.devices[0]
+        shape = dict(n=5000, k=8, j=8)
+        charged = [dev.charge_kernel("gemm_tn", "batched", **shape) for _ in range(3)]
+        model_t, _ = ctx.perf.kernel_cost("gemm_tn", "batched", on="gpu", **shape)
+        assert charged[0] == model_t
+        assert charged[1] == pytest.approx(4.0 * model_t)
+        assert charged[2] == model_t  # the stall did not leak into the memo
+        kernels = [e.duration for e in ctx.trace.events if e.kind == "kernel"]
+        assert kernels == charged
+
     def test_dropout_raises_and_marks_device_dead(self):
         ctx = faulted_ctx([FaultEvent("gpu0", "dropout", trigger=1)])
         dev = ctx.devices[0]

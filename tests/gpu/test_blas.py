@@ -206,14 +206,14 @@ class TestVariantTiming:
     def test_magma_gemv_faster_than_cublas(self):
         """The paper's optimized tall-skinny DGEMV is ~5x CUBLAS."""
         ctx = MultiGpuContext(1)
-        t_cublas = ctx.perf.gpu_time("gemv_t", "cublas", n=500_000, k=30)
-        t_magma = ctx.perf.gpu_time("gemv_t", "magma", n=500_000, k=30)
+        t_cublas = ctx.perf.kernel_cost("gemv_t", "cublas", on="gpu", n=500_000, k=30)[0]
+        t_magma = ctx.perf.kernel_cost("gemv_t", "magma", on="gpu", n=500_000, k=30)[0]
         assert t_cublas / t_magma > 3.0
 
     def test_batched_gemm_faster_than_cublas(self):
         ctx = MultiGpuContext(1)
-        t_cublas = ctx.perf.gpu_time("gemm_tn", "cublas", n=500_000, k=30, j=30)
-        t_batched = ctx.perf.gpu_time("gemm_tn", "batched", n=500_000, k=30, j=30)
+        t_cublas = ctx.perf.kernel_cost("gemm_tn", "cublas", on="gpu", n=500_000, k=30, j=30)[0]
+        t_batched = ctx.perf.kernel_cost("gemm_tn", "batched", on="gpu", n=500_000, k=30, j=30)[0]
         assert t_cublas / t_batched > 2.0
 
     def test_variants_numerically_identical(self, rng):

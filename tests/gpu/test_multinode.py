@@ -170,3 +170,14 @@ class TestOneRecordOnMultiNode:
         counts = r.details["faults"]["counts"]
         assert counts == {"injected": 1, "detected": 1, "recovered": 1, "unrecovered": 0}
         assert r.converged
+
+    def test_rate_plan_faults_remote_node_transfers(self):
+        A = poisson2d(16)
+        ctx = MultiNodeContext(2, 2)
+        ctx.arm_fault_plan(FaultPlan(seed=1, rate=0.01, kinds=("corrupt", "stall")))
+        r = gmres(A, np.ones(A.n_rows), ctx=ctx, m=10, max_restarts=5)
+        peers = {
+            rec["peer"] for rec in r.details["faults"]["injected"] if rec["site"] == "pcie"
+        }
+        assert peers & {"gpu2", "gpu3"}, peers
+        assert all(route[0].faults is ctx.faults for route in ctx._routes.values())

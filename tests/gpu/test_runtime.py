@@ -7,7 +7,7 @@ from repro.gpu.context import MultiGpuContext
 from repro.gpu.counters import Counters
 from repro.gpu.device import DeviceArray
 from repro.gpu.pcie import PcieBus
-from repro.perf.machine import PcieSpec
+from repro.perf.machine import PcieSpec, keeneland_node
 
 
 class TestCounters:
@@ -58,6 +58,11 @@ class TestPcieBus:
         bus = PcieBus(PcieSpec(latency=1e-5, bandwidth=1e9))
         assert bus.message_time(0) == pytest.approx(1e-5)
         assert bus.message_time(1e9) == pytest.approx(1.0 + 1e-5)
+
+    def test_keeneland_message_time(self):
+        bus = PcieBus(keeneland_node().pcie)
+        assert bus.message_time(0) == pytest.approx(12e-6)
+        assert bus.message_time(5.8e9) == pytest.approx(1.0 + 12e-6)
 
     def test_shared_bus_serializes(self):
         bus = PcieBus(PcieSpec(latency=0.0, bandwidth=1e9, shared_bus=True))

@@ -1,57 +1,54 @@
-"""Tests for the kernel autotuner."""
+"""Tests for model-level kernel autotuning (``PerformanceModel.best_variant``)."""
 
 import pytest
 
-from repro.perf.autotune import KernelAutotuner
 from repro.perf.kernels import KERNEL_TABLE
+from repro.perf.model import PerformanceModel
 
 
-class TestKernelAutotuner:
+class TestBestVariant:
     @pytest.fixture
-    def tuner(self):
-        return KernelAutotuner()
+    def model(self):
+        return PerformanceModel()
 
-    def test_candidates_are_device_variants(self, tuner):
-        cands = tuner.candidates("gemm_tn")
-        assert "batched" in cands and "cublas" in cands
-        assert "mkl" not in cands  # host variant excluded
-        assert "batched_sp" not in cands  # changes numerics
+    def test_candidates_are_device_variants(self, model):
+        # Priced at GPU rates, the fp32 batched_sp Gram product and the host
+        # "mkl" entry would both beat "batched"; neither is eligible.
+        shape = dict(n=500_000, k=30, j=30)
+        t_sp, _ = model.kernel_cost("gemm_tn", "batched_sp", on="gpu", **shape)
+        t_batched, _ = model.kernel_cost("gemm_tn", "batched", on="gpu", **shape)
+        assert t_sp < t_batched
+        assert model.best_variant("gemm_tn", **shape) == "batched"
 
-    def test_wide_gram_prefers_batched(self, tuner):
-        assert tuner.best_variant("gemm_tn", n=500_000, k=30, j=30) == "batched"
+    def test_wide_gram_prefers_batched(self, model):
+        assert model.best_variant("gemm_tn", n=500_000, k=30, j=30) == "batched"
 
-    def test_gemv_prefers_magma(self, tuner):
-        assert tuner.best_variant("gemv_t", n=500_000, k=30) == "magma"
+    def test_gemv_prefers_magma(self, model):
+        assert model.best_variant("gemv_t", n=500_000, k=30) == "magma"
 
-    def test_best_is_actually_fastest(self, tuner):
+    def test_best_is_actually_fastest(self, model):
         shape = dict(n=300_000, k=8, j=8)
-        best = tuner.best_variant("gemm_tn", **shape)
-        gpu = tuner.machine.gpu
+        best = model.best_variant("gemm_tn", **shape)
         times = {
-            v: KERNEL_TABLE[("gemm_tn", v)].time(
-                gpu.peak_gflops * 1e9, gpu.mem_bandwidth, gpu.kernel_overhead,
-                **shape,
-            )
-            for v in tuner.candidates("gemm_tn")
+            v: model.kernel_cost("gemm_tn", v, on="gpu", **shape)[0]
+            for (op, v) in KERNEL_TABLE
+            if op == "gemm_tn" and v not in ("mkl", "batched_sp")
         }
         assert times[best] == min(times.values())
 
-    def test_decision_cached(self, tuner):
-        a = tuner.best_variant("gemv_t", n=1000, k=4)
-        assert ("gemv_t", (("k", 4), ("n", 1000))) in tuner._cache
-        assert tuner.best_variant("gemv_t", n=1000, k=4) == a
+    def test_ties_go_to_table_order(self, model):
+        # An empty GEMM costs one launch overhead for cublas and magma alike;
+        # cublas is listed first.
+        assert model.best_variant("gemm_tn", n=0, k=0, j=0) == "cublas"
 
-    def test_unknown_op(self, tuner):
+    def test_costs_memoized(self, model):
+        a = model.best_variant("gemv_t", n=1000, k=4)
+        assert ("gpu", "gemv_t", a, ("n", 1000), ("k", 4)) in model._costs
+        assert model.best_variant("gemv_t", n=1000, k=4) == a
+
+    def test_unknown_op(self, model):
         with pytest.raises(KeyError):
-            tuner.best_variant("warp_drive", n=10)
-
-    def test_tuning_table(self, tuner):
-        shapes = [dict(n=100_000, k=k, j=k) for k in (2, 10, 30)]
-        rows = tuner.tuning_table("gemm_tn", shapes)
-        assert len(rows) == 3
-        for shape, variant, t in rows:
-            assert variant in tuner.candidates("gemm_tn")
-            assert t > 0
+            model.best_variant("warp_drive", n=10)
 
 
 class TestMemoryAccounting:

@@ -6,17 +6,29 @@ orthogonalization-time comparisons (Figs. 13-15) follow the paper's logic.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.perf.kernels import KERNEL_TABLE, kernel_flops_bytes, kernel_time
+from repro.perf.kernels import KERNEL_TABLE
 from repro.perf.machine import CpuSpec, GpuSpec, PcieSpec, keeneland_node
 from repro.perf.model import PerformanceModel
 
 
 def gflops(op, variant, model, **shape):
     """Effective Gflop/s of one kernel under the model."""
-    flops, _ = kernel_flops_bytes(op, variant, **shape)
-    t = model.gpu_time(op, variant, **shape)
+    t, flops = model.kernel_cost(op, variant, on="gpu", **shape)
     return flops / t / 1e9
+
+
+def shape_of(op, n=1000, k=10, j=10, nnz=5000):
+    """Shape keywords of one ``op`` (long dimension ``n``)."""
+    if op in ("dot", "axpy", "scal", "copy"):
+        return {"n": n}
+    if op in ("gemv_t", "gemv_n", "trsm", "qr_panel"):
+        return {"n": n, "k": k}
+    if op in ("gemm_tn", "gemm_nn"):
+        return {"n": n, "k": k, "j": j}
+    assert op == "spmv", op
+    return {"nnz": nnz, "n_rows": n}
 
 
 class TestMachineSpec:
@@ -45,31 +57,91 @@ class TestMachineSpec:
 
 class TestKernelModels:
     def test_all_entries_have_positive_cost(self):
-        for (op, variant), model in KERNEL_TABLE.items():
-            shape = {}
-            if op in ("dot", "axpy", "scal", "copy"):
-                shape = {"n": 1000}
-            elif op in ("gemv_t", "gemv_n", "trsm", "qr_panel"):
-                shape = {"n": 1000, "k": 10}
-            elif op in ("gemm_tn", "gemm_nn"):
-                shape = {"n": 1000, "k": 10, "j": 10}
-            elif op == "spmv":
-                shape = {"nnz": 5000, "n_rows": 1000}
-            t = kernel_time(op, variant, 665e9, 120e9, 7e-6, **shape)
-            assert t > 0, f"{op}/{variant}"
+        model = PerformanceModel()
+        for op, variant in KERNEL_TABLE:
+            for on in ("gpu", "cpu"):
+                t, _ = model.kernel_cost(op, variant, on=on, **shape_of(op))
+                assert t > 0, f"{op}/{variant} on {on}"
 
     def test_unknown_kernel(self):
-        with pytest.raises(KeyError):
-            kernel_time("nonsense", "cublas", 1e9, 1e9, 0.0, n=1)
+        with pytest.raises(KeyError, match="no kernel model for op='nonsense'"):
+            PerformanceModel().kernel_cost("nonsense", "cublas", on="gpu", n=1)
 
     def test_time_scales_with_size(self):
-        t1 = kernel_time("dot", "cublas", 665e9, 120e9, 0.0, n=1_000)
-        t2 = kernel_time("dot", "cublas", 665e9, 120e9, 0.0, n=1_000_000)
+        dot = KERNEL_TABLE[("dot", "cublas")]
+        t1 = dot.time(665e9, 120e9, 0.0, n=1_000)
+        t2 = dot.time(665e9, 120e9, 0.0, n=1_000_000)
         assert t2 > 100 * t1
 
     def test_overhead_dominates_small(self):
-        t = kernel_time("dot", "cublas", 665e9, 120e9, 7e-6, n=10)
+        t, _ = PerformanceModel().kernel_cost("dot", "cublas", on="gpu", n=10)
         assert t == pytest.approx(7e-6, rel=0.01)
+
+
+_SHAPES = st.builds(
+    dict,
+    n=st.integers(0, 10**7),
+    k=st.integers(0, 64),
+    j=st.integers(0, 64),
+    nnz=st.integers(0, 10**8),
+)
+
+
+class TestKernelCost:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=_SHAPES)
+    def test_matches_fresh_kernel_model_before_and_after_caching(self, dims):
+        """Every table entry, priced on either side, equals its KernelModel."""
+        machine = keeneland_node()
+        rates = {
+            "gpu": (machine.gpu.peak_gflops * 1e9, machine.gpu.mem_bandwidth,
+                    machine.gpu.kernel_overhead),
+            "cpu": (machine.cpu.peak_gflops * 1e9, machine.cpu.mem_bandwidth,
+                    machine.cpu.small_op_overhead),
+        }
+        model = PerformanceModel(machine)
+        for (op, variant), kernel in KERNEL_TABLE.items():
+            shape = shape_of(op, **dims)
+            for on in ("gpu", "cpu"):
+                fresh = (kernel.time(*rates[on], **shape), float(kernel.flops(**shape)))
+                assert model.kernel_cost(op, variant, on=on, **shape) == fresh  # miss
+                assert model.kernel_cost(op, variant, on=on, **shape) == fresh  # hit
+
+    def test_kernel_model_evaluated_only_on_a_miss(self, monkeypatch):
+        calls = []
+        base = KERNEL_TABLE[("gemm_tn", "batched")]
+
+        class Counting:
+            def time(self, *args, **shape):
+                calls.append(shape)
+                return base.time(*args, **shape)
+
+            def flops(self, **shape):
+                return base.flops(**shape)
+
+        monkeypatch.setitem(KERNEL_TABLE, ("gemm_tn", "batched"), Counting())
+        model = PerformanceModel()
+        for _ in range(3):
+            model.kernel_cost("gemm_tn", "batched", on="gpu", n=500, k=8, j=8)
+        model.kernel_cost("gemm_tn", "batched", on="cpu", n=500, k=8, j=8)
+        model.kernel_cost("gemm_tn", "batched", on="gpu", n=501, k=8, j=8)
+        assert len(calls) == 3
+
+    def test_unknown_kernel_not_memoized(self):
+        model = PerformanceModel()
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                model.kernel_cost("dot", "nonsense", on="gpu", n=1)
+        assert model._costs == {}
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="on must be"):
+            PerformanceModel().kernel_cost("dot", "cublas", on="fpga", n=1)
+
+    def test_machine_read_only(self):
+        model = PerformanceModel()
+        with pytest.raises(AttributeError):
+            model.machine = keeneland_node(1)
 
 
 class TestFig11Calibration:
@@ -112,17 +184,6 @@ class TestFig11Calibration:
 
 
 class TestPerformanceModelFacade:
-    def test_transfer_time(self):
-        model = PerformanceModel(keeneland_node())
-        t0 = model.transfer_time(0)
-        assert t0 == pytest.approx(12e-6)
-        t = model.transfer_time(5.8e9)
-        assert t == pytest.approx(1.0 + 12e-6)
-
-    def test_transfer_negative_rejected(self):
-        with pytest.raises(ValueError):
-            PerformanceModel().transfer_time(-5)
-
     def test_host_small_dense_ops(self):
         model = PerformanceModel()
         for op in ("chol", "qr", "svd", "eig", "lstsq_hessenberg", "trsv"):
@@ -136,8 +197,8 @@ class TestPerformanceModelFacade:
         model = PerformanceModel()
         assert model.host_small_dense("svd", 60) > model.host_small_dense("chol", 60)
 
-    def test_cpu_time_uses_cpu_rates(self):
+    def test_cpu_rates_price_host_kernels(self):
         model = PerformanceModel()
-        t_gpu = model.gpu_time("gemm_tn", "batched", n=500_000, k=30, j=30)
-        t_cpu = model.cpu_time("gemm_tn", "mkl", n=500_000, k=30, j=30)
+        t_gpu, _ = model.kernel_cost("gemm_tn", "batched", on="gpu", n=500_000, k=30, j=30)
+        t_cpu, _ = model.kernel_cost("gemm_tn", "mkl", on="cpu", n=500_000, k=30, j=30)
         assert t_cpu > t_gpu  # GPU wins on the big tall-skinny product
