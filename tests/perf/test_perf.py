@@ -8,6 +8,7 @@ orthogonalization-time comparisons (Figs. 13-15) follow the paper's logic.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.gpu.pcie import PcieBus
 from repro.perf.kernels import KERNEL_TABLE
 from repro.perf.machine import CpuSpec, GpuSpec, PcieSpec, keeneland_node
 from repro.perf.model import PerformanceModel
@@ -196,6 +197,12 @@ class TestPerformanceModelFacade:
     def test_svd_costlier_than_chol(self):
         model = PerformanceModel()
         assert model.host_small_dense("svd", 60) > model.host_small_dense("chol", 60)
+
+    def test_transfer_negative_rejected(self):
+        # The model's transfer cost is the PCIe bus of its machine.
+        bus = PcieBus(PerformanceModel().machine.pcie)
+        with pytest.raises(ValueError):
+            bus.message_time(-5)
 
     def test_cpu_rates_price_host_kernels(self):
         model = PerformanceModel()
