@@ -5,7 +5,11 @@ residual history, the region timers, the counters and ``details`` (the
 trace profile and any fault and degradation reports).  The grid covers
 GMRES, pipelined GMRES and CA-GMRES (monomial and Newton bases; the default,
 ``"auto"`` and ``"batched_sp"`` TSQR variants) on 1-3 GPUs, each without
-faults and under a rate fault plan, plus a clean two-node run.  Everything
+faults and under a rate fault plan, plus a clean two-node run, a scripted
+``gpu1`` dropout absorbed by a degrade policy, an interleaved
+``SolverSession.solve_many`` batch of three right-hand sides (one list of
+parts per batch, so the batch-wide timers and counters are pinned) and a
+``ca_arnoldi_eigs`` run (its Ritz values, timers and counters).  Everything
 the simulated clock reports flows through the kernel cost model, so the
 golden pins that model's answers across refactors of how it is evaluated.
 Regenerate it only after an intentional change to a solver's outputs::
@@ -21,12 +25,15 @@ import numpy as np
 import pytest
 
 from repro.core.ca_gmres import ca_gmres
+from repro.core.degrade import DegradePolicy
+from repro.core.eigen import CaArnoldiResult, ca_arnoldi_eigs
 from repro.core.gmres import gmres
 from repro.core.pipelined import pipelined_gmres
-from repro.faults import FaultPlan
+from repro.faults import FaultEvent, FaultPlan
 from repro.gpu.context import MultiGpuContext
 from repro.gpu.multinode import MultiNodeContext
 from repro.matrices.stencil import convection_diffusion2d
+from repro.serve.session import SolverSession
 
 GOLDEN = Path(__file__).parent / "golden" / "solve_digests.json"
 
@@ -72,6 +79,28 @@ CASES = {
 CASES["ca-newton-multinode-2x2"] = lambda: ca_gmres(
     *_system(), ctx=MultiNodeContext(2, 2), s=4, m=12, tol=1e-8, max_restarts=6
 )
+CASES["ca-monomial-3gpu-dropout-degrade"] = lambda: ca_gmres(
+    *_system(),
+    ctx=MultiGpuContext(
+        3, fault_plan=FaultPlan.scripted([FaultEvent("gpu1", "dropout", trigger=40)])
+    ),
+    s=4, m=12, basis="monomial", tol=1e-8, max_restarts=6, degrade=DegradePolicy(),
+)
+
+
+def _batch():
+    A, _ = _system()
+    # The second right-hand side needs one more cycle than the others.
+    session = SolverSession(
+        A, ctx=MultiGpuContext(2), m=12, s=4, tol=1e-6, max_restarts=10
+    )
+    return session.solve_many(np.random.default_rng(4).standard_normal((3, A.n_rows)))
+
+
+CASES["session-ca-newton-2gpu-batch3"] = _batch
+CASES["ca-arnoldi-eigs-2gpu"] = lambda: ca_arnoldi_eigs(
+    _system()[0], ctx=MultiGpuContext(2), s=4, m=12
+)
 
 
 def _jsonable(obj):
@@ -87,19 +116,39 @@ def _sha(text: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(name: str) -> dict:
-    """SHA-256 of each output of one case (key order and floats included)."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        result = CASES[name]()
+def _array(a: np.ndarray) -> tuple:
+    return (str(a.dtype), a.shape, a.tobytes().hex())
+
+
+def _parts(result) -> dict:
+    """The outputs of one case's result, by name."""
+    if isinstance(result, list):
+        parts = [_parts(r) for r in result]
+        return {key: [p[key] for p in parts] for key in parts[0]}
+    if isinstance(result, CaArnoldiResult):
+        return {
+            "ritz_values": _array(result.ritz_values),
+            "timers": result.timers,
+            "counters": result.counters,
+        }
     history = result.history
-    parts = {
-        "x": (str(result.x.dtype), result.x.shape, result.x.tobytes().hex()),
+    return {
+        "x": _array(result.x),
         "history": (history.initial_residual, history.estimates, history.true_residuals),
         "timers": result.timers,
         "counters": result.counters,
         "details": result.details,
     }
-    return {key: _sha(json.dumps(value, default=_jsonable)) for key, value in parts.items()}
+
+
+def digest(name: str) -> dict:
+    """SHA-256 of each output of one case (key order and floats included)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        result = CASES[name]()
+    return {
+        key: _sha(json.dumps(value, default=_jsonable))
+        for key, value in _parts(result).items()
+    }
 
 
 def load_golden() -> dict:
