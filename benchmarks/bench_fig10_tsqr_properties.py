@@ -25,7 +25,7 @@ def measure_messages(method: str, n_gpus: int) -> int:
     rng = np.random.default_rng(0)
     for d in range(n_gpus):
         mv.local[d].data[...] = rng.standard_normal(mv.local[d].data.shape)
-    ctx.counters.reset()
+    ctx.reset_clocks()
     tsqr(ctx, mv.panel(0, S + 1), method=method)
     return ctx.counters.total_messages
 

@@ -38,7 +38,6 @@ def factor_panel(method: str, V: np.ndarray):
     for d in range(3):
         mv.local[d].data[...] = V[part.rows_of(d)]
     ctx.reset_clocks()
-    ctx.counters.reset()
     R = tsqr(ctx, mv.panel(0, V.shape[1]), method=method)
     Q = np.empty_like(V)
     for d in range(3):

@@ -105,7 +105,6 @@ class CaGmresRun(RestartedRun):
         on_breakdown: str = "fallback",
         collect_tsqr_errors: bool = False,
         adaptive_s: bool = False,
-        max_panel_retries: int = MAX_PANEL_RETRIES,
         **kwargs,
     ):
         self.s = s
@@ -116,7 +115,6 @@ class CaGmresRun(RestartedRun):
         self.reorth = reorth
         self.use_mpk = use_mpk
         self.on_breakdown = on_breakdown
-        self.max_panel_retries = max_panel_retries
         self.tsqr_errors: list[dict] | None = [] if collect_tsqr_errors else None
         self.adapt_state = {"s_eff": s, "history": []} if adaptive_s else None
         self.shifts: np.ndarray | None = None
@@ -183,7 +181,6 @@ class CaGmresRun(RestartedRun):
         adapt_state = self.adapt_state
         breakdowns = 0
         j = 0
-        t = 1  # orthonormal columns available
         while j < m:
             s_block = adapt_state["s_eff"] if adapt_state is not None else self.s
             s_cur = min(s_block, m - j)
@@ -214,7 +211,7 @@ class CaGmresRun(RestartedRun):
                     )
                     break
                 except RECOVERABLE_FAULTS:
-                    if panel_attempts >= self.max_panel_retries:
+                    if panel_attempts >= MAX_PANEL_RETRIES:
                         raise  # escalate to the cycle-redo layer
                     panel_attempts += 1
                     ctx.faults.note_recovery(
@@ -230,13 +227,12 @@ class CaGmresRun(RestartedRun):
             # --- residual estimate (host small-dense work) ------------------
             with ctx.region("lsq"):
                 ctx.host.charge_small_dense("lstsq_hessenberg", t)
-                _, estimate = hessenberg_lstsq(hessenberg.recover(t), beta)
+                z, estimate = hessenberg_lstsq(hessenberg.recover(t), beta)
             self.history.record_estimate(offset + j, estimate)
             if estimate <= self.abs_tol:
                 break
-        # --- solution update ---------------------------------------------
+        # --- solution update: z from the last block's least squares -----
         with ctx.region("update"):
-            z, _ = hessenberg_lstsq(hessenberg.recover(t), beta)
             ctx.host.charge_small_dense("trsv", t - 1)
             update_solution(ctx, V, self.st.x, z)
         return j, breakdowns
@@ -264,7 +260,6 @@ def ca_gmres(
     collect_tsqr_errors: bool = False,
     adaptive_s: bool = False,
     preconditioner=None,
-    max_panel_retries: int = MAX_PANEL_RETRIES,
     degrade: DegradePolicy | None = None,
     deadline: float | None = None,
     plan=None,
@@ -305,11 +300,6 @@ def ca_gmres(
         (diag-ratio > 1e10) and grow it back toward the requested ``s``
         while the basis stays healthy.  The chosen block lengths are
         recorded in ``result.details["s_history"]``.
-    max_panel_retries
-        With fault resilience enabled (see
-        :class:`~repro.gpu.context.MultiGpuContext`), how many times one
-        poisoned block is regenerated (MPK rerun + re-orthogonalization)
-        before escalating to a restart-cycle redo.
 
     The other parameters are documented on
     :class:`~repro.core.gmres.RestartedRun`.
@@ -324,8 +314,7 @@ def ca_gmres(
         borth_method=borth_method, reorth=reorth, use_mpk=use_mpk, tol=tol,
         max_restarts=max_restarts, balance=balance, x0=x0,
         on_breakdown=on_breakdown, collect_tsqr_errors=collect_tsqr_errors,
-        adaptive_s=adaptive_s, preconditioner=preconditioner,
-        max_panel_retries=max_panel_retries, degrade=degrade,
+        adaptive_s=adaptive_s, preconditioner=preconditioner, degrade=degrade,
         deadline=deadline, plan=plan,
     ).result()
 

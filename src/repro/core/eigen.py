@@ -114,7 +114,6 @@ def ca_arnoldi_eigs(
     V = plan.V
     V.set_column_from_host(0, v0 / norm0)
     ctx.reset_clocks()
-    ctx.counters.reset()
 
     hessenberg = _BlockHessenberg(m)
     for j in range(0, m, s):
@@ -133,10 +132,11 @@ def ca_arnoldi_eigs(
     eigvals, eigvecs = np.linalg.eig(square)
     residuals = np.abs(H[m, m - 1]) * np.abs(eigvecs[m - 1, :])
     order = np.argsort(-np.abs(eigvals))
+    fold = ctx.trace.fold()
     return CaArnoldiResult(
         ritz_values=eigvals[order],
         hessenberg=H,
         residuals=residuals[order],
-        timers=dict(ctx.timers),
-        counters=ctx.counters.snapshot(),
+        timers=fold.timers,
+        counters=fold.counters.snapshot(),
     )

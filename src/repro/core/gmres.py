@@ -245,7 +245,7 @@ class RestartedRun:
         the plan.
 
     Every restart cycle starts with a cycle mark in the context's trace,
-    so ``ctx.trace.cycle_windows()`` holds each cycle's simulated window;
+    so ``ctx.trace.fold().cycles`` holds each cycle's simulated window;
     faults, recoveries, terminal failures and degradations are events on
     the trace's fault lane, from which ``details["faults"]`` and
     ``details["degradation"]`` are built.
@@ -330,7 +330,6 @@ class RestartedRun:
             start = (x0 / bal.col_scale) if bal is not None else x0
             st.x.set_from_host(np.asarray(start, dtype=np.float64))
         ctx.reset_clocks()
-        ctx.counters.reset()
 
         self.degrader = None
         if degrade is not None or deadline is not None:
@@ -438,8 +437,9 @@ class RestartedRun:
                 x_host = self.bal.unscale_solution(x_host)
             if self.preconditioner is not None:
                 x_host = self.preconditioner.recover(x_host)
+            fold = ctx.trace.fold()
             details = self._details()
-            details["profile"] = ctx.trace.profile()
+            details["profile"] = fold.profile()
             if ctx.faults.has_activity():
                 details["faults"] = ctx.faults.report()
             if self.degrader is not None:
@@ -450,8 +450,8 @@ class RestartedRun:
                 n_restarts=self.restarts,
                 n_iterations=self.iterations,
                 history=self.history,
-                timers=dict(ctx.timers),
-                counters=ctx.counters.snapshot(),
+                timers=fold.timers,
+                counters=fold.counters.snapshot(),
                 breakdowns=self.breakdowns,
                 details=details,
             )
@@ -461,21 +461,20 @@ class RestartedRun:
 class GmresRun(RestartedRun):
     """Restarted GMRES(m) (Fig. 1) on the shared restart loop.
 
-    ``orth_method`` and ``gemv_variant`` are as in :func:`gmres`; every
-    other argument is documented on :class:`RestartedRun`.
+    ``orth_method`` is as in :func:`gmres`; every other argument is
+    documented on :class:`RestartedRun`.
     """
 
-    def __init__(self, matrix, b, orth_method: str = "cgs", gemv_variant: str = "magma", **kwargs):
+    def __init__(self, matrix, b, orth_method: str = "cgs", **kwargs):
         self.orth_method = orth_method
-        self.gemv_variant = gemv_variant
         super().__init__(matrix, b, **kwargs)
 
     def cycle(self, offset, restart_index):
         ctx, st = self.ctx, self.st
         info = run_gmres_cycle(
             ctx, st.plan.dmat, st.plan.V, st.x, st.b, self.m, self.abs_tol,
-            orth_method=self.orth_method, gemv_variant=self.gemv_variant,
-            history=self.history, iteration_offset=offset,
+            orth_method=self.orth_method, history=self.history,
+            iteration_offset=offset,
         )
         return info.iterations, 0, checked_true_residual(
             ctx, self.A_solve, self.b_solve, st.x
@@ -492,7 +491,6 @@ def gmres(
     tol: float = 1e-4,
     max_restarts: int = 500,
     orth_method: str = "cgs",
-    gemv_variant: str = "magma",
     balance: bool = True,
     x0: np.ndarray | None = None,
     preconditioner=None,
@@ -505,9 +503,8 @@ def gmres(
     Parameters
     ----------
     orth_method
-        ``"cgs"`` (BLAS-2, the paper's fast configuration) or ``"mgs"``.
-    gemv_variant
-        Tall-skinny DGEMV implementation for CGS (``"magma"``/``"cublas"``).
+        ``"cgs"`` (BLAS-2, the paper's fast configuration, with MAGMA's
+        tall-skinny DGEMV) or ``"mgs"``.
 
     The other parameters are documented on :class:`RestartedRun`.
 
@@ -518,8 +515,7 @@ def gmres(
     """
     return GmresRun(
         matrix, b, ctx=ctx, n_gpus=n_gpus, partition=partition, m=m, tol=tol,
-        max_restarts=max_restarts, orth_method=orth_method,
-        gemv_variant=gemv_variant, balance=balance, x0=x0,
-        preconditioner=preconditioner, degrade=degrade, deadline=deadline,
-        plan=plan,
+        max_restarts=max_restarts, orth_method=orth_method, balance=balance,
+        x0=x0, preconditioner=preconditioner, degrade=degrade,
+        deadline=deadline, plan=plan,
     ).result()

@@ -55,21 +55,16 @@ __all__ = ["pipelined_gmres"]
 class PipelinedRun(RestartedRun):
     """Pipelined GMRES(m) on the shared restart loop.
 
-    ``gemv_variant`` is as in :func:`pipelined_gmres`; every other argument
-    is documented on :class:`~repro.core.gmres.RestartedRun`.
+    Every argument is documented on :class:`~repro.core.gmres.RestartedRun`.
     """
 
     name = "pipelined_gmres"
-
-    def __init__(self, matrix, b, gemv_variant: str = "magma", **kwargs):
-        self.gemv_variant = gemv_variant
-        super().__init__(matrix, b, **kwargs)
 
     def cycle(self, offset, restart_index):
         ctx, st = self.ctx, self.st
         j_used = _pipelined_cycle(
             ctx, st.plan.dmat, st.plan.V, st.x, st.b, self.m, self.abs_tol,
-            self.gemv_variant, self.history, offset,
+            self.history, offset,
         )
         return j_used, 0, checked_true_residual(ctx, self.A_solve, self.b_solve, st.x)
 
@@ -83,23 +78,16 @@ def pipelined_gmres(
     m: int = 30,
     tol: float = 1e-4,
     max_restarts: int = 500,
-    gemv_variant: str = "magma",
     balance: bool = True,
     degrade: DegradePolicy | None = None,
     deadline: float | None = None,
 ) -> SolveResult:
     """Solve ``A x = b`` with one-stage pipelined GMRES(m).
 
-    CGS orthogonalization only — the pipelining targets CGS's norm round
-    trip.
+    CGS orthogonalization only (with MAGMA's tall-skinny DGEMV) — the
+    pipelining targets CGS's norm round trip.
 
-    Parameters
-    ----------
-    gemv_variant
-        Tall-skinny DGEMV implementation for the CGS projection
-        (``"magma"``/``"cublas"``).
-
-    The other parameters are documented on
+    The parameters are documented on
     :class:`~repro.core.gmres.RestartedRun`.
 
     Returns
@@ -108,8 +96,8 @@ def pipelined_gmres(
     """
     return PipelinedRun(
         matrix, b, ctx=ctx, n_gpus=n_gpus, partition=partition, m=m, tol=tol,
-        max_restarts=max_restarts, gemv_variant=gemv_variant, balance=balance,
-        degrade=degrade, deadline=deadline,
+        max_restarts=max_restarts, balance=balance, degrade=degrade,
+        deadline=deadline,
     ).result()
 
 
@@ -128,7 +116,7 @@ def _deferred_norm(ctx, cols, start_spmv):
 
 
 def _pipelined_cycle(
-    ctx, dmat, V, x, b_dist, m, abs_tol, gemv_variant, history, iter_offset
+    ctx, dmat, V, x, b_dist, m, abs_tol, history, iter_offset
 ) -> int:
     """One pipelined restart cycle; returns iterations performed."""
     with ctx.region("spmv"):
@@ -176,7 +164,7 @@ def _pipelined_cycle(
             # iteration's overlapped reduction).
             prev = V.panel(0, j + 1)
             partials = [
-                blas.gemv_t(pv, wc, variant=gemv_variant)
+                blas.gemv_t(pv, wc, variant="magma")
                 for pv, wc in zip(prev, V.column(j + 1))
             ]
             r = ctx.allreduce_sum(partials)
@@ -184,7 +172,7 @@ def _pipelined_cycle(
             for bc, (pv, wc) in zip(
                 ctx.broadcast(r), zip(prev, V.column(j + 1))
             ):
-                blas.gemv_n_update(pv, bc, wc, variant=gemv_variant)
+                blas.gemv_n_update(pv, bc, wc, variant="magma")
         pending_h = r
         j_used = j + 1
     else:

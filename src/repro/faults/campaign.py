@@ -60,7 +60,8 @@ def make_session(
     closure, exchange index sets) is computed once and shared by every
     trial; :meth:`~repro.serve.SolverSession.arm_fault_plan` swaps the
     fault schedule between trials on the long-lived context.  Only the
-    sessionable solvers are supported (``pipelined`` has no Run form).
+    solvers a :class:`~repro.serve.SolverSession` serves are supported:
+    ``gmres`` and ``ca_gmres``, not ``pipelined``.
     ``metrics`` (a :class:`~repro.metrics.registry.MetricsRegistry`) makes
     the session record serving + solve telemetry labeled with ``problem``.
     """

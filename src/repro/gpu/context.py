@@ -3,9 +3,10 @@
 ``MultiGpuContext`` owns the devices, the host, the PCIe bus, the event
 trace, and named timing regions.  All host<->device data movement flows
 through it: each transfer walks its device's route (here, the shared PCIe
-bus) and every hop records an h2d/d2h interval into the trace, which also
-tallies :attr:`MultiGpuContext.counters`.  So communication counts, volumes
-and the simulated timeline come from one record.
+bus) and every hop records an h2d/d2h interval into the trace.
+:attr:`MultiGpuContext.counters` and :attr:`MultiGpuContext.timers` are
+folded from that trace, so communication counts, volumes and the simulated
+timeline come from one record.
 
 Time semantics
 --------------
@@ -115,13 +116,13 @@ class MultiGpuContext:
 
     @property
     def counters(self) -> Counters:
-        """Runtime counts, tallied by the trace from the events it records."""
-        return self.trace.counters
+        """Runtime counts, folded from the trace's events."""
+        return self.trace.fold().counters
 
     @property
     def timers(self) -> dict[str, float]:
-        """Per-region exclusive simulated seconds (derived from the trace)."""
-        return self.trace.exclusive_totals()
+        """Per-region exclusive simulated seconds, folded from the trace."""
+        return self.trace.fold().timers
 
     @property
     def n_gpus(self) -> int:
@@ -191,11 +192,13 @@ class MultiGpuContext:
     def reset_clocks(self) -> None:
         """Zero all clocks, the bus, the event trace — and the fault state.
 
-        Resetting the injector restores its RNG streams and occurrence
-        counters, and the device roster is restored to the full set built
-        at construction, so every solve started on this context replays
-        the same deterministic fault schedule — including any mid-run
-        device deactivations a degrade policy performed.
+        Wiping the trace zeroes :attr:`counters` and :attr:`timers` too:
+        this is the context's only reset.  Resetting the injector restores
+        its RNG streams and occurrence counters, and the device roster is
+        restored to the full set built at construction, so every solve
+        started on this context replays the same deterministic fault
+        schedule — including any mid-run device deactivations a degrade
+        policy performed.
         """
         self.host.clock = 0.0
         self.host._poison_pending = None

@@ -131,7 +131,7 @@ class Device(_Clocked):
     perf
         Shared performance model.
     trace
-        The context's event trace (and counter tally).
+        The context's event trace.
     """
 
     def __init__(self, device_id: int, perf: PerformanceModel, trace, faults=None):

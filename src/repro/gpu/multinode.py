@@ -90,6 +90,9 @@ class MultiNodeContext(MultiGpuContext):
         Per-node machine description (defaults to a Keeneland node).
     network
         Inter-node link (defaults to InfiniBand QDR).
+    fault_plan, validate_transfers
+        As for :class:`~repro.gpu.context.MultiGpuContext`; the fault plan
+        also arms each remote node's PCIe bus.
     """
 
     def __init__(
@@ -98,6 +101,8 @@ class MultiNodeContext(MultiGpuContext):
         gpus_per_node: int = 3,
         machine: MachineSpec | None = None,
         network: NetworkSpec | None = None,
+        fault_plan=None,
+        validate_transfers: bool = False,
     ):
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
@@ -105,7 +110,10 @@ class MultiNodeContext(MultiGpuContext):
             raise ValueError("gpus_per_node must be >= 1")
         if machine is None:
             machine = keeneland_node(min(gpus_per_node, 3))
-        super().__init__(n_nodes * gpus_per_node, machine=machine)
+        super().__init__(
+            n_nodes * gpus_per_node, machine=machine, fault_plan=fault_plan,
+            validate_transfers=validate_transfers,
+        )
         self.n_nodes = int(n_nodes)
         self.gpus_per_node = int(gpus_per_node)
         self.network = network if network is not None else infiniband_qdr()

@@ -15,25 +15,30 @@ come from.  It logs:
   spans of nested child regions), so nested regions never double-count;
 * fault-lane events and **cycle marks** at restart-cycle boundaries.
 
-Recording an event also tallies it into :attr:`TraceRecorder.counters`
-(``ctx.counters``).  Everything else is derived from the log on demand:
+Recording only appends.  Every aggregate is folded from the log by one
+walker, :meth:`TraceRecorder.fold`, into a :class:`TraceFold`:
 
-* :meth:`TraceRecorder.exclusive_totals` — the ``ctx.timers`` view;
-* :meth:`TraceRecorder.profile` — per-kernel / per-region / per-transfer /
-  per-restart-cycle aggregates, attached to ``SolveResult.details["profile"]``;
-* :meth:`TraceRecorder.to_chrome_trace` — Chrome ``trace_event``-format JSON
-  (one lane per device + host + PCIe bus + a region lane) that opens in
-  ``chrome://tracing`` / Perfetto.
+* ``counters`` — the runtime counts, the ``ctx.counters`` view;
+* ``timers`` — per-region exclusive seconds, the ``ctx.timers`` view;
+* per-kernel / per-region / per-transfer / per-lane / per-restart-cycle
+  aggregates; :meth:`TraceFold.profile` is ``SolveResult.details["profile"]``.
+
+So a count and a time always come from the same record, and
+:meth:`TraceRecorder.reset` (run by ``ctx.reset_clocks()``) is the only
+reset.  :meth:`TraceRecorder.to_chrome_trace` exports the log as Chrome
+``trace_event``-format JSON (one lane per device + host + PCIe bus + a
+region lane) that opens in ``chrome://tracing`` / Perfetto.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .counters import Counters
 
-__all__ = ["TraceEvent", "TraceRecorder"]
+__all__ = ["TraceEvent", "TraceFold", "TraceRecorder"]
 
 #: Lane name used for region (phase) span events in exported traces.
 REGION_LANE = "regions"
@@ -86,19 +91,81 @@ class TraceEvent:
         return self.start + self.duration
 
 
-class TraceRecorder:
-    """Append-only event log with region nesting, cycle marks and counters.
+@dataclass
+class TraceFold:
+    """Every aggregate of one trace, from one walk over its events.
 
-    Recording is a dataclass append plus a counter tally; all aggregation
-    walks the log on demand.  :meth:`reset` leaves :attr:`counters` alone
-    (the solvers reset those themselves at the start of every run).
+    Attributes
+    ----------
+    counters
+        Runtime counts: one message of ``bytes`` per ``h2d``/``d2h`` event,
+        one launch (and its ``flops``) per device kernel, host flops or one
+        small dense LAPACK op (no ``flops``) per host kernel, and one device
+        deactivation / repartition per ``degraded`` / ``repartition`` event.
+    timers
+        Per-region *exclusive* seconds — the ``ctx.timers`` view.  For
+        nested regions the parent is charged only for the time not covered
+        by its children.
+    regions
+        Per-region ``count``, ``inclusive`` and ``exclusive`` seconds.
+        ``inclusive`` skips spans nested inside a same-named ancestor
+        (their time is already covered, so recursive regions are not
+        counted twice).
+    kernels
+        Per-kernel ``count``, total ``time`` and per-lane seconds ``by_lane``.
+    transfers
+        ``h2d``/``d2h`` message ``count``, ``bytes`` and bus ``time``.
+    lane_busy
+        Busy seconds per lane: kernel time on device/host lanes, link
+        occupancy on the PCIe and network lanes.  ``lane_busy[lane] /
+        end_time`` is the lane's utilization.
+    end_time
+        Latest event end (0.0 on an empty trace).
+    cycles
+        One entry per restart-cycle window: ``start``, ``end``,
+        ``duration`` and ``regions``, the inclusive seconds of each
+        top-level region starting in the window.
+    """
+
+    counters: Counters
+    timers: dict[str, float]
+    regions: dict[str, dict]
+    kernels: dict[str, dict]
+    transfers: dict[str, dict]
+    lane_busy: dict[str, float]
+    end_time: float
+    cycles: list[dict]
+
+    def profile(self) -> dict:
+        """Aggregate metrics for ``SolveResult.details["profile"]``.
+
+        Keys: ``total_time`` (latest event end), ``regions``, ``kernels``,
+        ``transfers``, ``bus`` (occupancy summary) and ``cycles``.
+        """
+        h2d, d2h = self.transfers["h2d"], self.transfers["d2h"]
+        return {
+            "total_time": self.end_time,
+            "regions": self.regions,
+            "kernels": self.kernels,
+            "transfers": self.transfers,
+            "bus": {
+                "busy_time": h2d["time"] + d2h["time"],
+                "messages": h2d["count"] + d2h["count"],
+            },
+            "cycles": self.cycles,
+        }
+
+
+class TraceRecorder:
+    """Append-only event log with region nesting and cycle marks.
+
+    Recording is a dataclass append; every aggregate is folded from the
+    log on demand by :meth:`fold`.
     """
 
     def __init__(self):
         self.events: list[TraceEvent] = []
         self.cycle_marks: list[float] = []
-        #: Runtime counts; only :meth:`record` writes them.
-        self.counters = Counters()
         # Region stack entries: [name, start_time, child_inclusive_time].
         self._region_stack: list[list] = []
 
@@ -114,35 +181,8 @@ class TraceRecorder:
         duration: float,
         **args,
     ) -> None:
-        """Append one interval event and tally it into :attr:`counters`.
-
-        A kernel counts one launch of ``name`` and its ``flops`` arg; a
-        host kernel without ``flops`` is a small dense LAPACK op.  Each
-        ``h2d``/``d2h`` event is one message of ``bytes``; ``degraded`` and
-        ``repartition`` events count device deactivations and repartitions.
-        """
+        """Append one interval event."""
         self.events.append(TraceEvent(name, lane, kind, start, duration, args))
-        c = self.counters
-        if kind == "kernel":
-            c.kernel_counts[name] = c.kernel_counts.get(name, 0) + 1
-            flops = args.get("flops")
-            if lane != "host":
-                c.kernel_launches += 1
-                c.device_flops += flops or 0
-            elif flops is None:
-                c.host_small_ops += 1
-            else:
-                c.host_flops += flops
-        elif kind == "h2d":
-            c.h2d_messages += 1
-            c.h2d_bytes += args["bytes"]
-        elif kind == "d2h":
-            c.d2h_messages += 1
-            c.d2h_bytes += args["bytes"]
-        elif kind == "degraded":
-            c.device_deactivations += 1
-        elif kind == "repartition":
-            c.repartitions += 1
 
     def region_enter(self, name: str, t: float) -> None:
         """Open a (possibly nested) region at simulated time ``t``."""
@@ -190,7 +230,8 @@ class TraceRecorder:
         self.cycle_marks.append(float(t))
 
     def reset(self) -> None:
-        """Drop all events, marks, and region state (not the counters)."""
+        """Drop all events, marks and region state — and with them every
+        aggregate, the counters included."""
         self.events.clear()
         self.cycle_marks.clear()
         self._region_stack.clear()
@@ -198,127 +239,102 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def exclusive_totals(self) -> dict[str, float]:
-        """Per-region exclusive seconds — the ``ctx.timers`` view.
+    def fold(self) -> TraceFold:
+        """Every aggregate of the trace, folded from the events in one walk.
 
-        Folds the region events in exit order.  For non-nested regions this
-        is the wall-clock delta; for nested regions the parent is charged
-        only for the time not covered by its children.
+        Events are folded in recording order, so sums and dict key orders
+        are those of the timeline.  Cycle windows run from each mark to the
+        next (marks are stamped in time order), the last one to the latest
+        event end.
         """
-        out: dict[str, float] = {}
-        for e in self.events:
-            if e.kind == "region":
-                out[e.name] = out.get(e.name, 0.0) + e.args["exclusive"]
-        return out
-
-    def end_time(self) -> float:
-        """Latest event end (0.0 on an empty trace)."""
-        return max((e.end for e in self.events), default=0.0)
-
-    def lane_busy_totals(self) -> dict[str, float]:
-        """Busy seconds per lane: kernel time for device/host lanes, link
-        occupancy (h2d/d2h intervals) for the PCIe and network lanes.
-
-        Together with :meth:`end_time` this yields per-device utilization:
-        ``busy[lane] / end_time()`` is the fraction of the run the lane had
-        work in flight.
-        """
-        busy: dict[str, float] = {}
-        for e in self.events:
-            if e.kind in ("kernel", "h2d", "d2h"):
-                busy[e.lane] = busy.get(e.lane, 0.0) + e.duration
-        return busy
-
-    def kernel_totals(self) -> dict[str, dict]:
-        """Per-kernel aggregates: count, total seconds, per-lane seconds."""
-        out: dict[str, dict] = {}
-        for e in self.events:
-            if e.kind != "kernel":
-                continue
-            entry = out.setdefault(
-                e.name, {"count": 0, "time": 0.0, "by_lane": {}}
-            )
-            entry["count"] += 1
-            entry["time"] += e.duration
-            entry["by_lane"][e.lane] = entry["by_lane"].get(e.lane, 0.0) + e.duration
-        return out
-
-    def region_totals(self) -> dict[str, dict]:
-        """Per-region aggregates.
-
-        ``inclusive`` skips spans nested inside a same-named ancestor (their
-        time is already covered, so recursive/self-nested regions are not
-        counted twice); ``exclusive`` matches :meth:`exclusive_totals`.
-        """
-        out: dict[str, dict] = {}
-        for e in self.events:
-            if e.kind != "region":
-                continue
-            entry = out.setdefault(
-                e.name, {"count": 0, "inclusive": 0.0, "exclusive": 0.0}
-            )
-            entry["count"] += 1
-            if not e.args.get("self_nested", False):
-                entry["inclusive"] += e.args["inclusive"]
-            entry["exclusive"] += e.args["exclusive"]
-        return out
-
-    def transfer_totals(self) -> dict[str, dict]:
-        """h2d/d2h aggregates: message count, bytes, bus seconds."""
-        out = {
+        kernel_launches = host_small_ops = deactivations = repartitions = 0
+        device_flops = host_flops = 0.0
+        end_time = 0.0
+        kernels: dict[str, dict] = {}
+        regions: dict[str, dict] = {}
+        lane_busy: dict[str, float] = {}
+        transfers = {
             "h2d": {"count": 0, "bytes": 0, "time": 0.0},
             "d2h": {"count": 0, "bytes": 0, "time": 0.0},
         }
+        tops: list[tuple[float, str, float]] = []  # top-level region spans
         for e in self.events:
-            if e.kind not in out:
-                continue
-            entry = out[e.kind]
-            entry["count"] += 1
-            entry["bytes"] += e.args.get("bytes", 0)
-            entry["time"] += e.duration
-        return out
+            kind, lane, duration, args = e.kind, e.lane, e.duration, e.args
+            end_time = max(end_time, e.start + duration)
+            if kind == "kernel":
+                entry = kernels.get(e.name)
+                if entry is None:
+                    entry = kernels[e.name] = {"count": 0, "time": 0.0, "by_lane": {}}
+                entry["count"] += 1
+                entry["time"] += duration
+                by_lane = entry["by_lane"]
+                by_lane[lane] = by_lane.get(lane, 0.0) + duration
+                lane_busy[lane] = lane_busy.get(lane, 0.0) + duration
+                flops = args.get("flops")
+                if lane != "host":
+                    kernel_launches += 1
+                    device_flops += flops or 0
+                elif flops is None:
+                    host_small_ops += 1
+                else:
+                    host_flops += flops
+            elif kind == "region":
+                entry = regions.get(e.name)
+                if entry is None:
+                    entry = regions[e.name] = {"count": 0, "inclusive": 0.0, "exclusive": 0.0}
+                entry["count"] += 1
+                if not args.get("self_nested", False):
+                    entry["inclusive"] += args["inclusive"]
+                entry["exclusive"] += args["exclusive"]
+                if args.get("depth", 0) == 0:
+                    tops.append((e.start, e.name, args["inclusive"]))
+            elif kind in transfers:
+                entry = transfers[kind]
+                entry["count"] += 1
+                entry["bytes"] += args.get("bytes", 0)
+                entry["time"] += duration
+                lane_busy[lane] = lane_busy.get(lane, 0.0) + duration
+            elif kind == "degraded":
+                deactivations += 1
+            elif kind == "repartition":
+                repartitions += 1
 
-    def cycle_windows(self) -> list[tuple[float, float]]:
-        """Restart-cycle windows ``[(start, end), ...]`` from the marks."""
-        if not self.cycle_marks:
-            return []
-        bounds = list(self.cycle_marks) + [max(self.end_time(), self.cycle_marks[-1])]
-        return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+        marks = self.cycle_marks
+        bounds = marks + [max(end_time, marks[-1])] if marks else []
+        cycles = [
+            {"start": start, "end": end, "duration": end - start, "regions": {}}
+            for start, end in zip(bounds, bounds[1:])
+        ]
+        for start, name, inclusive in tops:
+            i = bisect_right(marks, start) - 1
+            if i >= 0 and start < bounds[i + 1]:
+                spans = cycles[i]["regions"]
+                spans[name] = spans.get(name, 0.0) + inclusive
 
-    def profile(self) -> dict:
-        """Aggregate metrics for ``SolveResult.details["profile"]``.
-
-        Keys: ``total_time`` (latest event end), ``regions`` (per-region
-        inclusive/exclusive/count), ``kernels`` (per-kernel count/time/lane
-        split), ``transfers`` (h2d/d2h count/bytes/bus-time), ``bus``
-        (occupancy summary), and ``cycles`` (per-restart-cycle duration and
-        top-level region breakdown).
-        """
-        transfers = self.transfer_totals()
-        cycles = []
-        for start, end in self.cycle_windows():
-            regions: dict[str, float] = {}
-            for e in self.events:
-                if (
-                    e.kind == "region"
-                    and e.args.get("depth", 0) == 0
-                    and start <= e.start < end
-                ):
-                    regions[e.name] = regions.get(e.name, 0.0) + e.args["inclusive"]
-            cycles.append(
-                {"start": start, "end": end, "duration": end - start, "regions": regions}
-            )
-        return {
-            "total_time": self.end_time(),
-            "regions": self.region_totals(),
-            "kernels": self.kernel_totals(),
-            "transfers": transfers,
-            "bus": {
-                "busy_time": transfers["h2d"]["time"] + transfers["d2h"]["time"],
-                "messages": transfers["h2d"]["count"] + transfers["d2h"]["count"],
-            },
-            "cycles": cycles,
-        }
+        h2d, d2h = transfers["h2d"], transfers["d2h"]
+        counters = Counters(
+            h2d_messages=h2d["count"],
+            h2d_bytes=h2d["bytes"],
+            d2h_messages=d2h["count"],
+            d2h_bytes=d2h["bytes"],
+            kernel_launches=kernel_launches,
+            device_flops=device_flops,
+            host_flops=host_flops,
+            host_small_ops=host_small_ops,
+            device_deactivations=deactivations,
+            repartitions=repartitions,
+            kernel_counts={name: k["count"] for name, k in kernels.items()},
+        )
+        return TraceFold(
+            counters=counters,
+            timers={name: r["exclusive"] for name, r in regions.items()},
+            regions=regions,
+            kernels=kernels,
+            transfers=transfers,
+            lane_busy=lane_busy,
+            end_time=end_time,
+            cycles=cycles,
+        )
 
     # ------------------------------------------------------------------
     # Chrome trace_event export

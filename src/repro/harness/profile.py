@@ -2,7 +2,7 @@
 
 The paper's Tables/Figs. 11-15 are per-kernel breakdowns of where CA-GMRES
 time goes.  These helpers turn ``SolveResult.details["profile"]`` (built by
-:meth:`repro.gpu.trace.TraceRecorder.profile`) into the same table shapes,
+:meth:`repro.gpu.trace.TraceFold.profile`) into the same table shapes,
 so benchmark scripts report attribution from the structured event trace
 rather than the coarse ``ctx.timers`` sums.
 """

@@ -121,20 +121,22 @@ def plan_build_seconds(reg: MetricsRegistry):
 def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "") -> None:
     """Record one finished run's runtime telemetry from ``ctx``.
 
-    Utilization is derived from the structured event trace: a device is
-    *busy* while a kernel interval occupies its lane, the PCIe bus while a
-    transfer occupies the ``pcie`` lane; *elapsed* is the latest event end.
-    Kernel-launch / transfer / flop counts are read from ``ctx.counters``,
-    which the trace tallies as it records each event.  Each completed
-    restart cycle — a trace cycle window holding no ``unrecovered`` fault
-    event — is one sample of the cycle-duration histogram.
+    Everything is read from one fold of the structured event trace
+    (:meth:`~repro.gpu.trace.TraceRecorder.fold`): a device is *busy*
+    while a kernel interval occupies its lane, the PCIe bus while a
+    transfer occupies the ``pcie`` lane; *elapsed* is the latest event end;
+    kernel-launch / transfer / flop counts are the fold's counters.  Each
+    completed restart cycle — a trace cycle window holding no
+    ``unrecovered`` fault event — is one sample of the cycle-duration
+    histogram.
     """
     if not reg.enabled:
         return
     labels = {"solver": solver, "matrix": matrix}
     trace = ctx.trace
-    elapsed = trace.end_time()
-    busy = trace.lane_busy_totals()
+    fold = trace.fold()
+    elapsed = fold.end_time
+    busy = fold.lane_busy
 
     busy_total = reg.counter(
         "repro_lane_busy_seconds_total",
@@ -166,7 +168,7 @@ def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "
         labelnames=_SM,
     ).inc(elapsed, **labels)
 
-    counters = ctx.counters
+    counters = fold.counters
     launches = reg.counter(
         "repro_kernel_launches_total", "Kernel launches by op/variant",
         labelnames=_SM + ("kernel",),
@@ -178,7 +180,7 @@ def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "
         "Simulated kernel seconds by op/variant and lane",
         labelnames=_SM + ("kernel", "device"),
     )
-    for kernel, entry in sorted(trace.kernel_totals().items()):
+    for kernel, entry in sorted(fold.kernels.items()):
         for lane, seconds in sorted(entry["by_lane"].items()):
             kernel_seconds.inc(seconds, kernel=kernel, device=lane, **labels)
 
@@ -221,9 +223,9 @@ def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "
         for e in trace.fault_events() if e.kind == "unrecovered"
     }
     cycle_seconds = solver_cycle_seconds(reg)
-    for i, (start, end) in enumerate(trace.cycle_windows()):
+    for i, cycle in enumerate(fold.cycles):
         if i not in aborted:
-            cycle_seconds.observe(end - start, **labels)
+            cycle_seconds.observe(cycle["duration"], **labels)
 
 
 # ---------------------------------------------------------------------------

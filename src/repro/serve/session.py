@@ -54,7 +54,6 @@ _PER_SOLVE_KWARGS = frozenset(
         "collect_tsqr_errors",
         "adaptive_s",
         "on_breakdown",
-        "max_panel_retries",
     }
 )
 

@@ -80,7 +80,7 @@ def test_cycle_windows(solver, problem):
     A, b = problem
     ctx = MultiGpuContext(2)
     r = solve(A, b, ctx=ctx, **kw)
-    windows = ctx.trace.cycle_windows()
+    windows = [(c["start"], c["end"]) for c in ctx.trace.fold().cycles]
     assert r.n_restarts > 1 and len(windows) == r.n_restarts
     times = [t for start, end in windows for t in (start, end)]
     assert times == sorted(times)
@@ -97,7 +97,7 @@ def test_deadline_stops_at_restart_boundary(solver, problem):
     deg = r.details["degradation"]
     assert deg["deadline_exceeded"] and not r.converged
     # The cycle in flight at the deadline completes; no further one starts.
-    windows = ctx.trace.cycle_windows()
+    windows = [(c["start"], c["end"]) for c in ctx.trace.fold().cycles]
     assert r.n_restarts == 2 == len(windows) == len(r.history.true_residuals)
     assert windows[0][1] < deadline <= windows[1][1]
 

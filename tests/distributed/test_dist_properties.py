@@ -69,7 +69,7 @@ def test_spmv_message_bound(system):
     dmat = DistributedMatrix(ctx, matrix, partition)
     V = DistMultiVector(ctx, partition, 2)
     V.set_column_from_host(0, np.ones(matrix.n_rows))
-    ctx.counters.reset()
+    ctx.reset_clocks()
     dmat.spmv(V, 0, V, 1)
     assert ctx.counters.d2h_messages <= partition.n_parts
     assert ctx.counters.h2d_messages <= partition.n_parts

@@ -39,7 +39,7 @@ class TestStagedExchange:
         part = block_row_partition(9, 3)
         recv = [np.array([3]), np.array([0]), np.array([4])]
         ex = StagedExchange(part, recv)
-        ctx.counters.reset()
+        ctx.reset_clocks()
         ex.exchange(ctx, dist_parts(ctx, part, np.zeros(9)))
         # Devices 0 and 1 send (dev 2's element {4} is owned by dev 1, and
         # nobody asks for dev 2's rows); all three devices receive.
@@ -50,7 +50,7 @@ class TestStagedExchange:
         ctx = MultiGpuContext(2)
         part = block_row_partition(4, 2)
         ex = StagedExchange(part, [np.empty(0, np.int64), np.empty(0, np.int64)])
-        ctx.counters.reset()
+        ctx.reset_clocks()
         received = ex.exchange(ctx, dist_parts(ctx, part, np.zeros(4)))
         assert ctx.counters.total_messages == 0
         assert all(r.size == 0 for r in received)

@@ -60,7 +60,7 @@ class TestDistMultiVector:
 
     def test_transfers_are_counted(self, ctx3):
         mv = DistMultiVector(ctx3, block_row_partition(9, 3), 1)
-        ctx3.counters.reset()
+        ctx3.reset_clocks()
         mv.set_column_from_host(0, np.zeros(9))
         assert ctx3.counters.h2d_messages == 3
         mv.gather_column_to_host(0)

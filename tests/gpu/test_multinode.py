@@ -48,10 +48,10 @@ class TestTransferSemantics:
 
     def test_remote_d2h_counts_network_message(self):
         ctx = MultiNodeContext(2, 1)
-        ctx.counters.reset()
+        ctx.reset_clocks()
         ctx.d2h(ctx.devices[1].zeros(10))  # remote device
         assert ctx.counters.d2h_messages == 2  # PCIe + network hop
-        ctx.counters.reset()
+        ctx.reset_clocks()
         ctx.d2h(ctx.devices[0].zeros(10))  # local device
         assert ctx.counters.d2h_messages == 1
 
@@ -181,3 +181,21 @@ class TestOneRecordOnMultiNode:
         }
         assert peers & {"gpu2", "gpu3"}, peers
         assert all(route[0].faults is ctx.faults for route in ctx._routes.values())
+
+    def test_fault_plan_at_construction_equals_arming_after(self):
+        A = poisson2d(16)
+        plan = FaultPlan(seed=1, rate=0.01, kinds=("corrupt", "stall"))
+        armed = MultiNodeContext(2, 2)
+        armed.arm_fault_plan(plan)
+        built = MultiNodeContext(2, 2, fault_plan=plan)
+        assert built.resilience_enabled
+        r1, r2 = (
+            gmres(A, np.ones(A.n_rows), ctx=ctx, m=10, max_restarts=5)
+            for ctx in (armed, built)
+        )
+        assert np.array_equal(r1.x, r2.x)
+        assert r1.details["faults"]["injected"]
+        assert r1.details["faults"] == r2.details["faults"]
+
+    def test_validate_transfers_forwarded(self):
+        assert MultiNodeContext(2, 1, validate_transfers=True).validate_transfers

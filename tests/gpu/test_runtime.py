@@ -20,38 +20,6 @@ class TestCounters:
         assert c.total_messages == 5
         assert c.total_bytes == 30
 
-    def test_reset(self):
-        c = Counters()
-        c.kernel_launches = 5
-        c.reset()
-        assert c.kernel_launches == 0
-
-    def test_mark_and_since(self):
-        c = Counters()
-        c.mark("start")
-        c.h2d_messages += 4
-        diff = c.since("start")
-        assert diff["h2d_messages"] == 4
-        assert diff["d2h_messages"] == 0
-
-    def test_since_unknown_mark(self):
-        with pytest.raises(KeyError):
-            Counters().since("nope")
-
-    def test_reset_invalidates_marks(self):
-        # Regression: marks are snapshots of counter state, so a mark
-        # surviving reset() would make since() report negative deltas.
-        c = Counters()
-        c.h2d_messages = 4
-        c.mark("before")
-        c.reset()
-        with pytest.raises(KeyError):
-            c.since("before")
-        # Fresh marks after reset work as usual.
-        c.mark("after")
-        c.h2d_messages += 2
-        assert c.since("after")["h2d_messages"] == 2
-
 
 class TestPcieBus:
     def test_message_time(self):
@@ -224,7 +192,7 @@ class TestAllreduce:
 
     def test_allreduce_message_count(self):
         ctx = MultiGpuContext(3)
-        ctx.counters.reset()
+        ctx.reset_clocks()
         partials = [dev.zeros(2) for dev in ctx.devices]
         ctx.allreduce_sum(partials)
         assert ctx.counters.d2h_messages == 3

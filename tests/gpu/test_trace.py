@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.gpu.context import MultiGpuContext
+from repro.gpu.counters import Counters
 from repro.gpu.trace import TraceRecorder
 
 
@@ -26,7 +27,7 @@ class TestTraceRecorder:
         tr.region_enter("inner", 1.0)
         tr.region_exit("inner", 3.0)
         tr.region_exit("outer", 4.0)
-        totals = tr.exclusive_totals()
+        totals = tr.fold().timers
         assert totals["inner"] == pytest.approx(2.0)
         assert totals["outer"] == pytest.approx(2.0)  # 4 - 2 nested
         # Wall clock is fully attributed exactly once.
@@ -48,7 +49,7 @@ class TestTraceRecorder:
         tr.region_enter("outer", 1.0)  # recursive same-name span
         tr.region_exit("outer", 2.0)
         tr.region_exit("outer", 3.0)
-        totals = tr.region_totals()
+        totals = tr.fold().regions
         # The nested same-name span must not double its parent's inclusive.
         assert totals["outer"]["inclusive"] == pytest.approx(3.0)
         assert totals["outer"]["exclusive"] == pytest.approx(3.0)
@@ -59,7 +60,8 @@ class TestTraceRecorder:
         tr.mark_cycle(0.0)
         tr.mark_cycle(2.0)
         tr.record("k", "gpu0", "kernel", 2.0, 1.0)
-        assert tr.cycle_windows() == [(0.0, 2.0), (2.0, 3.0)]
+        cycles = tr.fold().cycles
+        assert [(c["start"], c["end"]) for c in cycles] == [(0.0, 2.0), (2.0, 3.0)]
 
     def test_reset_clears_everything(self):
         tr = TraceRecorder()
@@ -70,7 +72,7 @@ class TestTraceRecorder:
         tr.reset()
         assert tr.events == []
         assert tr.cycle_marks == []
-        assert tr.exclusive_totals() == {}
+        assert tr.fold().timers == {}
 
 
 class TestContextIntegration:
@@ -120,7 +122,7 @@ class TestContextIntegration:
         with ctx.region("phase"):
             ctx.devices[0].advance(0.5)
         assert ctx.timers["phase"] == pytest.approx(2.0)
-        inclusive = ctx.trace.region_totals()["phase"]["inclusive"]
+        inclusive = ctx.trace.fold().regions["phase"]["inclusive"]
         assert inclusive == pytest.approx(ctx.timers["phase"])
 
     def test_reset_clocks_clears_trace(self):
@@ -143,15 +145,14 @@ class TestContextIntegration:
         snap = ctx.counters.snapshot()
         assert snap["kernel_counts"]["dot/cublas"] == 2
 
-    def test_counters_since_diffs_kernel_counts(self):
-        ctx = MultiGpuContext(1)
+    def test_reset_clocks_alone_zeroes_counters(self):
+        ctx = MultiGpuContext(2)
         ctx.devices[0].charge_kernel("dot", "cublas", n=10)
-        ctx.counters.mark("t0")
-        ctx.devices[0].charge_kernel("dot", "cublas", n=10)
-        ctx.devices[0].charge_kernel("axpy", "cublas", n=10)
-        diff = ctx.counters.since("t0")
-        assert diff["kernel_counts"]["dot/cublas"] == 1
-        assert diff["kernel_counts"]["axpy/cublas"] == 1
+        ctx.host.charge_small_dense("chol", 4)
+        ctx.d2h(ctx.devices[1].zeros(4))
+        assert ctx.counters.kernel_launches == 1
+        ctx.reset_clocks()
+        assert ctx.counters.snapshot() == Counters().snapshot()
 
 
 class TestProfileAndExport:
@@ -168,13 +169,13 @@ class TestProfileAndExport:
 
     def test_profile_regions_match_timers(self):
         ctx = self._tiny_trace()
-        profile = ctx.trace.profile()
+        profile = ctx.trace.fold().profile()
         for name, total in ctx.timers.items():
             assert profile["regions"][name]["inclusive"] == pytest.approx(total)
 
     def test_profile_kernels_and_transfers(self):
         ctx = self._tiny_trace()
-        profile = ctx.trace.profile()
+        profile = ctx.trace.fold().profile()
         assert profile["kernels"]["spmv/ellpack"]["count"] == 1
         assert "gpu0" in profile["kernels"]["spmv/ellpack"]["by_lane"]
         assert profile["transfers"]["h2d"]["count"] == 1
@@ -184,7 +185,7 @@ class TestProfileAndExport:
 
     def test_profile_cycles(self):
         ctx = self._tiny_trace()
-        profile = ctx.trace.profile()
+        profile = ctx.trace.fold().profile()
         assert len(profile["cycles"]) == 1
         cycle = profile["cycles"][0]
         assert set(cycle["regions"]) == {"spmv", "orth"}
@@ -309,7 +310,7 @@ def _solve_many_run():
 
 
 class TestOneRecord:
-    """Counters are tallied by the trace, so they equal its aggregates."""
+    """Counters are folded from the trace, so they equal its aggregates."""
 
     @pytest.mark.parametrize(
         "run",

@@ -116,7 +116,7 @@ def test_cycle_histogram_counts_completed_cycles(problem):
     )
     observe_context(reg, ctx, solver="ca_gmres", matrix="poisson2d")
     assert result.details["faults"]["aborted"] and result.n_restarts > 0
-    assert len(ctx.trace.cycle_windows()) == result.n_restarts + 1
+    assert len(ctx.trace.fold().cycles) == result.n_restarts + 1
     assert _cycle_samples(reg)["count"] == result.n_restarts
 
 
@@ -235,8 +235,8 @@ def test_plan_build_span_recorded_on_structural_miss(problem):
     r2 = sess.solve(b)
     assert sum(1 for e in sess.ctx.trace.events if e.kind == "plan") == 0
     assert r1.timers == r2.timers
-    # region_totals must not trip over the plan-kind event.
-    assert sess.ctx.trace.region_totals() is not None
+    # The fold must not trip over the plan-kind event.
+    assert sess.ctx.trace.fold().regions is not None
 
 
 def test_disabled_registry_bit_identical_and_empty(problem):

@@ -62,7 +62,7 @@ class TestBorthMethods:
         for j in (2, 8):
             ctx = MultiGpuContext(2)
             mv, _, _, _, _, k = setup_panels(ctx, rng, j=j)
-            ctx.counters.reset()
+            ctx.reset_clocks()
             borth(ctx, mv.panel(0, j), mv.panel(j, j + k), method="cgs")
             assert ctx.counters.total_messages == 2 * 2  # 2 phases x 2 devices
 
@@ -72,7 +72,7 @@ class TestBorthMethods:
         for j in (2, 6):
             ctx = MultiGpuContext(2)
             mv, _, _, _, _, k = setup_panels(ctx, rng, j=j)
-            ctx.counters.reset()
+            ctx.reset_clocks()
             borth(ctx, mv.panel(0, j), mv.panel(j, j + k), method="mgs")
             counts[j] = ctx.counters.total_messages
         assert counts[6] == 3 * counts[2]

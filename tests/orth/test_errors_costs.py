@@ -83,7 +83,7 @@ class TestCostTable:
             ctx = MultiGpuContext(2)
             V = rng.standard_normal((40, s + 1))
             mv, _ = make_dist_multivector(ctx, V)
-            ctx.counters.reset()
+            ctx.reset_clocks()
             tsqr(ctx, mv.panel(0, s + 1), method=method)
             measured_phases = ctx.counters.total_messages / 2
             assert measured_phases == tsqr_properties(method).comm_phases(s)

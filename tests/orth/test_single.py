@@ -69,7 +69,7 @@ class TestOrthogonalizeVector:
         for method in ("cgs", "mgs"):
             ctx = MultiGpuContext(2)
             mv, Q, v, j = setup(ctx, np.random.default_rng(3), j=6)
-            ctx.counters.reset()
+            ctx.reset_clocks()
             orthogonalize_vector(ctx, mv.panel(0, j), mv.column(j), method=method)
             counts[method] = ctx.counters.total_messages
         assert counts["cgs"] < counts["mgs"]

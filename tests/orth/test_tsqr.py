@@ -137,7 +137,7 @@ class TestCommunicationCounts:
         ctx = MultiGpuContext(3)
         V = rng.standard_normal((60, s_plus_1))
         mv, _ = make_dist_multivector(ctx, V)
-        ctx.counters.reset()
+        ctx.reset_clocks()
         tsqr(ctx, mv.panel(0, s_plus_1), method=method)
         messages = ctx.counters.total_messages
         if expected_phases is None:
@@ -152,7 +152,7 @@ class TestCommunicationCounts:
         for k in (3, 8):
             V = rng.standard_normal((40, k))
             mv, _ = make_dist_multivector(ctx, V)
-            ctx.counters.reset()
+            ctx.reset_clocks()
             tsqr(ctx, mv.panel(0, k), method="cholqr")
             assert ctx.counters.total_messages == 4  # 2 phases x 2 devices
 

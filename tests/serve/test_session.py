@@ -83,7 +83,6 @@ class TestWarmColdBitIdentity:
         sess = SolverSession(A, n_gpus=2, s=4, m=12, tol=1e-8)
         cold = sess.solve(b)
         sess.ctx.reset_clocks()
-        sess.ctx.counters.reset()
         warm = sess.solve(b)
         assert_identical(cold, warm)
 
