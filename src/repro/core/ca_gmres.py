@@ -378,7 +378,6 @@ def _orthogonalize(
     C_total = np.zeros((j + 1, s_cur), dtype=np.float64)
     R_total = np.eye(s_cur, dtype=np.float64)
     breakdowns = 0
-    check = ctx.resilience_enabled
     for _ in range(reorth):
         with ctx.region("borth"):
             C_pass = borth(ctx, q_panels, v_panels, method=borth_method)
@@ -388,14 +387,13 @@ def _orthogonalize(
         with ctx.region("tsqr"):
             try:
                 R_pass = tsqr(
-                    ctx, v_panels, method=tsqr_method, variant=tsqr_variant,
-                    check_finite=check,
+                    ctx, v_panels, method=tsqr_method, variant=tsqr_variant
                 )
             except CholeskyBreakdown:
                 if on_breakdown == "raise":
                     raise
                 breakdowns += 1
-                R_pass = tsqr(ctx, v_panels, method="caqr", check_finite=check)
+                R_pass = tsqr(ctx, v_panels, method="caqr")
         if error_log is not None:
             post = _gather_panel(V, j + 1, j + s_cur + 1)
             error_log.append(

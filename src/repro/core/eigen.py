@@ -85,6 +85,12 @@ def ca_arnoldi_eigs(
     Returns
     -------
     CaArnoldiResult
+
+    Raises
+    ------
+    SilentDataCorruption, NonFinitePanelError
+        When a block's BOrth coefficients or TSQR R factor are non-finite
+        (an overflowing basis, say); there is no restart to roll back to.
     """
     if matrix.n_rows != matrix.n_cols:
         raise ValueError("ca_arnoldi_eigs requires a square matrix")

@@ -101,8 +101,8 @@ def gathered_solution(x: DistVector) -> np.ndarray:
 def checked_true_residual(ctx, A_solve, b_solve, x) -> float:
     """True residual norm at a restart boundary (uncosted diagnostic).
 
-    With resilience enabled, a non-finite value — a poisoned solution
-    update — raises for the cycle-redo machinery.
+    A non-finite value — a poisoned or overflowing solution update —
+    raises for the cycle-redo machinery.
     """
     true_res = float(np.linalg.norm(b_solve - A_solve.matvec(gathered_solution(x))))
     guard_finite(ctx, true_res, "true residual")
@@ -118,7 +118,6 @@ def run_gmres_cycle(
     m: int,
     abs_tol: float,
     orth_method: str = "cgs",
-    gemv_variant: str = "magma",
     history: ConvergenceHistory | None = None,
     iteration_offset: int = 0,
 ) -> CycleInfo:
@@ -143,11 +142,7 @@ def run_gmres_cycle(
             dmat.spmv(V, j, V, j + 1)
         with ctx.region("orth"):
             h = orthogonalize_vector(
-                ctx,
-                V.panel(0, j + 1),
-                V.column(j + 1),
-                method=orth_method,
-                gemv_variant=gemv_variant,
+                ctx, V.panel(0, j + 1), V.column(j + 1), method=orth_method
             )
         guard_finite(ctx, h, "Hessenberg column")
         H[: j + 2, j] = h

@@ -15,8 +15,12 @@ Detection is by *uncosted* host-side ``np.isfinite`` guards
 (:func:`guard_finite`) on the small quantities every cycle already
 materializes on the host — residual norms, Hessenberg columns, BOrth
 coefficients, TSQR R factors — so the guards never perturb the simulated
-timeline: with a zero-rate plan, results and timings are bit-identical to
-an unguarded run.
+timeline.  They are always armed: a fault plan switches injection on, and
+nothing switches detection off.  The same guards catch a basis that
+overflows on its own (a long monomial MPK basis, say), so such a solve
+ends as a structured abort rather than a non-finite ``x``.  With a
+zero-rate plan, results and timings are bit-identical to a run without a
+plan.
 
 Unrecoverable faults (exhausted retry budgets) do not raise out of the
 solvers; they abort the solve as an ``unrecovered`` event on the trace's
@@ -70,13 +74,10 @@ MAX_PANEL_RETRIES = 2
 def guard_finite(ctx, value, what: str, site: str | None = None) -> None:
     """Uncosted NaN/Inf check on host-side solver state.
 
-    A no-op unless the context has resilience enabled.  On failure the
-    detection is logged with the injector (and mirrored into the trace's
-    fault lane) and :class:`SilentDataCorruption` raised for the caller's
-    retry machinery.
+    Always armed, with or without a fault plan.  On failure the detection
+    is logged on the trace's fault lane and :class:`SilentDataCorruption`
+    raised for the caller's retry machinery.
     """
-    if not ctx.resilience_enabled:
-        return
     arr = np.asarray(value)
     if arr.size and not np.all(np.isfinite(arr)):
         ctx.faults.note_detection(what, time=ctx.current_time(), site=site)
@@ -103,10 +104,11 @@ def _restore_history(history, snap: tuple[int, int]) -> None:
     del history.true_residuals[snap[1] :]
 
 
-def run_cycle_resilient(
-    ctx, cycle, x, history, max_redos: int = MAX_CYCLE_REDOS, degrader=None,
-):
+def run_cycle_resilient(ctx, cycle, x, history, degrader=None):
     """Run one restart cycle with checkpoint/redo semantics.
+
+    A recoverable fault rolls the cycle back and replays it, at most
+    :data:`MAX_CYCLE_REDOS` times.
 
     Parameters
     ----------
@@ -126,8 +128,6 @@ def run_cycle_resilient(
     history
         The convergence history; estimate entries recorded by a failed
         attempt are rolled back with the solution.
-    max_redos
-        Redo budget per cycle.
     degrader
         Optional :class:`~repro.core.degrade.DegradationManager`.  A
         :class:`DeviceLost` is offered to it first: on absorption the
@@ -146,8 +146,6 @@ def run_cycle_resilient(
         ``aborted`` is True when the solve must stop.  The terminal
         failure is then an ``unrecovered`` fault-lane event.
     """
-    if not ctx.resilience_enabled:
-        return cycle(), False
     checkpoint = snapshot_solution(x)
     hist_mark = _snapshot_history(history)
     attempt = 0
@@ -162,7 +160,7 @@ def run_cycle_resilient(
         except RECOVERABLE_FAULTS as exc:
             restore_solution(x, checkpoint)
             _restore_history(history, hist_mark)
-            if attempt == max_redos:
+            if attempt == MAX_CYCLE_REDOS:
                 ctx.faults.note_unrecovered(
                     {
                         "error": type(exc).__name__,

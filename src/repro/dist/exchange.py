@@ -23,7 +23,11 @@ from ..gpu.context import MultiGpuContext
 from ..gpu.device import DeviceArray
 from ..order.partition import Partition
 
-__all__ = ["StagedExchange"]
+__all__ = ["MAX_TRANSFER_RETRIES", "StagedExchange"]
+
+#: How many times one corrupted transfer is re-issued before
+#: :class:`TransferCorruption` escalates to the solver.
+MAX_TRANSFER_RETRIES = 2
 
 
 class StagedExchange:
@@ -37,22 +41,16 @@ class StagedExchange:
         ``recv_global[d]`` lists the *global* indices of the non-owned
         elements device ``d`` must receive (sorted, unique, none owned
         by ``d``).
-    max_transfer_retries
-        How many times to re-issue a transfer that arrives corrupted
-        (detected via ``ctx.validate_transfers``).  Corruption is
-        transient — the source buffer is intact — so a retry delivers
-        clean bytes at the cost of one extra (costed) bus message.  After
-        the budget is exhausted :class:`TransferCorruption` propagates to
-        the solver's panel/cycle retry machinery.
+
+    A transfer that arrives corrupted (the context checks every arrival)
+    is re-issued up to :data:`MAX_TRANSFER_RETRIES` times.  Corruption is
+    transient — the source buffer is intact — so a retry delivers clean
+    bytes at the cost of one extra (costed) bus message.  After the budget
+    is exhausted :class:`TransferCorruption` propagates to the solver's
+    panel/cycle retry machinery.
     """
 
-    def __init__(
-        self,
-        partition: Partition,
-        recv_global: list[np.ndarray],
-        max_transfer_retries: int = 2,
-    ):
-        self.max_transfer_retries = int(max_transfer_retries)
+    def __init__(self, partition: Partition, recv_global: list[np.ndarray]):
         if len(recv_global) != partition.n_parts:
             raise ValueError("recv_global must have one entry per part")
         self.partition = partition
@@ -106,7 +104,7 @@ class StagedExchange:
     def _retried(self, ctx: MultiGpuContext, transfer, what: str):
         """Run ``transfer()``, re-issuing it on transient corruption."""
         last = None
-        for attempt in range(self.max_transfer_retries + 1):
+        for attempt in range(MAX_TRANSFER_RETRIES + 1):
             try:
                 result = transfer()
             except TransferCorruption as exc:
@@ -128,8 +126,8 @@ class StagedExchange:
         Returns ``received[d]``: the values of ``recv_global[d]`` now resident
         on device ``d`` (already transferred; the caller places them).
         Issues at most one d2h and one h2d message per device — plus up to
-        ``max_transfer_retries`` re-issues per transfer when the context
-        detects corrupted payloads.
+        :data:`MAX_TRANSFER_RETRIES` re-issues per transfer when the
+        context detects corrupted payloads.
         """
         if len(x_parts) != self.partition.n_parts:
             raise ValueError("x_parts must have one entry per device")

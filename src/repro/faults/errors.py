@@ -47,11 +47,10 @@ class DeviceLost(FaultError):
 class TransferCorruption(FaultError):
     """A PCIe payload arrived with non-finite entries.
 
-    Raised by ``MultiGpuContext.h2d``/``d2h`` when transfer validation is
-    enabled (``validate_transfers=True``) and the delivered buffer fails
-    the ``np.isfinite`` guard — whether the corruption was injected by a
-    :class:`~repro.faults.plan.FaultPlan` or produced by real divergent
-    arithmetic upstream.
+    Raised by ``MultiGpuContext.h2d``/``d2h`` when the delivered buffer
+    fails the always-armed ``np.isfinite`` arrival guard — whether the
+    corruption was injected by a :class:`~repro.faults.plan.FaultPlan` or
+    produced by real divergent arithmetic upstream.
     """
 
 

@@ -10,7 +10,12 @@ device, the host, and the PCIe bus.  The hook points:
 * ``PcieBus.schedule`` -> :meth:`on_bus_message` (stall / corrupt);
 * ``MultiGpuContext.h2d/d2h`` -> :meth:`apply_pending_corrupt` (write the
   drawn corruption into the *arriving* copy) and :meth:`check_alive`.
-  Only ``ctx.bus`` (node 0's bus on a multi-node context) draws faults.
+  Every PCIe bus draws faults; a multi-node context's network links do
+  not.
+
+A plan switches injection only.  Detection does not depend on one: the
+context's arrival checks and the solvers' guards are always armed, and
+log through the ``note_*`` methods whether or not a plan is attached.
 
 The log is the trace: every injection, detection, recovery, terminal
 failure (``unrecovered``) and degraded-mode event is recorded as a
@@ -105,8 +110,8 @@ class FaultInjector:
     plan
         The :class:`~repro.faults.plan.FaultPlan` to execute, or ``None``
         for an inert injector (``active`` is False; every hook is a cheap
-        no-op and only the ``note_*`` methods remain in use, e.g. for
-        ``validate_transfers`` without any injection).
+        no-op and only the ``note_*`` methods remain in use, by the
+        always-armed guards).
     trace
         The context's :class:`~repro.gpu.trace.TraceRecorder`; every
         ``note_*`` call records into its fault lane.
@@ -115,8 +120,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan | None, trace):
         self.plan = plan
         self.trace = trace
-        #: True when a plan is attached — the solvers read this (together
-        #: with ``ctx.validate_transfers``) to arm their uncosted guards.
+        #: True when a plan is attached, i.e. injection is on.
         self.active = plan is not None
         self.reset()
 

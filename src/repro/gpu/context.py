@@ -50,17 +50,14 @@ class MultiGpuContext:
         ``n_gpus`` argument overrides the spec's GPU count).
     fault_plan
         Optional :class:`~repro.faults.plan.FaultPlan`; when given, a
-        :class:`~repro.faults.injector.FaultInjector` is armed on every
-        device, the host, and the bus, and the solvers enable their
-        (uncosted) NaN/Inf guards and retry/checkpoint machinery.
-    validate_transfers
-        Check every h2d/d2h payload with ``np.isfinite`` on arrival and
-        raise :class:`~repro.faults.errors.TransferCorruption` on failure
-        (the staged halo exchange retries such transfers).  Off by
-        default: without it, corrupted payloads propagate silently — the
-        historical behavior.  Attaching a ``fault_plan`` arms the same
-        check automatically (injected corruption must be detectable for
-        recovery to work); the check is uncosted either way.
+        :class:`~repro.faults.injector.FaultInjector` injects its faults
+        on every device, the host, and the bus.  The plan only switches
+        injection on: detection is always armed.  Every h2d/d2h payload is
+        checked with ``np.isfinite`` on arrival and a non-finite one raises
+        :class:`~repro.faults.errors.TransferCorruption` (the staged halo
+        exchange retries such transfers), and the solvers always run their
+        NaN/Inf guards and retry/checkpoint machinery.  The checks are
+        uncosted: they leave the simulated timeline untouched.
     """
 
     def __init__(
@@ -68,7 +65,6 @@ class MultiGpuContext:
         n_gpus: int = 1,
         machine: MachineSpec | None = None,
         fault_plan=None,
-        validate_transfers: bool = False,
     ):
         if n_gpus < 1:
             raise ValueError("n_gpus must be >= 1")
@@ -78,7 +74,6 @@ class MultiGpuContext:
         self.perf = PerformanceModel(machine)
         self.trace = TraceRecorder()
         self.faults = FaultInjector(fault_plan, self.trace)
-        self.validate_transfers = bool(validate_transfers)
         #: The full device roster as built; never shrinks.  ``devices`` is
         #: the *active* subset — identical until a device is deactivated.
         self.all_devices = tuple(
@@ -108,11 +103,6 @@ class MultiGpuContext:
             dev.faults = self.faults
             self._routes[dev][0].faults = self.faults
         self.host.faults = self.faults
-
-    @property
-    def resilience_enabled(self) -> bool:
-        """True when solvers should run their fault guards/retry paths."""
-        return self.faults.active or self.validate_transfers
 
     @property
     def counters(self) -> Counters:
@@ -236,9 +226,9 @@ class MultiGpuContext:
         """Copy a host array to ``device`` (one message per route hop).
 
         The host is not blocked (async copy); the device waits for arrival.
-        With ``validate_transfers`` the arriving copy is checked for
-        non-finite entries and :class:`TransferCorruption` raised — the
-        source array is untouched, so the caller may simply retry.
+        The arriving copy is checked for non-finite entries and
+        :class:`TransferCorruption` raised — the source array is
+        untouched, so the caller may simply retry.
         """
         array = np.asarray(array)
         self._require_active(device)
@@ -252,7 +242,7 @@ class MultiGpuContext:
         arrived = DeviceArray(array.copy(), device)
         if self.faults.active:
             self.faults.apply_pending_corrupt(arrived.data)
-        if self.resilience_enabled and not np.all(np.isfinite(arrived.data)):
+        if not np.all(np.isfinite(arrived.data)):
             self.faults.note_detection(
                 "h2d payload", time=end, site=device.name,
                 nbytes=int(array.nbytes),
@@ -269,7 +259,9 @@ class MultiGpuContext:
         ``ready_at`` overrides the payload-ready time — used by pipelined
         algorithms that issue the copy *before* enqueuing further device
         work (the copy engine ships data produced at ``ready_at`` even
-        though the device's compute clock has since moved on).
+        though the device's compute clock has since moved on).  A
+        non-finite arrival raises :class:`TransferCorruption`, as in
+        :meth:`h2d`.
         """
         end = darr.device.clock if ready_at is None else min(ready_at, darr.device.clock)
         self._require_active(darr.device)
@@ -281,7 +273,7 @@ class MultiGpuContext:
         arrived = np.array(darr.data, copy=True)
         if self.faults.active:
             self.faults.apply_pending_corrupt(arrived)
-        if self.resilience_enabled and not np.all(np.isfinite(arrived)):
+        if not np.all(np.isfinite(arrived)):
             self.faults.note_detection(
                 "d2h payload", time=end, site=darr.device.name,
                 nbytes=int(darr.nbytes),

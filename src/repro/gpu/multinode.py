@@ -90,9 +90,10 @@ class MultiNodeContext(MultiGpuContext):
         Per-node machine description (defaults to a Keeneland node).
     network
         Inter-node link (defaults to InfiniBand QDR).
-    fault_plan, validate_transfers
-        As for :class:`~repro.gpu.context.MultiGpuContext`; the fault plan
-        also arms each remote node's PCIe bus.
+    fault_plan
+        As for :class:`~repro.gpu.context.MultiGpuContext`; the plan also
+        injects on each remote node's PCIe bus.  Transfer arrivals are
+        always checked, as on a single node.
     """
 
     def __init__(
@@ -102,7 +103,6 @@ class MultiNodeContext(MultiGpuContext):
         machine: MachineSpec | None = None,
         network: NetworkSpec | None = None,
         fault_plan=None,
-        validate_transfers: bool = False,
     ):
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
@@ -112,7 +112,6 @@ class MultiNodeContext(MultiGpuContext):
             machine = keeneland_node(min(gpus_per_node, 3))
         super().__init__(
             n_nodes * gpus_per_node, machine=machine, fault_plan=fault_plan,
-            validate_transfers=validate_transfers,
         )
         self.n_nodes = int(n_nodes)
         self.gpus_per_node = int(gpus_per_node)

@@ -130,8 +130,6 @@ def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "
     ``unrecovered`` fault event — is one sample of the cycle-duration
     histogram.
     """
-    if not reg.enabled:
-        return
     labels = {"solver": solver, "matrix": matrix}
     trace = ctx.trace
     fold = trace.fold()
@@ -233,8 +231,6 @@ def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "
 # ---------------------------------------------------------------------------
 def observe_result(reg: MetricsRegistry, result, solver: str = "", matrix: str = "") -> None:
     """Record one :class:`~repro.core.convergence.SolveResult`."""
-    if not reg.enabled:
-        return
     labels = {"solver": solver, "matrix": matrix}
     reg.counter(
         "repro_solves_total", "Completed solves by convergence outcome",
@@ -293,8 +289,6 @@ def observe_result(reg: MetricsRegistry, result, solver: str = "", matrix: str =
 
 def observe_faults(reg: MetricsRegistry, result, solver: str = "", matrix: str = "") -> None:
     """Record fault-injection and degraded-mode telemetry from a result."""
-    if not reg.enabled:
-        return
     labels = {"solver": solver, "matrix": matrix}
     faults = result.details.get("faults")
     if faults is not None:

@@ -22,10 +22,9 @@ Design constraints (enforced by tests):
 * **Fixed histogram buckets.**  Bucket edges are declared at registration
   and never adapt to the data, so histograms from different runs (or
   different commits) are directly comparable, bucket by bucket.
-* **Free when disabled.**  ``MetricsRegistry(enabled=False)`` hands out a
-  shared null family whose ``inc``/``set``/``observe`` are single-``pass``
-  no-ops, so instrumented hot paths cost nothing and results stay
-  bit-identical to uninstrumented runs.
+* **One off switch.**  Passing no registry (``metrics=None``) turns
+  observation off; results are bit-identical with and without a
+  registry.
 """
 
 from __future__ import annotations
@@ -167,33 +166,6 @@ class HistogramFamily(_Family):
         entry["count"] += 1
 
 
-class _NullFamily:
-    """Shared sink for a disabled registry: every operation is a no-op."""
-
-    kind = "null"
-    name = "null"
-    labelnames = ()
-    wall_clock = False
-    edges = ()
-
-    def inc(self, amount=1.0, **labels):
-        pass
-
-    def set(self, value, **labels):
-        pass
-
-    def observe(self, value, **labels):
-        pass
-
-    def samples(self):
-        return []
-
-    def clear(self):
-        pass
-
-
-_NULL_FAMILY = _NullFamily()
-
 _KINDS = {"counter": CounterFamily, "gauge": GaugeFamily, "histogram": HistogramFamily}
 
 
@@ -203,19 +175,13 @@ class MetricsRegistry:
     Families are get-or-create: asking twice for the same name returns the
     same family, and a redefinition with a different type or label schema
     raises (one name, one meaning — the exposition format requires it).
-
-    With ``enabled=False`` every accessor returns a shared null family, so
-    instrumentation can stay in place on hot paths at zero cost.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = bool(enabled)
+    def __init__(self):
         self._families: dict[str, _Family] = {}
 
     # ------------------------------------------------------------------
     def _get_or_create(self, cls, name, help, labelnames, wall_clock, **kwargs):
-        if not self.enabled:
-            return _NULL_FAMILY
         family = self._families.get(name)
         if family is not None:
             if type(family) is not cls or family.labelnames != tuple(labelnames):
@@ -257,7 +223,7 @@ class MetricsRegistry:
         return out
 
     def get(self, name: str) -> _Family | None:
-        """Look up a family by name (None when absent or disabled)."""
+        """Look up a family by name (None when absent)."""
         return self._families.get(name)
 
     def reset(self) -> None:
@@ -269,7 +235,4 @@ class MetricsRegistry:
         return len(self._families)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"MetricsRegistry(enabled={self.enabled}, "
-            f"families={len(self._families)})"
-        )
+        return f"MetricsRegistry(families={len(self._families)})"

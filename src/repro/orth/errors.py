@@ -39,9 +39,9 @@ class CholeskyBreakdown(OrthogonalizationError):
 class NonFinitePanelError(OrthogonalizationError):
     """TSQR produced a NaN/Inf R factor — the input panel was poisoned.
 
-    Raised only when ``tsqr(..., check_finite=True)``; the solvers' fault
-    guards use this to trigger a panel retry rather than silently
-    propagating non-finite basis vectors.
+    :func:`~repro.orth.tsqr.tsqr` always checks its host-side R factor;
+    the solvers' fault guards use this to trigger a panel retry rather
+    than silently propagating non-finite basis vectors.
     """
 
 

@@ -26,7 +26,6 @@ def orthogonalize_vector(
     q_panels: list[DeviceArray] | None,
     v_cols: list[DeviceArray],
     method: str = "cgs",
-    gemv_variant: str = "magma",
 ) -> np.ndarray:
     """Orthogonalize one distributed vector against the previous basis.
 
@@ -38,9 +37,7 @@ def orthogonalize_vector(
     v_cols
         Per-device views of the new vector (overwritten with ``q_{j+1}``).
     method
-        ``"mgs"`` or ``"cgs"``.
-    gemv_variant
-        Tall-skinny DGEMV implementation for CGS.
+        ``"mgs"`` or ``"cgs"`` (CGS runs MAGMA's tall-skinny DGEMV).
 
     Returns
     -------
@@ -53,13 +50,13 @@ def orthogonalize_vector(
     if j > 0:
         if method == "cgs":
             partials = [
-                blas.gemv_t(q, v, variant=gemv_variant)
+                blas.gemv_t(q, v, variant="magma")
                 for q, v in zip(q_panels, v_cols)
             ]
             r = ctx.allreduce_sum(partials)
             h[:j] = r
             for b, (q, v) in zip(ctx.broadcast(r), zip(q_panels, v_cols)):
-                blas.gemv_n_update(q, b, v, variant=gemv_variant)
+                blas.gemv_n_update(q, b, v, variant="magma")
         elif method == "mgs":
             for ell in range(j):
                 cols = [q.view((slice(None), ell)) for q in q_panels]

@@ -73,7 +73,6 @@ def tsqr(
     method: str = "cholqr",
     variant: str | None = None,
     reorth: int = 1,
-    check_finite: bool = False,
 ) -> np.ndarray:
     """Orthogonalize a distributed tall-skinny panel in place.
 
@@ -91,16 +90,19 @@ def tsqr(
         fastest variant at this panel shape (``ctx.perf.best_variant``).
     reorth
         Number of factorization passes (1 = single, 2 = the paper's "2x").
-    check_finite
-        Raise :class:`~repro.orth.errors.NonFinitePanelError` when the
-        computed R factor contains NaN/Inf (a poisoned input panel).  The
-        check inspects only the small host-side R — an uncosted guard that
-        leaves the simulated timeline untouched.
 
     Returns
     -------
     R
         Composed upper-triangular factor such that ``V_original = Q R``.
+
+    Raises
+    ------
+    NonFinitePanelError
+        When the computed R factor contains NaN/Inf (a poisoned or
+        overflowing input panel).  The check inspects only the small
+        host-side R — an uncosted guard that leaves the simulated timeline
+        untouched.
     """
     try:
         kernel = TSQR_METHODS[method]
@@ -119,7 +121,7 @@ def tsqr(
     for _ in range(reorth - 1):
         R2 = kernel(ctx, panels, variant=variant)
         R = R2 @ R
-    if check_finite and not np.all(np.isfinite(R)):
+    if not np.all(np.isfinite(R)):
         raise NonFinitePanelError(
             f"TSQR ({method}) produced a non-finite R factor"
         )

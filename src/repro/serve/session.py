@@ -285,33 +285,25 @@ class SolverSession:
         observe_solve(self.metrics, self.ctx, result, **labels)
         return result
 
-    def solve_many(
-        self,
-        bs,
-        interleave: bool | None = None,
-        **overrides,
-    ) -> list[SolveResult]:
+    def solve_many(self, bs, **overrides) -> list[SolveResult]:
         """Solve one system per right-hand side over the shared plan.
 
-        With ``interleave`` (the default when no fault plan, degrade
-        policy, or deadline is active) the pending solves' restart cycles
-        are multiplexed round-robin on the context.  Per-RHS numerics are
-        independent — each result's ``x``/``history`` is byte-for-byte
-        identical to a sequential :meth:`solve` — while simulated timers
-        and counters describe the batch as a whole.  Pass
-        ``interleave=False`` to force fully sequential solves (required,
-        and auto-selected, whenever fault replay determinism matters).
+        The pending solves' restart cycles are multiplexed round-robin on
+        the context.  Per-RHS numerics are independent — each result's
+        ``x``/``history`` is byte-for-byte identical to a sequential
+        :meth:`solve` — while simulated timers and counters describe the
+        batch as a whole.  An armed fault plan, a degrade policy or a
+        deadline makes the solves fully sequential instead, because fault
+        replay determinism is defined per solve.
         """
         bs = list(bs)
-        if interleave is None:
-            interleave = not (
-                self.ctx.faults.active
-                or "degrade" in overrides
-                or "deadline" in overrides
-                or self.solver_kwargs.get("degrade") is not None
-                or self.solver_kwargs.get("deadline") is not None
-            )
-        if not interleave:
+        if (
+            self.ctx.faults.active
+            or "degrade" in overrides
+            or "deadline" in overrides
+            or self.solver_kwargs.get("degrade") is not None
+            or self.solver_kwargs.get("deadline") is not None
+        ):
             return [self.solve(b, **overrides) for b in bs]
         runs = [self._make_run(b, overrides) for b in bs]
         pending = list(runs)

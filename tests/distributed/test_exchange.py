@@ -109,7 +109,7 @@ class TestStagedExchange:
         assert recovery["action"] == "transfer-retry"
 
     def test_retry_budget_exhausted_raises(self):
-        # Three consecutive corruptions exceed max_transfer_retries=2.
+        # Three consecutive corruptions exceed MAX_TRANSFER_RETRIES = 2.
         plan = FaultPlan.scripted(
             [FaultEvent("pcie", "corrupt", trigger=t) for t in range(3)]
         )

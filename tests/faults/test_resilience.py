@@ -6,12 +6,15 @@ Scripted triggers below were chosen so the fault lands inside the solve
 """
 
 import numpy as np
+import pytest
 
 from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres
+from repro.core.pipelined import pipelined_gmres
 from repro.faults import FaultEvent, FaultPlan
 from repro.gpu.context import MultiGpuContext
 from repro.matrices.stencil import poisson2d
+from repro.sparse.csr import CsrMatrix
 
 
 def make_problem(nx=12):
@@ -142,3 +145,35 @@ class TestZeroRateBitIdentity:
         assert result.timers == baseline.timers
         assert result.total_time == baseline.total_time
         assert "faults" not in result.details
+
+
+class TestLoudOverflow:
+    """Without any fault plan, an overflowing basis aborts loudly.
+
+    Scaling ``poisson2d(16)`` by 1e160 makes the first matrix-vector
+    product overflow to Inf.  Every solver's guards catch it, the cycle
+    is redone until its budget runs out, and the solve returns the
+    finite restart-boundary checkpoint with an ``unrecovered`` record,
+    instead of an Arnoldi breakdown or a silently non-finite ``x``.
+    """
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda A, b, **kw: gmres(A, b, m=12, **kw),
+            lambda A, b, **kw: pipelined_gmres(A, b, m=12, **kw),
+            lambda A, b, **kw: ca_gmres(A, b, s=4, m=12, basis="monomial", **kw),
+        ],
+        ids=["gmres", "pipelined", "ca_gmres"],
+    )
+    def test_overflow_returns_checkpoint_with_unrecovered_record(self, solve):
+        base = poisson2d(16)
+        A = CsrMatrix(base.shape, base.indptr, base.indices, base.data * 1e160)
+        b = np.ones(A.n_rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = solve(A, b, n_gpus=2, balance=False, max_restarts=3)
+        assert np.all(np.isfinite(result.x))
+        assert not result.converged
+        faults = result.details["faults"]
+        assert faults["aborted"] is True
+        assert len(faults["unrecovered"]) == 1

@@ -237,17 +237,3 @@ def test_plan_build_span_recorded_on_structural_miss(problem):
     assert r1.timers == r2.timers
     # The fold must not trip over the plan-kind event.
     assert sess.ctx.trace.fold().regions is not None
-
-
-def test_disabled_registry_bit_identical_and_empty(problem):
-    A, b = problem
-    off = MetricsRegistry(enabled=False)
-    sess_off = SolverSession(
-        A, solver="ca", n_gpus=2, m=12, s=4, max_restarts=5, metrics=off
-    )
-    sess_plain = SolverSession(A, solver="ca", n_gpus=2, m=12, s=4, max_restarts=5)
-    r_off = sess_off.solve(b)
-    r_plain = sess_plain.solve(b)
-    assert np.array_equal(r_off.x, r_plain.x)
-    assert r_off.timers == r_plain.timers
-    assert len(off) == 0

@@ -106,21 +106,6 @@ def test_invalid_names_raise():
         reg.counter("ok_total", labelnames=("bad-label",))
 
 
-def test_disabled_registry_is_a_noop():
-    reg = MetricsRegistry(enabled=False)
-    c = reg.counter("x_total", labelnames=("device",))
-    g = reg.gauge("util")
-    h = reg.histogram("t_seconds")
-    # Null family: every operation silently does nothing, no validation.
-    c.inc(device="gpu0")
-    c.inc()  # even wrong labels are free
-    g.set(1.0)
-    h.observe(0.5)
-    assert len(reg) == 0
-    assert reg.families() == []
-    assert c.samples() == []
-
-
 def test_reset_clears_samples_keeps_registrations():
     reg = MetricsRegistry()
     c = reg.counter("x_total")

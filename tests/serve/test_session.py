@@ -103,15 +103,6 @@ class TestSolveMany:
             assert got.converged == want.converged
             assert got.n_iterations == want.n_iterations
 
-    def test_sequential_flag_matches_interleaved_numerics(self, problem, rng):
-        A, _ = problem
-        bs = [rng.standard_normal(A.n_rows) for _ in range(2)]
-        sess = SolverSession(A, n_gpus=2, s=4, m=12, tol=1e-8)
-        inter = sess.solve_many(bs, interleave=True)
-        seq = sess.solve_many(bs, interleave=False)
-        for a, c in zip(inter, seq):
-            assert np.array_equal(a.x, c.x)
-
     def test_empty_batch(self, problem):
         A, _ = problem
         sess = SolverSession(A, n_gpus=2, s=4, m=12)
