@@ -14,7 +14,6 @@ from repro.core.gmres import gmres
 from repro.gpu.context import MultiGpuContext
 from repro.harness import format_table
 from repro.matrices import cant, g3_circuit
-from repro.order import kway_partition
 from repro.perf.machine import cpu_reference_node
 
 
@@ -29,6 +28,7 @@ def run_case(name, spec):
     A = spec["build"]()
     b = np.ones(A.n_rows)
     m = spec["m"]
+    ordering = "kway" if spec["kway"] else "natural"
     rows = []
     # CPU reference: the solver on one host-rate "device".
     ctx = MultiGpuContext(1, machine=cpu_reference_node())
@@ -40,8 +40,7 @@ def run_case(name, spec):
          1e3 * r.time_per_restart()]
     )
     for n_gpus in (1, 2, 3):
-        part = kway_partition(A, n_gpus) if spec["kway"] and n_gpus > 1 else None
-        r = gmres(A, b, n_gpus=n_gpus, partition=part, m=m, tol=1e-30,
+        r = gmres(A, b, n_gpus=n_gpus, ordering=ordering, m=m, tol=1e-30,
                   max_restarts=2)
         rows.append(
             [f"{n_gpus} GPU", r.n_iterations,

@@ -19,7 +19,6 @@ import pytest
 from repro.harness import format_table, profile_breakdown_table
 from repro.harness.experiment import run_solver_experiment, solver_table_row
 from repro.matrices import cant, dielfilter, g3_circuit
-from repro.order import kway_partition
 
 MAX_RESTARTS = 4
 
@@ -46,10 +45,7 @@ def run_case(name, spec):
     A = spec["build"]()
     b = np.ones(A.n_rows)
     m, s = spec["m"], spec["s"]
-    parts = {
-        g: (kway_partition(A, g) if spec["kway"] and g > 1 else None)
-        for g in (1, 2, 3)
-    }
+    ordering = "kway" if spec["kway"] else "natural"
     rows = []
     records = {}
     # GMRES with MGS (1 GPU only, as the paper's tables do).
@@ -62,7 +58,7 @@ def run_case(name, spec):
     # GMRES with CGS on 1-3 GPUs: the reference configuration.
     for g in (1, 2, 3):
         rec = run_solver_experiment(
-            "GMRES CGS", A, b, "gmres", g, partition=parts[g], m=m,
+            "GMRES CGS", A, b, "gmres", g, ordering=ordering, m=m,
             tol=1e-4, orth_method="cgs", max_restarts=MAX_RESTARTS,
         )
         records[("cgs", g)] = rec
@@ -78,7 +74,7 @@ def run_case(name, spec):
     # CA-GMRES(s, m) with the paper's orthogonalization.
     for g in (1, 2, 3):
         rec = run_solver_experiment(
-            spec["label_ca"], A, b, "ca_gmres", g, partition=parts[g],
+            spec["label_ca"], A, b, "ca_gmres", g, ordering=ordering,
             m=m, s=s, tol=1e-4, basis="newton", tsqr_method="cholqr",
             reorth=spec["reorth"], max_restarts=MAX_RESTARTS,
         )

@@ -15,7 +15,6 @@ import numpy as np
 from repro.harness import format_table
 from repro.harness.experiment import run_solver_experiment
 from repro.matrices import cant, dielfilter, g3_circuit, nlpkkt
-from repro.order import kway_partition
 
 MAX_RESTARTS = 3
 
@@ -31,13 +30,13 @@ def run_case(spec):
     A = spec["build"]()
     b = np.ones(A.n_rows)
     m, s = spec["m"], spec["s"]
+    ordering = "kway" if spec["kway"] else "natural"
     rows = []
     base = None
     speedups = {}
     for g in (1, 2, 3):
-        part = kway_partition(A, g) if spec["kway"] and g > 1 else None
         rec_g = run_solver_experiment(
-            "GMRES", A, b, "gmres", g, partition=part, m=m, tol=1e-4,
+            "GMRES", A, b, "gmres", g, ordering=ordering, m=m, tol=1e-4,
             orth_method="cgs", max_restarts=MAX_RESTARTS,
         )
         if base is None:
@@ -46,7 +45,7 @@ def run_case(spec):
         candidates = []
         for use_mpk in (True, False):
             rec = run_solver_experiment(
-                "CA-GMRES", A, b, "ca_gmres", g, partition=part, m=m, s=s,
+                "CA-GMRES", A, b, "ca_gmres", g, ordering=ordering, m=m, s=s,
                 tol=1e-4, basis="newton", tsqr_method="cholqr",
                 reorth=spec["reorth"], use_mpk=use_mpk,
                 max_restarts=MAX_RESTARTS,

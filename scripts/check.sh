@@ -15,8 +15,8 @@
 #               byte-identical (fault and degradation records replay).
 #   --serve     additionally run a serving smoke: the plan-reuse CLI
 #               (python -m repro serve, exits nonzero unless warm solves
-#               are bit-identical to cold) plus a session-mode fault
-#               campaign sharing one structural plan across trials.
+#               are bit-identical to cold) plus a fault campaign, whose
+#               trials share one solver session's structural plan.
 #   --metrics   additionally run a metrics smoke: the instrumented
 #               workload twice (python -m repro metrics --check, exits
 #               nonzero unless the deterministic snapshot and timings
@@ -82,10 +82,9 @@ if [[ "$run_serve_smoke" == 1 ]]; then
     PYTHONPATH=src python -m repro serve \
         --matrix poisson2d --nx 24 --gpus 2 --ordering kway \
         --s 4 --m 12 --basis monomial --rhs 3
-    echo "== session-mode fault campaign (one plan, all trials) =="
+    echo "== fault campaign on one session (one plan, all trials) =="
     PYTHONPATH=src python -m repro faults \
-        --nx 16 --m 12 --s 4 --max-restarts 40 --trials 2 --rate 1e-3 \
-        --session
+        --nx 16 --m 12 --s 4 --max-restarts 40 --trials 2 --rate 1e-3
 fi
 
 if [[ "$run_metrics_smoke" == 1 ]]; then

@@ -175,17 +175,11 @@ def _cmd_solve(args) -> int:
     from repro.core.ca_gmres import ca_gmres
     from repro.core.gmres import gmres
     from repro.matrices.suite import load_suite_matrix
-    from repro.order import kway_partition
 
     A, info = load_suite_matrix(args.matrix)
     b = np.ones(A.n_rows)
-    partition = (
-        kway_partition(A, args.gpus)
-        if info.ordering == "kway" and args.gpus > 1
-        else None
-    )
     common = dict(
-        n_gpus=args.gpus, partition=partition, m=info.gmres_m,
+        n_gpus=args.gpus, ordering=info.ordering, m=info.gmres_m,
         tol=args.tol, max_restarts=args.max_restarts,
     )
     if args.solver == "gmres":
@@ -278,7 +272,7 @@ def _cmd_faults(args) -> int:
         trials=args.trials, s=args.s, m=args.m, tol=args.tol,
         max_restarts=args.max_restarts, stall_factor=args.stall_factor,
         max_faults=args.max_faults, degrade=args.degrade,
-        deadline=args.deadline, session=args.session, metrics=registry,
+        deadline=args.deadline, metrics=registry,
     )
     print(campaign_tables(campaign))
     if registry is not None:
@@ -518,10 +512,6 @@ def main(argv: list[str] | None = None) -> int:
                         "solve stops at the first restart boundary past it")
     p.add_argument("--out", default=None,
                    help="also write the campaign JSON to this directory")
-    p.add_argument("--session", action="store_true",
-                   help="share one solver session (cached structural plan) "
-                        "across all trials, re-arming the fault plan per "
-                        "trial; records are byte-identical either way")
     p.add_argument("--metrics-out", default=None,
                    help="aggregate every trial's telemetry into a metrics "
                         "registry and write its JSON snapshot to this file")

@@ -9,45 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "check_positive",
-    "check_nonnegative",
-    "check_square",
-    "check_vector",
-    "check_in",
-    "as_float64_array",
-    "as_index_array",
-]
-
-
-def check_positive(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is a positive number."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def check_nonnegative(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is >= 0."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
-def check_square(shape, name: str = "matrix") -> None:
-    """Raise ``ValueError`` unless ``shape`` is (n, n)."""
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"{name} must be square, got shape {shape}")
-
-
-def check_vector(x: np.ndarray, n: int, name: str = "x") -> None:
-    """Raise ``ValueError`` unless ``x`` is a length-``n`` 1-D array."""
-    if x.ndim != 1 or x.shape[0] != n:
-        raise ValueError(f"{name} must be a 1-D array of length {n}, got shape {x.shape}")
-
-
-def check_in(value, allowed, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is one of ``allowed``."""
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {sorted(allowed)}, got {value!r}")
+__all__ = ["as_float64_array", "as_index_array"]
 
 
 def as_float64_array(x, name: str = "array") -> np.ndarray:

@@ -46,7 +46,6 @@ import scipy.linalg
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
 from ..mpk.shifts import ShiftOp, monomial_shift_ops, newton_shift_ops
-from ..order.partition import Partition
 from ..orth.borth import borth
 from ..orth.errors import (
     CholeskyBreakdown,
@@ -84,18 +83,16 @@ class CaGmresRun(RestartedRun):
 
     The CA-specific arguments are as in :func:`ca_gmres`; every other
     argument is documented on :class:`~repro.core.gmres.RestartedRun`.
-    The MPK kernels come from the run's current structural plan, so a
-    given ``plan`` supplies its dependency closures as well.
+    The MPK kernels come from the run's current structural plan.
     """
 
     name = "ca_gmres"
 
     def __init__(
         self,
-        matrix,
         b,
+        plan,
         s: int = 15,
-        m: int = 60,
         basis: str = "newton",
         tsqr_method: str = "cholqr",
         tsqr_variant: str | None = None,
@@ -118,7 +115,7 @@ class CaGmresRun(RestartedRun):
         self.tsqr_errors: list[dict] | None = [] if collect_tsqr_errors else None
         self.adapt_state = {"s_eff": s, "history": []} if adaptive_s else None
         self.shifts: np.ndarray | None = None
-        super().__init__(matrix, b, m=m, **kwargs)
+        super().__init__(b, plan, **kwargs)
 
     def _check_args(self, n, m):
         if not 1 <= self.s <= m:
@@ -131,10 +128,6 @@ class CaGmresRun(RestartedRun):
             raise ValueError(f"unknown on_breakdown {self.on_breakdown!r}")
         if self.reorth < 1:
             raise ValueError(f"reorth must be >= 1, got {self.reorth}")
-
-    @property
-    def mpk_lengths(self) -> tuple[int, ...]:
-        return mpk_block_lengths(self.s, self.m) if self.use_mpk else ()
 
     def _details(self) -> dict:
         details: dict = {}
@@ -243,7 +236,7 @@ def ca_gmres(
     b: np.ndarray,
     ctx: MultiGpuContext | None = None,
     n_gpus: int = 1,
-    partition: Partition | None = None,
+    ordering: str = "natural",
     s: int = 15,
     m: int = 60,
     basis: str = "newton",
@@ -262,9 +255,10 @@ def ca_gmres(
     preconditioner=None,
     degrade: DegradePolicy | None = None,
     deadline: float | None = None,
-    plan=None,
 ) -> SolveResult:
     """Solve ``A x = b`` with CA-GMRES(s, m) on simulated GPUs.
+
+    A one-request :class:`~repro.serve.session.SolverSession`.
 
     Parameters
     ----------
@@ -301,22 +295,23 @@ def ca_gmres(
         while the basis stays healthy.  The chosen block lengths are
         recorded in ``result.details["s_history"]``.
 
-    The other parameters are documented on
-    :class:`~repro.core.gmres.RestartedRun`.
+    The other parameters are documented on :func:`~repro.core.gmres.gmres`
+    and :class:`~repro.core.gmres.RestartedRun`.
 
     Returns
     -------
     SolveResult
     """
-    return CaGmresRun(
-        matrix, b, ctx=ctx, n_gpus=n_gpus, partition=partition, s=s, m=m,
-        basis=basis, tsqr_method=tsqr_method, tsqr_variant=tsqr_variant,
-        borth_method=borth_method, reorth=reorth, use_mpk=use_mpk, tol=tol,
-        max_restarts=max_restarts, balance=balance, x0=x0,
-        on_breakdown=on_breakdown, collect_tsqr_errors=collect_tsqr_errors,
-        adaptive_s=adaptive_s, preconditioner=preconditioner, degrade=degrade,
-        deadline=deadline, plan=plan,
-    ).result()
+    from ..serve.session import SolverSession
+
+    return SolverSession(
+        matrix, solver="ca", ctx=ctx, n_gpus=n_gpus, ordering=ordering, m=m,
+        s=s, basis=basis, balance=balance, tol=tol, max_restarts=max_restarts,
+        preconditioner=preconditioner, tsqr_method=tsqr_method,
+        tsqr_variant=tsqr_variant, borth_method=borth_method, reorth=reorth,
+        use_mpk=use_mpk, on_breakdown=on_breakdown,
+        collect_tsqr_errors=collect_tsqr_errors, adaptive_s=adaptive_s,
+    ).solve(b, x0=x0, degrade=degrade, deadline=deadline)
 
 
 def _adapt_block_length(adapt_state, R, s_max, s_used, block_breakdowns) -> None:

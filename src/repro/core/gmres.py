@@ -23,7 +23,6 @@ from ..dist.matrix import DistributedMatrix
 from ..dist.multivector import DistMultiVector, DistVector
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
-from ..order.partition import Partition
 from ..orth.single import orthogonalize_vector
 from ..sparse.csr import CsrMatrix
 from .convergence import ConvergenceHistory, SolveResult
@@ -167,37 +166,34 @@ def run_gmres_cycle(
 
 
 class RestartedRun:
-    """One restarted Krylov solve as a resumable object.
+    """One restarted Krylov solve over a structural plan, as a resumable object.
 
     This is the restart loop the paper's GMRES (Fig. 1) and CA-GMRES
     (Fig. 2) share; :class:`GmresRun`,
     :class:`~repro.core.ca_gmres.CaGmresRun` and the pipelined variant
     (:mod:`repro.core.pipelined`) differ only in how one restart cycle
-    builds its basis, which they supply as :meth:`cycle`.  The driver owns
-    everything else: input validation, the structural plan (the caller's
-    ``plan``, or one built through a private
-    :class:`~repro.serve.plan.PlanCache` — the library's one balancing,
-    partitioning, distribution and MPK setup path), the distributed state
-    and its degraded-mode rebuild, the deadline / cycle-redo loop, and
-    the :class:`~repro.core.convergence.SolveResult`.
+    builds its basis, which they supply as :meth:`cycle`.  The structural
+    setup — ordering, balancing, preconditioner folding, partition,
+    distributed matrix, basis, MPK dependency closures — is the given
+    ``plan``, which a :class:`~repro.serve.session.SolverSession` builds
+    (the solver functions are one-request sessions).  The run owns the
+    rest: the right-hand side and solution vectors, their degraded-mode
+    rebuild, the deadline / cycle-redo loop, and the
+    :class:`~repro.core.convergence.SolveResult`.
 
     :meth:`step` advances the solve by exactly one restart cycle, so a
-    batched frontend (:mod:`repro.serve`) can interleave the restart cycles
-    of many right-hand sides on one context; :meth:`result` runs the
-    remaining cycles.  The solver functions are ``Run(...).result()``.
+    batched frontend (:meth:`~repro.serve.session.SolverSession.solve_many`)
+    can interleave the restart cycles of many right-hand sides on one
+    context; :meth:`result` runs the remaining cycles.
 
     Parameters
     ----------
-    matrix
-        Square CSR matrix.
     b
-        Right-hand side (host array).
-    ctx
-        Execution context; built with ``n_gpus`` devices when omitted.
-    partition
-        Row distribution; equal block rows when omitted.
-    m
-        Restart length.
+        Right-hand side (host array) in the matrix's original ordering.
+    plan
+        :class:`~repro.serve.plan.StructuralPlan` for the context's active
+        roster.  The run reads the context, the restart length ``m``, the
+        operator, the balancing and the preconditioner from it.
     tol
         Relative residual tolerance (the paper's four-orders-of-magnitude
         criterion is ``1e-4``).  ``converged`` means the true residual of
@@ -209,15 +205,8 @@ class RestartedRun:
         caller relative residual of 4.9e-4.
     max_restarts
         Cycle limit.
-    balance
-        Apply the paper's row-then-column norm balancing first.
     x0
-        Initial guess (zero when omitted).
-    preconditioner
-        Optional right preconditioner with ``fold(A)`` / ``recover(y)``
-        methods (see :mod:`repro.precond`); the solver iterates on the
-        folded operator ``A M^{-1}`` and maps the solution back.  Because
-        it is folded up front, the cycle kernels run unchanged.
+        Initial guess in the original ordering (zero when omitted).
     degrade
         Optional :class:`~repro.core.degrade.DegradePolicy`: a device
         dropout mid-solve is absorbed by repartitioning over the
@@ -227,17 +216,6 @@ class RestartedRun:
         Optional simulated-time budget in seconds; the solve stops at the
         first restart boundary past it (``details["degradation"]``
         records the trip).
-    plan
-        Optional prebuilt :class:`repro.serve.plan.StructuralPlan` for this
-        matrix/context, e.g. a :class:`~repro.serve.session.SolverSession`'s.
-        Without it, the run builds the same kind of plan (natural ordering,
-        the given ``partition``, ``balance`` and ``preconditioner``) on a
-        private :class:`~repro.serve.plan.PlanCache`; either way the
-        structural setup (balancing, partitioning, distribution, halo index
-        sets, MPK dependency closures) comes from the one plan builder, and
-        a given plan is reused bit-identically.  Mutually exclusive with
-        ``partition``; ``balance`` and ``preconditioner`` are taken from
-        the plan.
 
     Every restart cycle starts with a cycle mark in the context's trace,
     so ``ctx.trace.fold().cycles`` holds each cycle's simulated window;
@@ -246,68 +224,37 @@ class RestartedRun:
     ``details["degradation"]`` are built.
     """
 
-    #: Solver name used in error messages.
+    #: Solver name, the ``solver`` label of a session's metrics.
     name = "gmres"
-    #: MPK block lengths a structural plan must provide (none for GMRES).
-    mpk_lengths: tuple = ()
 
     def __init__(
         self,
-        matrix: CsrMatrix,
         b: np.ndarray,
-        ctx: MultiGpuContext | None = None,
-        n_gpus: int = 1,
-        partition: Partition | None = None,
-        m: int = 30,
+        plan,
         tol: float = 1e-4,
         max_restarts: int = 500,
-        balance: bool = True,
         x0: np.ndarray | None = None,
-        preconditioner=None,
         degrade: DegradePolicy | None = None,
         deadline: float | None = None,
-        plan=None,
     ):
-        if matrix.n_rows != matrix.n_cols:
-            raise ValueError(f"{self.name} requires a square matrix")
-        n = matrix.n_rows
+        self.ctx = ctx = plan.ctx
+        host = plan.host
+        n = plan.operator.n_rows
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (n,):
             raise ValueError(f"b must have shape ({n},), got {b.shape}")
         if b.size and not np.all(np.isfinite(b)):
             raise ValueError("b contains non-finite entries")
-        self._check_args(n, m)
-        if ctx is None:
-            ctx = MultiGpuContext(n_gpus)
-        elif ctx.inactive_devices:
-            # A previous degraded solve left the roster shrunken; restore the
-            # full device set (and pristine fault state) before partitioning.
-            ctx.reset_clocks()
-        self.ctx = ctx
-        self.m = int(m)
-        self.max_restarts = int(max_restarts)
-
-        if plan is None:
-            from ..serve.plan import PlanCache
-
-            cache = PlanCache()
-            plan = cache.structural_plan(
-                ctx, cache.host_plan(matrix, "natural", balance, preconditioner),
-                m, self.mpk_lengths, partition=partition,
-                prebuild_mpk=self.mpk_lengths,
-            )
-        elif partition is not None:
-            raise ValueError("pass either plan= or partition=, not both")
-        if plan.V.n_cols != m + 1:
-            raise ValueError(
-                f"plan was built for m={plan.V.n_cols - 1}, solve requested m={m}"
-            )
+        self._check_args(n, plan.m)
         partition = plan.partition
         if partition.n_parts != ctx.n_gpus:
             raise ValueError("plan partition does not match the active roster")
+        self.m = plan.m
+        self.max_restarts = int(max_restarts)
         self.preconditioner = preconditioner = plan.preconditioner
         self.bal = bal = plan.bal
         self.A_solve = A_solve = plan.operator
+        b = host.to_solve_order(b)
         self.b_solve = b_solve = bal.scale_rhs(b) if bal is not None else b
 
         # Mutable solver state: the cycles and the degraded-mode rebuild
@@ -322,8 +269,8 @@ class RestartedRun:
         if x0 is not None:
             if preconditioner is not None:
                 raise ValueError("x0 with a preconditioner is not supported")
-            start = (x0 / bal.col_scale) if bal is not None else x0
-            st.x.set_from_host(np.asarray(start, dtype=np.float64))
+            x0 = host.to_solve_order(np.asarray(x0, dtype=np.float64))
+            st.x.set_from_host(x0 / bal.col_scale if bal is not None else x0)
         ctx.reset_clocks()
 
         self.degrader = None
@@ -378,7 +325,7 @@ class RestartedRun:
         the first degradation to that roster, reused after).
         """
         ctx, st = self.ctx, self.st
-        st.plan = st.plan.derive(new_partition, mpk_lengths=self.mpk_lengths)
+        st.plan = st.plan.derive(new_partition)
         st.b = DistVector.from_host(ctx, new_partition, self.b_solve)
         st.x = DistVector.from_host(ctx, new_partition, x_host)
         return st.x
@@ -432,6 +379,7 @@ class RestartedRun:
                 x_host = self.bal.unscale_solution(x_host)
             if self.preconditioner is not None:
                 x_host = self.preconditioner.recover(x_host)
+            x_host = self.st.plan.host.from_solve_order(x_host)
             fold = ctx.trace.fold()
             details = self._details()
             details["profile"] = fold.profile()
@@ -460,9 +408,9 @@ class GmresRun(RestartedRun):
     documented on :class:`RestartedRun`.
     """
 
-    def __init__(self, matrix, b, orth_method: str = "cgs", **kwargs):
+    def __init__(self, b, plan, orth_method: str = "cgs", **kwargs):
         self.orth_method = orth_method
-        super().__init__(matrix, b, **kwargs)
+        super().__init__(b, plan, **kwargs)
 
     def cycle(self, offset, restart_index):
         ctx, st = self.ctx, self.st
@@ -481,7 +429,7 @@ def gmres(
     b: np.ndarray,
     ctx: MultiGpuContext | None = None,
     n_gpus: int = 1,
-    partition: Partition | None = None,
+    ordering: str = "natural",
     m: int = 30,
     tol: float = 1e-4,
     max_restarts: int = 500,
@@ -491,15 +439,28 @@ def gmres(
     preconditioner=None,
     degrade: DegradePolicy | None = None,
     deadline: float | None = None,
-    plan=None,
 ) -> SolveResult:
     """Solve ``A x = b`` with restarted GMRES(m) on simulated GPUs.
 
+    A one-request :class:`~repro.serve.session.SolverSession`.
+
     Parameters
     ----------
+    ctx, n_gpus
+        Execution context, or the GPU count to build one with.
+    ordering
+        ``"natural"`` (equal block rows), ``"rcm"`` or ``"kway"``, as on
+        :class:`~repro.serve.session.SolverSession`.
+    balance
+        Apply the paper's row-then-column norm balancing first.
     orth_method
         ``"cgs"`` (BLAS-2, the paper's fast configuration, with MAGMA's
         tall-skinny DGEMV) or ``"mgs"``.
+    preconditioner
+        Optional right preconditioner with ``fold(A)`` / ``recover(y)``
+        methods (see :mod:`repro.precond`); the solver iterates on the
+        folded operator ``A M^{-1}`` and maps the solution back.  Because
+        it is folded up front, the cycle kernels run unchanged.
 
     The other parameters are documented on :class:`RestartedRun`.
 
@@ -508,9 +469,10 @@ def gmres(
     SolveResult
         Solution in the original variables plus timings/counters/history.
     """
-    return GmresRun(
-        matrix, b, ctx=ctx, n_gpus=n_gpus, partition=partition, m=m, tol=tol,
-        max_restarts=max_restarts, orth_method=orth_method, balance=balance,
-        x0=x0, preconditioner=preconditioner, degrade=degrade,
-        deadline=deadline, plan=plan,
-    ).result()
+    from ..serve.session import SolverSession
+
+    return SolverSession(
+        matrix, solver="gmres", ctx=ctx, n_gpus=n_gpus, ordering=ordering,
+        m=m, tol=tol, max_restarts=max_restarts, balance=balance,
+        preconditioner=preconditioner, orth_method=orth_method,
+    ).solve(b, x0=x0, degrade=degrade, deadline=deadline)

@@ -35,7 +35,6 @@ import numpy as np
 
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
-from ..order.partition import Partition
 from ..orth.errors import OrthogonalizationError
 from ..sparse.csr import CsrMatrix
 from .convergence import SolveResult
@@ -49,7 +48,7 @@ from .gmres import (
 from .lsq import GivensHessenbergSolver
 from .resilience import guard_finite
 
-__all__ = ["pipelined_gmres"]
+__all__ = ["pipelined_gmres", "PipelinedRun"]
 
 
 class PipelinedRun(RestartedRun):
@@ -74,7 +73,7 @@ def pipelined_gmres(
     b: np.ndarray,
     ctx: MultiGpuContext | None = None,
     n_gpus: int = 1,
-    partition: Partition | None = None,
+    ordering: str = "natural",
     m: int = 30,
     tol: float = 1e-4,
     max_restarts: int = 500,
@@ -85,20 +84,22 @@ def pipelined_gmres(
     """Solve ``A x = b`` with one-stage pipelined GMRES(m).
 
     CGS orthogonalization only (with MAGMA's tall-skinny DGEMV) — the
-    pipelining targets CGS's norm round trip.
+    pipelining targets CGS's norm round trip.  A one-request
+    :class:`~repro.serve.session.SolverSession`.
 
-    The parameters are documented on
+    The parameters are documented on :func:`~repro.core.gmres.gmres` and
     :class:`~repro.core.gmres.RestartedRun`.
 
     Returns
     -------
     SolveResult
     """
-    return PipelinedRun(
-        matrix, b, ctx=ctx, n_gpus=n_gpus, partition=partition, m=m, tol=tol,
-        max_restarts=max_restarts, balance=balance, degrade=degrade,
-        deadline=deadline,
-    ).result()
+    from ..serve.session import SolverSession
+
+    return SolverSession(
+        matrix, solver="pipelined", ctx=ctx, n_gpus=n_gpus, ordering=ordering,
+        m=m, tol=tol, max_restarts=max_restarts, balance=balance,
+    ).solve(b, degrade=degrade, deadline=deadline)
 
 
 def _deferred_norm(ctx, cols, start_spmv):

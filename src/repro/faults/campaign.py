@@ -25,12 +25,8 @@ from .plan import DEFAULT_KINDS, FaultPlan
 __all__ = ["run_campaign", "run_trial", "campaign_tables", "make_session"]
 
 
-def _solvers() -> dict:
-    from ..core.ca_gmres import ca_gmres
-    from ..core.gmres import gmres
-    from ..core.pipelined import pipelined_gmres
-
-    return {"gmres": gmres, "ca_gmres": ca_gmres, "pipelined": pipelined_gmres}
+#: Campaign solver name -> :class:`~repro.serve.SolverSession` solver.
+_SESSION_SOLVERS = {"gmres": "gmres", "ca_gmres": "ca", "pipelined": "pipelined"}
 
 
 def _problems() -> dict:
@@ -56,27 +52,25 @@ def make_session(
 ):
     """One :class:`~repro.serve.SolverSession` for a whole campaign.
 
-    The session's structural plan (partition, distributed matrix, MPK
-    closure, exchange index sets) is computed once and shared by every
-    trial; :meth:`~repro.serve.SolverSession.arm_fault_plan` swaps the
-    fault schedule between trials on the long-lived context.  Only the
-    solvers a :class:`~repro.serve.SolverSession` serves are supported:
-    ``gmres`` and ``ca_gmres``, not ``pipelined``.
-    ``metrics`` (a :class:`~repro.metrics.registry.MetricsRegistry`) makes
-    the session record serving + solve telemetry labeled with ``problem``.
+    ``solver`` is ``"gmres"``, ``"ca_gmres"`` or ``"pipelined"``.  The
+    session's structural plan (partition, distributed matrix, MPK closure,
+    exchange index sets) is computed once and shared by every trial;
+    :meth:`~repro.serve.SolverSession.arm_fault_plan` swaps the fault
+    schedule between trials on the long-lived context.  ``metrics`` (a
+    :class:`~repro.metrics.registry.MetricsRegistry`) makes the session
+    record serving + solve telemetry labeled with ``problem``.
     """
     from ..serve import SolverSession
 
-    if solver not in ("gmres", "ca_gmres"):
-        raise ValueError(f"solver {solver!r} does not support session mode")
-    A = _problems()[problem](nx)
-    kwargs = dict(
-        n_gpus=n_gpus, m=m, tol=tol, max_restarts=max_restarts,
+    if solver not in _SESSION_SOLVERS:
+        raise ValueError(
+            f"unknown solver {solver!r}; choose from {tuple(_SESSION_SOLVERS)}"
+        )
+    return SolverSession(
+        _problems()[problem](nx), solver=_SESSION_SOLVERS[solver],
+        n_gpus=n_gpus, m=m, s=s, tol=tol, max_restarts=max_restarts,
         metrics=metrics, metrics_label=problem,
     )
-    if solver == "ca_gmres":
-        return SolverSession(A, solver="ca", s=s, **kwargs)
-    return SolverSession(A, solver="gmres", **kwargs)
 
 
 def run_trial(
@@ -103,17 +97,20 @@ def run_trial(
     With ``degrade`` the solve runs under a default
     :class:`~repro.core.degrade.DegradePolicy`: device dropouts are
     absorbed by repartitioning over the survivors instead of aborting.
-    ``deadline`` sets a simulated-time budget in seconds.  With
-    ``session`` (see :func:`make_session`) the solve reuses the session's
-    cached structural plan and context instead of rebuilding them; the
-    record is byte-identical either way.  ``metrics`` records the solve's
-    runtime + convergence + fault telemetry (labels ``solver``/``matrix``
-    = the solver and problem names); a session carrying its own registry
-    already records through it, so pass one or the other.
+    ``deadline`` sets a simulated-time budget in seconds.  The solve runs
+    on ``session`` (see :func:`make_session`), reusing its cached
+    structural plan and context; without one, the trial builds its own
+    from the problem arguments and ``metrics``, which then records the
+    solve's serving, runtime, convergence and fault telemetry.  The record
+    is byte-identical either way.
     """
     from ..core.degrade import DegradePolicy
-    from ..gpu.context import MultiGpuContext
 
+    if session is None:
+        session = make_session(
+            solver=solver, problem=problem, nx=nx, n_gpus=n_gpus, s=s, m=m,
+            tol=tol, max_restarts=max_restarts, metrics=metrics,
+        )
     plan = FaultPlan.from_rate(
         seed, rate, kinds=kinds, stall_factor=stall_factor, max_faults=max_faults
     )
@@ -122,28 +119,12 @@ def run_trial(
         overrides["degrade"] = DegradePolicy()
     if deadline is not None:
         overrides["deadline"] = deadline
-    if session is not None:
-        session.arm_fault_plan(plan)
-        b = np.ones(session.matrix.n_rows)
-        with np.errstate(invalid="ignore", over="ignore"):
-            result = session.solve(b, **overrides)
-    else:
-        solve = _solvers()[solver]
-        A = _problems()[problem](nx)
-        b = np.ones(A.n_rows)
-        ctx = MultiGpuContext(n_gpus, fault_plan=plan)
-        kwargs = dict(ctx=ctx, m=m, tol=tol, max_restarts=max_restarts)
-        if solver == "ca_gmres":
-            kwargs["s"] = s
-        kwargs.update(overrides)
-        # Poisoned values legitimately flow through a few kernels before a
-        # guard catches them; silence the resulting NumPy warnings locally.
-        with np.errstate(invalid="ignore", over="ignore"):
-            result = solve(A, b, **kwargs)
-        if metrics is not None:
-            from ..metrics.collect import observe_solve
-
-            observe_solve(metrics, ctx, result, solver=solver, matrix=problem)
+    session.arm_fault_plan(plan)
+    b = np.ones(session.matrix.n_rows)
+    # Poisoned values legitimately flow through a few kernels before a
+    # guard catches them; silence the resulting NumPy warnings locally.
+    with np.errstate(invalid="ignore", over="ignore"):
+        result = session.solve(b, **overrides)
     faults = result.details.get("faults") or fault_report()
     degradation = result.details.get("degradation")
     injected_by_kind = dict(Counter(r["kind"] for r in faults["injected"]))
@@ -192,7 +173,6 @@ def run_campaign(
     max_faults: int | None = None,
     degrade: bool = False,
     deadline: float | None = None,
-    session: bool = False,
     metrics=None,
 ) -> dict:
     """Run ``trials`` solves (trial ``i`` seeded ``seed + i``); aggregate.
@@ -201,14 +181,12 @@ def run_campaign(
     records (:func:`run_trial`), and campaign totals.  Deterministic:
     identical arguments produce an identical dict.  ``degrade`` and
     ``deadline`` are forwarded to every trial (see :func:`run_trial`).
-    With ``session`` all trials share one :class:`~repro.serve.SolverSession`
-    (structural plan computed once, fault plans re-armed per trial); the
-    per-trial records are byte-identical to the sessionless campaign, and
-    the returned dict gains a ``"serving"`` key with the plan-cache stats.
-    ``metrics`` aggregates every trial's telemetry into one registry
-    (threaded through the session when ``session`` is set, through
-    :func:`run_trial` otherwise) — the ``--metrics-out`` CLI flag writes
-    it as a JSON snapshot.
+    All trials share one :class:`~repro.serve.SolverSession` (structural
+    plan computed once, fault plans re-armed per trial); the per-trial
+    records are byte-identical to a fresh session per trial, and the
+    ``"serving"`` key holds the session's plan-cache stats.  ``metrics``
+    aggregates every trial's telemetry into one registry, through the
+    session — the ``--metrics-out`` CLI flag writes it as a JSON snapshot.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -219,15 +197,9 @@ def run_campaign(
         "stall_factor": stall_factor, "max_faults": max_faults,
         "degrade": degrade, "deadline": deadline,
     }
-    if session:
-        config["session"] = True
-    sess = (
-        make_session(
-            solver=solver, problem=problem, nx=nx, n_gpus=n_gpus,
-            s=s, m=m, tol=tol, max_restarts=max_restarts, metrics=metrics,
-        )
-        if session
-        else None
+    session = make_session(
+        solver=solver, problem=problem, nx=nx, n_gpus=n_gpus,
+        s=s, m=m, tol=tol, max_restarts=max_restarts, metrics=metrics,
     )
     records = [
         run_trial(
@@ -235,7 +207,7 @@ def run_campaign(
             seed=seed + i, rate=rate, kinds=kinds, s=s, m=m, tol=tol,
             max_restarts=max_restarts, stall_factor=stall_factor,
             max_faults=max_faults, degrade=degrade, deadline=deadline,
-            session=sess, metrics=metrics,
+            session=session,
         )
         for i in range(trials)
     ]
@@ -256,10 +228,10 @@ def run_campaign(
         "repartitions": sum(r["repartitions"] for r in records),
         "deadline_exceeded_trials": sum(r["deadline_exceeded"] for r in records),
     }
-    out = {"config": config, "trials": records, "totals": totals}
-    if sess is not None:
-        out["serving"] = sess.stats()
-    return out
+    return {
+        "config": config, "trials": records, "totals": totals,
+        "serving": session.stats(),
+    }
 
 
 def campaign_tables(campaign: dict) -> str:
@@ -324,12 +296,11 @@ def campaign_tables(campaign: dict) -> str:
             f"; {t['repartitions']} repartition(s), "
             f"{t['deadline_exceeded_trials']} deadline-exceeded trial(s)"
         )
-    serving = campaign.get("serving")
-    if serving is not None:
-        tail += (
-            f"\nserving: {serving['structural_plans']} structural plan(s) "
-            f"across {serving['n_solves']} solve(s) — "
-            f"{serving['plan_hits']} hit(s), {serving['plan_misses']} miss(es), "
-            f"{serving['invalidations']} invalidation(s)"
-        )
+    serving = campaign["serving"]
+    tail += (
+        f"\nserving: {serving['structural_plans']} structural plan(s) "
+        f"across {serving['n_solves']} solve(s) — "
+        f"{serving['plan_hits']} hit(s), {serving['plan_misses']} miss(es), "
+        f"{serving['invalidations']} invalidation(s)"
+    )
     return "\n\n".join([trial_table, summary, actions, tail])

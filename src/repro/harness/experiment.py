@@ -15,7 +15,6 @@ from ..core.ca_gmres import ca_gmres
 from ..core.convergence import SolveResult
 from ..core.gmres import gmres
 from ..gpu.context import MultiGpuContext
-from ..order.partition import Partition
 from ..sparse.csr import CsrMatrix
 
 __all__ = ["ExperimentRecord", "run_solver_experiment", "solver_table_row"]
@@ -45,19 +44,20 @@ def run_solver_experiment(
     b: np.ndarray,
     solver: str,
     n_gpus: int,
-    partition: Partition | None = None,
+    ordering: str = "natural",
     **kwargs,
 ) -> ExperimentRecord:
     """Run one GMRES / CA-GMRES configuration and summarize it.
 
-    ``solver`` is ``"gmres"`` or ``"ca_gmres"``; ``kwargs`` pass through to
-    the driver.  Times are per-restart simulated milliseconds.
+    ``solver`` is ``"gmres"`` or ``"ca_gmres"``; ``ordering`` and
+    ``kwargs`` pass through to the driver.  Times are per-restart
+    simulated milliseconds.
     """
     ctx = MultiGpuContext(n_gpus)
     if solver == "gmres":
-        result = gmres(matrix, b, ctx=ctx, partition=partition, **kwargs)
+        result = gmres(matrix, b, ctx=ctx, ordering=ordering, **kwargs)
     elif solver == "ca_gmres":
-        result = ca_gmres(matrix, b, ctx=ctx, partition=partition, **kwargs)
+        result = ca_gmres(matrix, b, ctx=ctx, ordering=ordering, **kwargs)
     else:
         raise ValueError(f"unknown solver {solver!r}")
     cycles = max(result.n_restarts, 1)

@@ -18,9 +18,10 @@ plans on demand, keyed by :class:`~repro.serve.fingerprint.HostKey` and
 :class:`~repro.serve.fingerprint.Fingerprint`, and splits the
 roster-independent host work (:class:`HostPlan`) from the roster-dependent
 device state so a mid-solve repartition invalidates only the latter.  It
-is the library's one structural setup path: every solver run without a
-``plan=`` builds its plan through a private cache, and CA-Arnoldi builds
-its basis and MPK kernels through one as well.
+is the library's one structural setup path: every solve builds its plan
+through a :class:`~repro.serve.session.SolverSession`'s cache (the solver
+functions are one-request sessions), and CA-Arnoldi builds its basis and
+MPK kernels through one as well.
 
 Bit-identity
 ------------
@@ -155,22 +156,23 @@ class StructuralPlan:
         for length in lengths:
             self.mpk_kernel(length)
 
-    def derive(self, new_partition: Partition, mpk_lengths=()) -> "StructuralPlan":
+    def derive(self, new_partition: Partition) -> "StructuralPlan":
         """Plan for the current (shrunken) roster after a repartition.
 
         Routed through the owning :class:`PlanCache`: the first
         degradation to a given roster builds the survivor plan, later
         degradations to the same roster reuse it.  A cached entry whose
         partition disagrees with ``new_partition`` is invalidated and
-        rebuilt.
+        rebuilt.  The survivor plan prebuilds the MPK kernels of the
+        key's block lengths.
         """
         return self._cache.structural_plan(
             self.ctx,
             self.host,
             self.key.m,
-            self.key.mpk_lengths or mpk_lengths,
+            self.key.mpk_lengths,
             partition=new_partition,
-            prebuild_mpk=mpk_lengths,
+            prebuild_mpk=self.key.mpk_lengths,
         )
 
     def device_memory_bytes(self) -> list[int]:

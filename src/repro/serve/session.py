@@ -2,7 +2,11 @@
 
 :class:`SolverSession` binds one matrix + one solver configuration to one
 :class:`~repro.gpu.context.MultiGpuContext` and answers repeated
-``solve(b)`` calls.  The first call computes the structural plan —
+``solve(b)`` calls.  It is the library's one solve front end: the solver
+functions (:func:`~repro.core.gmres.gmres`,
+:func:`~repro.core.ca_gmres.ca_gmres`,
+:func:`~repro.core.pipelined.pipelined_gmres`) are one-request sessions.
+The first call computes the structural plan —
 ordering, balancing, partition, distributed matrix, MPK dependency
 closure, staged-exchange index sets — and caches it under a key of the
 matrix pattern, its values, the configuration and the device roster;
@@ -26,7 +30,6 @@ replay determinism is defined per-solve.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import numpy as np
@@ -34,6 +37,7 @@ import numpy as np
 from ..core.ca_gmres import CaGmresRun, mpk_block_lengths
 from ..core.convergence import SolveResult
 from ..core.gmres import GmresRun
+from ..core.pipelined import PipelinedRun
 from ..gpu.context import MultiGpuContext
 from ..gpu.trace import REGION_LANE
 from ..sparse.csr import CsrMatrix
@@ -41,6 +45,9 @@ from .fingerprint import Fingerprint
 from .plan import ORDERINGS, PlanCache, StructuralPlan
 
 __all__ = ["SolverSession"]
+
+#: Run class per ``solver`` choice.
+_RUNS = {"ca": CaGmresRun, "gmres": GmresRun, "pipelined": PipelinedRun}
 
 #: Arguments solve() may override per call (everything else is structural
 #: and fixed at session construction).
@@ -66,7 +73,8 @@ class SolverSession:
     matrix
         The system matrix (original ordering; the session permutes).
     solver
-        ``"ca"`` (CA-GMRES, the default) or ``"gmres"``.
+        ``"ca"`` (CA-GMRES, the default), ``"gmres"`` or ``"pipelined"``
+        (pipelined GMRES).
     ctx, n_gpus
         Execution context, or the GPU count to build one with.
     ordering
@@ -75,7 +83,8 @@ class SolverSession:
     m, s, basis, balance, tol, max_restarts, preconditioner
         Solver configuration, as in :func:`repro.core.ca_gmres.ca_gmres` /
         :func:`repro.core.gmres.gmres`.  ``m`` defaults to 60 for CA-GMRES
-        and 30 for GMRES.
+        and 30 for the GMRES variants; ``s`` and ``basis`` apply to
+        CA-GMRES only, which needs ``1 <= s <= m``.
     cache
         Optional shared :class:`~repro.serve.plan.PlanCache`; sessions may
         share one to pool host-level plans (and, on the same context,
@@ -117,8 +126,10 @@ class SolverSession:
         metrics_label: str = "",
         **solver_kwargs,
     ):
-        if solver not in ("ca", "gmres"):
-            raise ValueError(f"unknown solver {solver!r}; choose 'ca' or 'gmres'")
+        if solver not in _RUNS:
+            raise ValueError(
+                f"unknown solver {solver!r}; choose from {tuple(_RUNS)}"
+            )
         if ordering not in ORDERINGS:
             raise ValueError(
                 f"unknown ordering {ordering!r}; choose from {ORDERINGS}"
@@ -144,11 +155,12 @@ class SolverSession:
             self.cache.metrics = metrics
         self.n_solves = 0
         self._host = None
+        self._mpk_lengths = ()
         if solver == "ca":
-            use_mpk = self.solver_kwargs.get("use_mpk", True)
-            self._mpk_lengths = mpk_block_lengths(self.s, self.m) if use_mpk else ()
-        else:
-            self._mpk_lengths = ()
+            if not 1 <= self.s <= self.m:
+                raise ValueError(f"need 1 <= s <= m, got s={self.s}, m={self.m}")
+            if self.solver_kwargs.get("use_mpk", True):
+                self._mpk_lengths = mpk_block_lengths(self.s, self.m)
 
     # ------------------------------------------------------------------
     @property
@@ -190,7 +202,7 @@ class SolverSession:
 
     @property
     def _solver_label(self) -> str:
-        return "ca_gmres" if self.solver == "ca" else "gmres"
+        return _RUNS[self.solver].name
 
     # ------------------------------------------------------------------
     def _make_run(self, b: np.ndarray, overrides: dict):
@@ -201,42 +213,17 @@ class SolverSession:
                 "(fix these at session construction)"
             )
         if self.ctx.inactive_devices:
-            # A previous degraded solve left the roster shrunken; the solver
-            # would restore it anyway — do it first so the plan lookup keys
-            # on the full roster (the survivor-roster entry stays cached for
-            # the next mid-solve repartition).
+            # A previous degraded solve left the roster shrunken; restore it
+            # so the plan lookup keys on the full roster (the survivor-roster
+            # entry stays cached for the next mid-solve repartition).
             self.ctx.reset_clocks()
         plan_misses_before = self.cache.stats["plan_misses"]
         plan = self.plan
-        host = self._host
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.matrix.n_rows,):
-            raise ValueError(
-                f"b must have shape ({self.matrix.n_rows},), got {b.shape}"
-            )
-        kwargs = dict(self.solver_kwargs)
-        kwargs.pop("use_mpk", None)
-        kwargs.update(overrides)
-        x0 = kwargs.pop("x0", None)
-        if x0 is not None:
-            x0 = host.to_solve_order(np.asarray(x0, dtype=np.float64))
-        common = dict(
-            ctx=self.ctx,
-            plan=plan,
-            m=self.m,
-            tol=kwargs.pop("tol", self.tol),
-            max_restarts=kwargs.pop("max_restarts", self.max_restarts),
-            x0=x0,
-        )
-        b_p = host.to_solve_order(b)
+        kwargs = dict(self.solver_kwargs, tol=self.tol, max_restarts=self.max_restarts)
         if self.solver == "ca":
-            use_mpk = self.solver_kwargs.get("use_mpk", True)
-            run = CaGmresRun(
-                host.matrix, b_p, s=self.s, basis=self.basis,
-                use_mpk=use_mpk, **common, **kwargs,
-            )
-        else:
-            run = GmresRun(host.matrix, b_p, **common, **kwargs)
+            kwargs.update(s=self.s, basis=self.basis)
+        kwargs.update(overrides)
+        run = _RUNS[self.solver](b, plan, **kwargs)
         if self.cache.stats["plan_misses"] > plan_misses_before:
             # The run constructor reset the clocks and wiped the trace —
             # re-emit the plan-build marker onto the fresh timeline so cold
@@ -250,9 +237,7 @@ class SolverSession:
     def _postprocess(self, run) -> SolveResult:
         result = run.result()
         self.n_solves += 1
-        if self._host.perm is None:
-            return result
-        return dataclasses.replace(result, x=self._host.from_solve_order(result.x))
+        return result
 
     def solve(self, b: np.ndarray, **overrides) -> SolveResult:
         """Solve ``A x = b`` reusing the session's structural plan.

@@ -6,7 +6,6 @@ import pytest
 from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres
 from repro.matrices import convection_diffusion2d, poisson2d
-from repro.order import kway_partition
 from repro.orth.errors import CholeskyBreakdown
 
 
@@ -87,9 +86,8 @@ class TestCaGmresConvergence:
 
     def test_kway_partition(self):
         A = poisson2d(14)
-        part = kway_partition(A, 3)
         b = np.ones(A.n_rows)
-        r = ca_gmres(A, b, n_gpus=3, partition=part, s=7, m=21, tol=1e-6)
+        r = ca_gmres(A, b, n_gpus=3, ordering="kway", s=7, m=21, tol=1e-6)
         assert r.converged
 
     def test_x0(self, rng):

@@ -6,7 +6,6 @@ import pytest
 from repro.core.gmres import gmres
 from repro.matrices import convection_diffusion2d, poisson2d
 from repro.matrices.random_sparse import random_sparse
-from repro.order import kway_partition
 
 
 def residual(A, b, x):
@@ -45,9 +44,8 @@ class TestGmresConvergence:
 
     def test_kway_partition(self):
         A = poisson2d(14)
-        part = kway_partition(A, 3)
         b = np.ones(A.n_rows)
-        r = gmres(A, b, n_gpus=3, partition=part, m=25, tol=1e-6)
+        r = gmres(A, b, n_gpus=3, ordering="kway", m=25, tol=1e-6)
         assert r.converged
         assert residual(A, b, r.x) < 1e-5
 

@@ -3,7 +3,7 @@
 Every solver runs on :class:`repro.core.gmres.RestartedRun`, so the
 boundary checks, the trivial zero right-hand side, the trace's cycle windows,
 the deadline and the ``step()`` interface are tested once, for each run
-class.
+class.  The runs are built directly over a session's structural plan.
 """
 
 import numpy as np
@@ -14,13 +14,24 @@ from repro.core.gmres import GmresRun, gmres
 from repro.core.pipelined import PipelinedRun, pipelined_gmres
 from repro.gpu.context import MultiGpuContext
 from repro.matrices.stencil import poisson2d
+from repro.serve.session import SolverSession
 from repro.sparse.csr import csr_from_dense
 
+#: name -> (run class, solver function, session solver, configuration).
 SOLVERS = {
-    "gmres": (GmresRun, gmres, {"m": 8}),
-    "ca_gmres": (CaGmresRun, ca_gmres, {"s": 4, "m": 8}),
-    "pipelined_gmres": (PipelinedRun, pipelined_gmres, {"m": 8}),
+    "gmres": (GmresRun, gmres, "gmres", {"m": 8}),
+    "ca_gmres": (CaGmresRun, ca_gmres, "ca", {"s": 4, "m": 8}),
+    "pipelined_gmres": (PipelinedRun, pipelined_gmres, "pipelined", {"m": 8}),
 }
+
+
+def make_run(solver, A, b, n_gpus=1, **overrides):
+    """A run over the plan of a session with the solver's configuration."""
+    run_cls, _, session_solver, kw = solver
+    kw = {**kw, **overrides}
+    plan = SolverSession(A, solver=session_solver, n_gpus=n_gpus, **kw).plan
+    kw.pop("m")
+    return run_cls(b, plan, **kw)
 
 
 @pytest.fixture(params=list(SOLVERS))
@@ -36,39 +47,35 @@ def problem():
 
 
 def test_rectangular_rejected(solver):
-    run_cls, _, kw = solver
+    _, solve, _, kw = solver
     with pytest.raises(ValueError, match="square"):
-        run_cls(csr_from_dense(np.ones((3, 4))), np.ones(3), **kw)
+        solve(csr_from_dense(np.ones((3, 4))), np.ones(3), **kw)
 
 
 def test_wrong_b_shape(solver, problem):
-    run_cls, _, kw = solver
     A, _ = problem
     with pytest.raises(ValueError, match="b must have shape"):
-        run_cls(A, np.ones(A.n_rows + 1), **kw)
+        make_run(solver, A, np.ones(A.n_rows + 1))
 
 
 def test_zero_restart_length_rejected(solver, problem):
-    run_cls, _, kw = solver
     A, b = problem
     with pytest.raises(ValueError):
-        run_cls(A, b, **{**kw, "m": 0})
+        make_run(solver, A, b, m=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_b(solver, problem, bad):
-    run_cls, _, kw = solver
     A, b = problem
     b = b.copy()
     b[5] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        run_cls(A, b, **kw)
+        make_run(solver, A, b)
 
 
 def test_zero_rhs_converged_without_restarts(solver, problem):
-    run_cls, _, kw = solver
     A, _ = problem
-    run = run_cls(A, np.zeros(A.n_rows), n_gpus=2, **kw)
+    run = make_run(solver, A, np.zeros(A.n_rows), n_gpus=2)
     assert run.finished and not run.step()
     r = run.result()
     assert r.converged and r.n_restarts == 0 and r.n_iterations == 0
@@ -76,7 +83,7 @@ def test_zero_rhs_converged_without_restarts(solver, problem):
 
 
 def test_cycle_windows(solver, problem):
-    _, solve, kw = solver
+    _, solve, _, kw = solver
     A, b = problem
     ctx = MultiGpuContext(2)
     r = solve(A, b, ctx=ctx, **kw)
@@ -88,7 +95,7 @@ def test_cycle_windows(solver, problem):
 
 
 def test_deadline_stops_at_restart_boundary(solver, problem):
-    _, solve, kw = solver
+    _, solve, _, kw = solver
     A, b = problem
     full = solve(A, b, n_gpus=2, **kw)
     deadline = full.details["profile"]["cycles"][1]["end"] * 0.99
@@ -103,9 +110,9 @@ def test_deadline_stops_at_restart_boundary(solver, problem):
 
 
 def test_step_to_completion_equals_function_call(solver, problem):
-    run_cls, solve, kw = solver
+    _, solve, _, kw = solver
     A, b = problem
-    run = run_cls(A, b, n_gpus=3, **kw)
+    run = make_run(solver, A, b, n_gpus=3)
     steps = 0
     while run.step():
         steps += 1

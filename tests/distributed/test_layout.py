@@ -11,9 +11,9 @@ import pytest
 import repro.serve.plan as plan_module
 import repro.sparse.csr as csr_module
 from repro.core import DegradePolicy
-from repro.core.ca_gmres import CaGmresRun, ca_gmres
+from repro.core.ca_gmres import CaGmresRun, mpk_block_lengths
 from repro.core.eigen import ca_arnoldi_eigs
-from repro.core.gmres import gmres
+from repro.core.gmres import GmresRun
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.multivector import DistMultiVector, DistVector
 from repro.faults import FaultEvent, FaultPlan
@@ -21,6 +21,7 @@ from repro.gpu.context import MultiGpuContext
 from repro.matrices.stencil import poisson2d
 from repro.order.partition import Partition, block_row_partition
 from repro.serve.plan import PlanCache
+from repro.serve.session import SolverSession
 
 
 def assert_column_major(mv: DistMultiVector) -> None:
@@ -60,8 +61,8 @@ class TestMultivectorLayout:
         ctx = MultiGpuContext(
             3, fault_plan=FaultPlan.scripted((FaultEvent("gpu1", "dropout", trigger=40),))
         )
-        run = CaGmresRun(A, b, ctx=ctx, s=4, m=12, basis="monomial",
-                         degrade=DegradePolicy())
+        plan = SolverSession(A, ctx=ctx, s=4, m=12, basis="monomial").plan
+        run = CaGmresRun(b, plan, s=4, basis="monomial", degrade=DegradePolicy())
         res = run.result()
         assert res.details["degradation"]["n_repartitions"] == 1
         assert run.st.plan.partition.n_parts == 2
@@ -120,14 +121,20 @@ class TestSpmvWritesInPlace:
 
 
 class TestEmptyPanels:
-    @pytest.mark.parametrize("solver", [ca_gmres, gmres])
+    @pytest.mark.parametrize("solver", ["ca_gmres", "gmres"])
     def test_devices_without_rows_still_solve(self, solver):
-        """A caller's partition may leave devices without rows; their empty
+        """A plan's partition may leave devices without rows; their empty
         panels skip the in-place BLAS calls, which reject zero-size arrays."""
         A = poisson2d(3)
         b = np.ones(A.n_rows)
         part = Partition(np.zeros(A.n_rows, dtype=np.int64), 3)
-        kwargs = dict(s=2) if solver is ca_gmres else {}
-        res = solver(A, b, n_gpus=3, m=4, partition=part, tol=1e-8, **kwargs)
+        ca = solver == "ca_gmres"
+        cache = PlanCache()
+        plan = cache.structural_plan(
+            MultiGpuContext(3), cache.host_plan(A), m=4,
+            mpk_lengths=mpk_block_lengths(2, 4) if ca else (), partition=part,
+        )
+        run = CaGmresRun(b, plan, s=2, tol=1e-8) if ca else GmresRun(b, plan, tol=1e-8)
+        res = run.result()
         assert res.converged
         assert np.linalg.norm(b - A.matvec(res.x)) / np.linalg.norm(b) <= 1e-8

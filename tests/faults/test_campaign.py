@@ -21,7 +21,7 @@ class TestRunTrial:
         assert rec["schedule"] == [] and not rec["aborted"]
 
     def test_unknown_solver_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown solver"):
             run_trial(solver="bicgstab", nx=8)
 
 

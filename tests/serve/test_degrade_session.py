@@ -5,7 +5,7 @@ import pytest
 from repro.core.ca_gmres import ca_gmres
 from repro.core.degrade import DegradePolicy
 from repro.faults import FaultEvent, FaultPlan
-from repro.faults.campaign import run_campaign
+from repro.faults.campaign import run_campaign, run_trial
 from repro.gpu.context import MultiGpuContext
 from repro.matrices import poisson2d
 from repro.serve import SolverSession
@@ -82,31 +82,32 @@ class TestDegradedSolves:
         assert "degradation" in batch[0].details
 
 
+def fresh_session_trials(seed, trials, **kwargs):
+    """Each trial of a campaign, on a session of its own."""
+    return [run_trial(seed=seed + i, **kwargs) for i in range(trials)]
+
+
 class TestCampaignSessionMode:
+    """A campaign's trials share one session; each record equals the same
+    trial on a fresh session."""
+
     def test_session_campaign_records_byte_identical(self):
         kwargs = dict(
             solver="ca_gmres", problem="poisson2d", nx=12, n_gpus=2,
-            seed=3, rate=2e-3, trials=3, s=4, m=12, tol=1e-6,
-            max_restarts=30,
+            rate=2e-3, s=4, m=12, tol=1e-6, max_restarts=30,
         )
-        plain = run_campaign(**kwargs)
-        served = run_campaign(session=True, **kwargs)
-        assert served["trials"] == plain["trials"]
-        assert served["totals"] == plain["totals"]
-        assert "serving" not in plain
+        served = run_campaign(seed=3, trials=3, **kwargs)
+        assert served["trials"] == fresh_session_trials(3, 3, **kwargs)
         serving = served["serving"]
         assert serving["n_solves"] == 3
         assert serving["structural_plans"] >= 1
         assert serving["plan_misses"] >= 1
-        assert served["config"]["session"] is True
 
     def test_degrade_campaign_with_session(self):
         kwargs = dict(
             solver="ca_gmres", problem="poisson2d", nx=12, n_gpus=3,
-            seed=1, rate=2e-3, kinds=("corrupt", "poison", "dropout"),
-            trials=3, s=4, m=12, tol=1e-6, max_restarts=30, degrade=True,
+            rate=2e-3, kinds=("corrupt", "poison", "dropout"), s=4, m=12,
+            tol=1e-6, max_restarts=30, degrade=True,
         )
-        plain = run_campaign(**kwargs)
-        served = run_campaign(session=True, **kwargs)
-        assert served["trials"] == plain["trials"]
-        assert served["totals"] == plain["totals"]
+        served = run_campaign(seed=1, trials=3, **kwargs)
+        assert served["trials"] == fresh_session_trials(1, 3, **kwargs)

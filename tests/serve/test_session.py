@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres
+from repro.core.pipelined import pipelined_gmres
 from repro.matrices import poisson2d
 from repro.serve import SolverSession
 
@@ -52,6 +53,17 @@ class TestWarmColdBitIdentity:
         sess = SolverSession(A, solver="gmres", **cfg)
         cold = sess.solve(b)
         warm = sess.solve(b)
+        assert_identical(base, cold)
+        assert_identical(cold, warm)
+
+    def test_pipelined_session(self, problem):
+        A, b = problem
+        cfg = dict(n_gpus=2, m=12, tol=1e-8, max_restarts=20)
+        base = pipelined_gmres(A, b, **cfg)
+        sess = SolverSession(A, solver="pipelined", **cfg)
+        cold = sess.solve(b)
+        warm = sess.solve(b)
+        assert cold.converged
         assert_identical(base, cold)
         assert_identical(cold, warm)
 
@@ -113,9 +125,15 @@ class TestApiSurface:
     def test_unknown_solver_and_ordering_rejected(self, problem):
         A, _ = problem
         with pytest.raises(ValueError, match="unknown solver"):
-            SolverSession(A, solver="pipelined")
+            SolverSession(A, solver="bicgstab")
         with pytest.raises(ValueError, match="unknown ordering"):
             SolverSession(A, ordering="metis")
+
+    @pytest.mark.parametrize("s", [0, 13])
+    def test_block_length_out_of_range_rejected_at_construction(self, problem, s):
+        A, _ = problem
+        with pytest.raises(ValueError, match="1 <= s <= m"):
+            SolverSession(A, s=s, m=12)
 
     def test_structural_override_rejected(self, problem):
         A, b = problem

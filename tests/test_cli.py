@@ -102,6 +102,17 @@ class TestCli:
         assert doc["config"]["trials"] == 1
         assert doc["totals"]["injected"] == 0
 
+    def test_serve_kway(self, capsys):
+        # The documented serve invocation, at a smaller grid.
+        code = main(
+            ["serve", "--matrix", "poisson2d", "--nx", "12", "--gpus", "3",
+             "--ordering", "kway"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "ordering=kway" in out
+        assert "warm == cold (bit-identical): True" in out
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

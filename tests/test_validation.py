@@ -3,73 +3,7 @@
 import numpy as np
 import pytest
 
-from repro._validation import (
-    as_float64_array,
-    as_index_array,
-    check_in,
-    check_nonnegative,
-    check_positive,
-    check_square,
-    check_vector,
-)
-
-
-class TestCheckPositive:
-    def test_accepts_positive(self):
-        check_positive(1, "x")
-        check_positive(0.5, "x")
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError, match="x must be positive"):
-            check_positive(0, "x")
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_positive(-3, "x")
-
-
-class TestCheckNonnegative:
-    def test_accepts_zero(self):
-        check_nonnegative(0, "x")
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            check_nonnegative(-1, "x")
-
-
-class TestCheckSquare:
-    def test_accepts_square(self):
-        check_square((3, 3))
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValueError, match="square"):
-            check_square((3, 4))
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError):
-            check_square((3,))
-
-
-class TestCheckVector:
-    def test_accepts_correct_length(self):
-        check_vector(np.zeros(5), 5)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            check_vector(np.zeros(4), 5)
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            check_vector(np.zeros((5, 1)), 5)
-
-
-class TestCheckIn:
-    def test_accepts_member(self):
-        check_in("a", {"a", "b"}, "opt")
-
-    def test_rejects_nonmember(self):
-        with pytest.raises(ValueError, match="opt must be one of"):
-            check_in("c", {"a", "b"}, "opt")
+from repro._validation import as_float64_array, as_index_array
 
 
 class TestAsFloat64Array:
