@@ -2,10 +2,12 @@
 
 The paper declares convergence when the l2 norm of the initial residual has
 been reduced by at least four orders of magnitude (Section VI); the drivers
-take that as a relative tolerance (default ``1e-4``), checking the Givens
-residual estimate inside a cycle and the *true* residual at restart
-boundaries (robust against the loss of orthogonality that CA-GMRES's
-ill-conditioned bases can cause).
+take that as a relative tolerance ``tol`` (default ``1e-4``) and make one
+test, on the caller's system: ``||b - A x|| <= tol ||b||``, measured on the
+host before the first cycle and at every restart boundary (robust against
+the loss of orthogonality that CA-GMRES's ill-conditioned bases can cause).
+``converged``, the history and the metrics all read that measurement; the
+Givens estimate of the iterated system only ends a cycle early.
 """
 
 from __future__ import annotations
@@ -19,11 +21,17 @@ __all__ = ["ConvergenceHistory", "SolveResult"]
 
 @dataclass
 class ConvergenceHistory:
-    """Residual norms observed during a solve."""
+    """Residual norms observed during a solve.
 
-    initial_residual: float = 0.0
+    ``true_residuals`` are the caller's ``(iteration, ||b - A x||)``, from
+    iteration 0 and every restart boundary; a solve converged exactly when
+    ``relative()[-1] <= tol``.  ``estimates`` are the in-cycle Givens
+    estimates of the iterated (balanced, reordered, preconditioned) system.
+    """
+
+    rhs_norm: float = 0.0  # ||b||
     estimates: list = field(default_factory=list)  # (iteration, |r| estimate)
-    true_residuals: list = field(default_factory=list)  # (iteration, |r|) at restarts
+    true_residuals: list = field(default_factory=list)  # (iteration, ||b - A x||)
 
     def record_estimate(self, iteration: int, value: float) -> None:
         self.estimates.append((int(iteration), float(value)))
@@ -32,10 +40,11 @@ class ConvergenceHistory:
         self.true_residuals.append((int(iteration), float(value)))
 
     def relative(self) -> np.ndarray:
-        """True residuals relative to the initial residual."""
-        if self.initial_residual == 0.0:
-            return np.zeros(len(self.true_residuals))
-        return np.array([v for _, v in self.true_residuals]) / self.initial_residual
+        """True residuals over ``||b||`` (with ``b = 0``: 0 or infinite)."""
+        norms = np.array([v for _, v in self.true_residuals], dtype=np.float64)
+        if self.rhs_norm == 0.0:
+            return np.where(norms == 0.0, 0.0, np.inf)
+        return norms / self.rhs_norm
 
 
 @dataclass
@@ -47,12 +56,8 @@ class SolveResult:
     x
         Solution in the *original* (unbalanced) variables, on the host.
     converged
-        True if the true residual of the *balanced* system
-        ``D_r A D_c y = D_r b`` reached ``tol`` times its initial norm
-        (the solver runs on that system when ``balance=True``, the
-        default).  It does not yet guarantee the relative residual of the
-        system the caller passed: on badly row-scaled matrices the two
-        differ (see ``tol`` in :class:`~repro.core.gmres.RestartedRun`).
+        True if ``||b - A x|| <= tol ||b||`` for the system the caller
+        passed, i.e. ``history.relative()[-1] <= tol``.
     n_restarts
         Completed restart cycles (the paper's "Rest." column).
     n_iterations
@@ -138,11 +143,8 @@ class SolveResult:
             f"restarts       : {self.n_restarts}",
             f"iterations     : {self.n_iterations}",
         ]
-        if self.history.initial_residual > 0 and self.history.true_residuals:
-            final = self.history.true_residuals[-1][1]
-            lines.append(
-                f"rel. residual  : {final / self.history.initial_residual:.3e}"
-            )
+        if self.history.true_residuals:
+            lines.append(f"rel. residual  : {self.history.relative()[-1]:.3e}")
         if self.breakdowns:
             lines.append(f"breakdowns     : {self.breakdowns}")
         faults = self.details.get("faults")

@@ -244,10 +244,9 @@ class DegradationManager:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def report(self) -> dict:
+    def report(self, events) -> dict:
         """The ``SolveResult.details["degradation"]`` payload, built from
         the ``repartition`` and ``deadline-exceeded`` fault-lane events."""
-        events = self.ctx.trace.fault_events()
         repartitions = [
             {"time": e.start, **e.args} for e in events if e.kind == "repartition"
         ]

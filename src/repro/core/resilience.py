@@ -95,15 +95,6 @@ def restore_solution(x, snapshot: list[np.ndarray]) -> None:
         p.data[...] = saved
 
 
-def _snapshot_history(history) -> tuple[int, int]:
-    return len(history.estimates), len(history.true_residuals)
-
-
-def _restore_history(history, snap: tuple[int, int]) -> None:
-    del history.estimates[snap[0] :]
-    del history.true_residuals[snap[1] :]
-
-
 def run_cycle_resilient(ctx, cycle, x, history, degrader=None):
     """Run one restart cycle with checkpoint/redo semantics.
 
@@ -147,7 +138,7 @@ def run_cycle_resilient(ctx, cycle, x, history, degrader=None):
         failure is then an ``unrecovered`` fault-lane event.
     """
     checkpoint = snapshot_solution(x)
-    hist_mark = _snapshot_history(history)
+    n_estimates = len(history.estimates)
     attempt = 0
     rebuild = None  # (partition, x_host) of an absorbed device loss
     while True:
@@ -159,7 +150,7 @@ def run_cycle_resilient(ctx, cycle, x, history, degrader=None):
             return cycle(), False
         except RECOVERABLE_FAULTS as exc:
             restore_solution(x, checkpoint)
-            _restore_history(history, hist_mark)
+            del history.estimates[n_estimates:]
             if attempt == MAX_CYCLE_REDOS:
                 ctx.faults.note_unrecovered(
                     {
@@ -176,7 +167,7 @@ def run_cycle_resilient(ctx, cycle, x, history, degrader=None):
             )
             attempt += 1
         except DeviceLost as exc:
-            _restore_history(history, hist_mark)
+            del history.estimates[n_estimates:]
             if degrader is not None:
                 rebuild = degrader.absorb(exc, x, checkpoint)
             if rebuild is not None:

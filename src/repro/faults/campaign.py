@@ -52,7 +52,8 @@ def make_session(
 ):
     """One :class:`~repro.serve.SolverSession` for a whole campaign.
 
-    ``solver`` is ``"gmres"``, ``"ca_gmres"`` or ``"pipelined"``.  The
+    ``solver`` is ``"gmres"``, ``"ca_gmres"`` or ``"pipelined"``; ``s``
+    applies to ``"ca_gmres"`` only.  The
     session's structural plan (partition, distributed matrix, MPK closure,
     exchange index sets) is computed once and shared by every trial;
     :meth:`~repro.serve.SolverSession.arm_fault_plan` swaps the fault
@@ -68,8 +69,8 @@ def make_session(
         )
     return SolverSession(
         _problems()[problem](nx), solver=_SESSION_SOLVERS[solver],
-        n_gpus=n_gpus, m=m, s=s, tol=tol, max_restarts=max_restarts,
-        metrics=metrics, metrics_label=problem,
+        n_gpus=n_gpus, m=m, s=s if solver == "ca_gmres" else None, tol=tol,
+        max_restarts=max_restarts, metrics=metrics, metrics_label=problem,
     )
 
 

@@ -77,6 +77,8 @@ class TraceEvent:
     args
         Extra attributes (device id, byte counts, kernel shape, inclusive /
         exclusive region times, nesting depth, ...).
+    request
+        The recorder's :attr:`~TraceRecorder.request` tag when recorded.
     """
 
     name: str
@@ -85,6 +87,7 @@ class TraceEvent:
     start: float
     duration: float
     args: dict = field(default_factory=dict)
+    request: int = 0
 
     @property
     def end(self) -> float:
@@ -160,12 +163,16 @@ class TraceRecorder:
     """Append-only event log with region nesting and cycle marks.
 
     Recording is a dataclass append; every aggregate is folded from the
-    log on demand by :meth:`fold`.
+    log on demand by :meth:`fold`.  Each event and cycle mark carries the
+    current :attr:`request` tag, which a restart loop sets to its run's
+    index in a batch of interleaved solves.
     """
 
     def __init__(self):
         self.events: list[TraceEvent] = []
         self.cycle_marks: list[float] = []
+        self.cycle_requests: list[int] = []  # request tag of each mark
+        self.request = 0
         # Region stack entries: [name, start_time, child_inclusive_time].
         self._region_stack: list[list] = []
 
@@ -182,7 +189,9 @@ class TraceRecorder:
         **args,
     ) -> None:
         """Append one interval event."""
-        self.events.append(TraceEvent(name, lane, kind, start, duration, args))
+        self.events.append(
+            TraceEvent(name, lane, kind, start, duration, args, self.request)
+        )
 
     def region_enter(self, name: str, t: float) -> None:
         """Open a (possibly nested) region at simulated time ``t``."""
@@ -221,6 +230,7 @@ class TraceRecorder:
                         fr[0] == name for fr in self._region_stack
                     ),
                 },
+                self.request,
             )
         )
         return exclusive
@@ -228,13 +238,16 @@ class TraceRecorder:
     def mark_cycle(self, t: float) -> None:
         """Mark a restart-cycle boundary at simulated time ``t``."""
         self.cycle_marks.append(float(t))
+        self.cycle_requests.append(self.request)
 
     def reset(self) -> None:
-        """Drop all events, marks and region state — and with them every
-        aggregate, the counters included."""
+        """Drop all events, marks, region state and the request tag — and
+        with them every aggregate, the counters included."""
         self.events.clear()
         self.cycle_marks.clear()
+        self.cycle_requests.clear()
         self._region_stack.clear()
+        self.request = 0
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -354,9 +367,13 @@ class TraceRecorder:
         ordered += sorted(seen - set(ordered))
         return ordered
 
-    def fault_events(self) -> list[TraceEvent]:
-        """All events in the fault lane (faults, recoveries, degradations)."""
-        return [e for e in self.events if e.lane == FAULT_LANE]
+    def fault_events(self, request: int | None = None) -> list[TraceEvent]:
+        """The events in the fault lane (faults, recoveries, degradations),
+        only those tagged ``request`` when given."""
+        return [
+            e for e in self.events
+            if e.lane == FAULT_LANE and (request is None or e.request == request)
+        ]
 
     def to_chrome_trace(self) -> dict:
         """The trace as a Chrome ``trace_event`` JSON object.
@@ -406,7 +423,7 @@ class TraceRecorder:
                     "args": dict(e.args),
                 }
             )
-        for i, t in enumerate(self.cycle_marks):
+        for i, (t, request) in enumerate(zip(self.cycle_marks, self.cycle_requests)):
             trace_events.append(
                 {
                     "ph": "i",
@@ -416,6 +433,7 @@ class TraceRecorder:
                     "cat": "cycle",
                     "ts": t * 1e6,
                     "s": "p",
+                    "args": {"request": request},
                 }
             )
         return {"traceEvents": trace_events, "displayTimeUnit": "ms"}

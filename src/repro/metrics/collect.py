@@ -259,14 +259,12 @@ def observe_result(reg: MetricsRegistry, result, solver: str = "", matrix: str =
         phase_seconds.inc(seconds, phase=phase, **labels)
 
     history = result.history
-    if history.initial_residual > 0 and history.true_residuals:
-        rel = history.true_residuals[-1][1] / history.initial_residual
+    if history.true_residuals:
         reg.gauge(
             "repro_residual_relative",
-            "Final true residual relative to the initial residual "
-            "(last observed solve)",
+            "Final true residual relative to ||b|| (last observed solve)",
             labelnames=_SM,
-        ).set(rel, **labels)
+        ).set(history.relative()[-1], **labels)
     reg.counter(
         "repro_residual_estimates_total",
         "Givens residual estimates recorded along the trajectory",

@@ -30,6 +30,7 @@ replay determinism is defined per-solve.
 
 from __future__ import annotations
 
+import inspect
 import time
 
 import numpy as np
@@ -49,8 +50,8 @@ __all__ = ["SolverSession"]
 #: Run class per ``solver`` choice.
 _RUNS = {"ca": CaGmresRun, "gmres": GmresRun, "pipelined": PipelinedRun}
 
-#: Arguments solve() may override per call (everything else is structural
-#: and fixed at session construction).
+#: Arguments solve() may override per call, where the solver takes them
+#: (everything else is structural and fixed at session construction).
 _PER_SOLVE_KWARGS = frozenset(
     {
         "x0",
@@ -84,7 +85,7 @@ class SolverSession:
         Solver configuration, as in :func:`repro.core.ca_gmres.ca_gmres` /
         :func:`repro.core.gmres.gmres`.  ``m`` defaults to 60 for CA-GMRES
         and 30 for the GMRES variants; ``s`` and ``basis`` apply to
-        CA-GMRES only, which needs ``1 <= s <= m``.
+        CA-GMRES only (``None`` takes its defaults, 15 and ``"newton"``).
     cache
         Optional shared :class:`~repro.serve.plan.PlanCache`; sessions may
         share one to pool host-level plans (and, on the same context,
@@ -105,6 +106,10 @@ class SolverSession:
         Remaining solver options (``tsqr_method``, ``reorth``,
         ``use_mpk``, ``orth_method``, ``degrade``, ``deadline``, ...)
         forwarded verbatim to the solver.
+
+    Every option is checked against the solver's run class at
+    construction, before any plan is built: one it does not take raises
+    ``TypeError``, an out-of-range value ``ValueError``.
     """
 
     def __init__(
@@ -115,8 +120,8 @@ class SolverSession:
         n_gpus: int = 1,
         ordering: str = "natural",
         m: int | None = None,
-        s: int = 15,
-        basis: str = "newton",
+        s: int | None = None,
+        basis: str | None = None,
         balance: bool = True,
         tol: float = 1e-4,
         max_restarts: int = 500,
@@ -138,16 +143,18 @@ class SolverSession:
             raise ValueError("SolverSession requires a square matrix")
         self.matrix = matrix
         self.solver = solver
+        self.m = int(m) if m is not None else (60 if solver == "ca" else 30)
+        options = dict(solver_kwargs, tol=tol, max_restarts=max_restarts)
+        if s is not None:
+            options["s"] = int(s)
+        if basis is not None:
+            options["basis"] = basis
+        #: Every constructor option of the run class, defaults filled in.
+        self.options = self._checked(options)
         self.ctx = ctx if ctx is not None else MultiGpuContext(n_gpus)
         self.ordering = ordering
-        self.m = int(m) if m is not None else (60 if solver == "ca" else 30)
-        self.s = int(s)
-        self.basis = basis
         self.balance = bool(balance)
-        self.tol = float(tol)
-        self.max_restarts = int(max_restarts)
         self.preconditioner = preconditioner
-        self.solver_kwargs = dict(solver_kwargs)
         self.cache = cache if cache is not None else PlanCache()
         self.metrics = metrics
         self.metrics_label = str(metrics_label)
@@ -156,11 +163,31 @@ class SolverSession:
         self.n_solves = 0
         self._host = None
         self._mpk_lengths = ()
-        if solver == "ca":
-            if not 1 <= self.s <= self.m:
-                raise ValueError(f"need 1 <= s <= m, got s={self.s}, m={self.m}")
-            if self.solver_kwargs.get("use_mpk", True):
-                self._mpk_lengths = mpk_block_lengths(self.s, self.m)
+        if self.options.get("use_mpk"):
+            self._mpk_lengths = mpk_block_lengths(self.options["s"], self.m)
+
+    def _checked(self, options: dict) -> dict:
+        """``options`` bound against the run class's constructor chain
+        (defaults filled in) and validated for restart length ``m``."""
+        run_cls = _RUNS[self.solver]
+        accepted = {}
+        for klass in reversed(run_cls.__mro__):
+            init = vars(klass).get("__init__")
+            if klass is object or init is None:
+                continue
+            for name, param in inspect.signature(init).parameters.items():
+                if param.kind is param.POSITIONAL_OR_KEYWORD and name not in (
+                    "self", "b", "plan",
+                ):
+                    accepted[name] = param.default
+        unknown = sorted(set(options) - set(accepted))
+        if unknown:
+            raise TypeError(
+                f"solver {self.solver!r} takes no option(s) {unknown}"
+            )
+        bound = {**accepted, **options}
+        run_cls.check_options(self.m, bound)
+        return bound
 
     # ------------------------------------------------------------------
     @property
@@ -217,12 +244,9 @@ class SolverSession:
             # so the plan lookup keys on the full roster (the survivor-roster
             # entry stays cached for the next mid-solve repartition).
             self.ctx.reset_clocks()
+        kwargs = self._checked({**self.options, **overrides}) if overrides else self.options
         plan_misses_before = self.cache.stats["plan_misses"]
         plan = self.plan
-        kwargs = dict(self.solver_kwargs, tol=self.tol, max_restarts=self.max_restarts)
-        if self.solver == "ca":
-            kwargs.update(s=self.s, basis=self.basis)
-        kwargs.update(overrides)
         run = _RUNS[self.solver](b, plan, **kwargs)
         if self.cache.stats["plan_misses"] > plan_misses_before:
             # The run constructor reset the clocks and wiped the trace —
@@ -286,11 +310,13 @@ class SolverSession:
             self.ctx.faults.active
             or "degrade" in overrides
             or "deadline" in overrides
-            or self.solver_kwargs.get("degrade") is not None
-            or self.solver_kwargs.get("deadline") is not None
+            or self.options["degrade"] is not None
+            or self.options["deadline"] is not None
         ):
             return [self.solve(b, **overrides) for b in bs]
         runs = [self._make_run(b, overrides) for b in bs]
+        for i, run in enumerate(runs):
+            run.request = i
         pending = list(runs)
         rounds = 0
         step_calls = 0

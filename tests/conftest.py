@@ -8,6 +8,7 @@ import pytest
 from repro.dist.multivector import DistMultiVector
 from repro.gpu.context import MultiGpuContext
 from repro.order.partition import Partition, block_row_partition
+from repro.sparse.csr import CsrMatrix
 
 
 @pytest.fixture
@@ -34,6 +35,13 @@ def ctx2():
 @pytest.fixture
 def ctx3():
     return MultiGpuContext(3)
+
+
+def row_scaled(A: CsrMatrix, seed: int = 0) -> CsrMatrix:
+    """``A`` with its rows scaled by ``10**U(-2, 2)``: same pattern, new values."""
+    scale = 10.0 ** np.random.default_rng(seed).uniform(-2, 2, A.n_rows)
+    return CsrMatrix(A.shape, A.indptr, A.indices,
+                     A.data * np.repeat(scale, np.diff(A.indptr)))
 
 
 def make_dist_multivector(

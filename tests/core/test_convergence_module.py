@@ -22,7 +22,7 @@ def make_result(**overrides):
 
 class TestConvergenceHistory:
     def test_record_and_read(self):
-        h = ConvergenceHistory(initial_residual=10.0)
+        h = ConvergenceHistory(rhs_norm=10.0)
         h.record_estimate(1, 5.0)
         h.record_estimate(2, 2.5)
         h.record_true(10, 1.0)
@@ -30,18 +30,23 @@ class TestConvergenceHistory:
         assert h.true_residuals == [(10, 1.0)]
 
     def test_relative(self):
-        h = ConvergenceHistory(initial_residual=10.0)
+        h = ConvergenceHistory(rhs_norm=10.0)
         h.record_true(5, 5.0)
         h.record_true(10, 1.0)
         np.testing.assert_allclose(h.relative(), [0.5, 0.1])
 
     def test_relative_zero_initial(self):
-        h = ConvergenceHistory(initial_residual=0.0)
+        h = ConvergenceHistory(rhs_norm=0.0)
         h.record_true(1, 0.0)
         np.testing.assert_array_equal(h.relative(), [0.0])
 
+    def test_relative_zero_rhs_nonzero_residual(self):
+        h = ConvergenceHistory(rhs_norm=0.0)
+        h.record_true(0, 2.0)
+        assert h.relative()[-1] == np.inf
+
     def test_relative_empty(self):
-        h = ConvergenceHistory(initial_residual=1.0)
+        h = ConvergenceHistory(rhs_norm=1.0)
         assert h.relative().size == 0
 
 

@@ -53,9 +53,10 @@ class TestGmresConvergence:
         A = poisson2d(10)
         x_true = rng.standard_normal(A.n_rows)
         b = A.matvec(x_true)
-        # Start close to the solution: should converge in one cycle.
+        # Start close to the solution (relative residual 1e-6, above tol):
+        # should converge in one cycle.
         x0 = x_true + 1e-6 * rng.standard_normal(A.n_rows)
-        r = gmres(A, b, m=20, tol=1e-4, x0=x0)
+        r = gmres(A, b, m=20, tol=1e-8, x0=x0)
         assert r.converged
         assert r.n_restarts == 1
 
@@ -98,9 +99,10 @@ class TestGmresBookkeeping:
     def test_history_recorded(self):
         A = poisson2d(10)
         r = gmres(A, np.ones(A.n_rows), m=10, tol=1e-6)
-        assert r.history.initial_residual > 0
+        assert r.history.rhs_norm > 0
         assert len(r.history.estimates) == r.n_iterations
-        assert len(r.history.true_residuals) == r.n_restarts
+        # One measurement before the first cycle, one per restart boundary.
+        assert len(r.history.true_residuals) == r.n_restarts + 1
         # Relative true residuals end below tolerance.
         assert r.history.relative()[-1] <= 1e-6
 

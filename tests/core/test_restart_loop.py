@@ -73,6 +73,14 @@ def test_non_finite_b(solver, problem, bad):
         make_run(solver, A, b)
 
 
+@pytest.mark.parametrize("x0", [np.nan, np.inf, "short"])
+def test_bad_x0(solver, problem, x0):
+    A, b = problem
+    x0 = np.ones(A.n_rows - 1) if x0 == "short" else np.full(A.n_rows, x0)
+    with pytest.raises(ValueError, match="x0 must be a finite vector"):
+        make_run(solver, A, b, x0=x0)
+
+
 def test_zero_rhs_converged_without_restarts(solver, problem):
     A, _ = problem
     run = make_run(solver, A, np.zeros(A.n_rows), n_gpus=2)
@@ -105,7 +113,7 @@ def test_deadline_stops_at_restart_boundary(solver, problem):
     assert deg["deadline_exceeded"] and not r.converged
     # The cycle in flight at the deadline completes; no further one starts.
     windows = [(c["start"], c["end"]) for c in ctx.trace.fold().cycles]
-    assert r.n_restarts == 2 == len(windows) == len(r.history.true_residuals)
+    assert r.n_restarts == 2 == len(windows) == len(r.history.true_residuals) - 1
     assert windows[0][1] < deadline <= windows[1][1]
 
 

@@ -73,11 +73,7 @@ def test_observe_solve_covers_runtime_and_convergence(problem):
     )
     if result.history.true_residuals:
         ((_, res),) = reg.get("repro_residual_relative").samples()
-        expected = (
-            result.history.true_residuals[-1][1]
-            / result.history.initial_residual
-        )
-        assert res == expected
+        assert res == result.history.relative()[-1]
 
 
 def _cycle_samples(reg):
@@ -140,7 +136,7 @@ def test_observe_result_records_adaptive_and_faults():
         n_restarts = 2
         n_iterations = 20
         history = ConvergenceHistory(
-            initial_residual=1.0,
+            rhs_norm=1.0,
             estimates=[(0, 1.0), (10, 0.5), (20, 1e-9)],
             true_residuals=[(20, 1e-9)],
         )

@@ -145,7 +145,7 @@ def _parts(result) -> dict:
     history = result.history
     return {
         "x": _array(result.x),
-        "history": (history.initial_residual, history.estimates, history.true_residuals),
+        "history": (history.rhs_norm, history.estimates, history.true_residuals),
         "timers": result.timers,
         "counters": result.counters,
         "details": result.details,

@@ -9,7 +9,8 @@ from repro.gpu.context import MultiGpuContext
 from repro.matrices import poisson2d
 from repro.order.partition import Partition
 from repro.serve import PlanCache, SolverSession
-from repro.sparse.csr import CsrMatrix
+
+from ..conftest import row_scaled
 
 
 @pytest.fixture
@@ -139,18 +140,11 @@ class TestInvalidation:
         assert cache.stats["invalidations"] == 1
 
 
-def row_scaled(A, seed=0):
-    """``A`` with its rows scaled by ``10**U(-2, 2)``: same pattern, new values."""
-    scale = 10.0 ** np.random.default_rng(seed).uniform(-2, 2, A.n_rows)
-    return CsrMatrix(A.shape, A.indptr, A.indices,
-                     A.data * np.repeat(scale, np.diff(A.indptr)))
-
-
 def result_bytes(r):
     """Every output of a solve, as comparable bytes/values."""
     return (
         r.x.tobytes(), r.converged, r.n_restarts, r.n_iterations,
-        r.history.initial_residual, r.history.estimates,
+        r.history.rhs_norm, r.history.estimates,
         r.history.true_residuals, r.timers, r.counters, r.breakdowns,
         repr(r.details),
     )

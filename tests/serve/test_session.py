@@ -7,7 +7,8 @@ from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres
 from repro.core.pipelined import pipelined_gmres
 from repro.matrices import poisson2d
-from repro.serve import SolverSession
+from repro.serve import PlanCache, SolverSession
+from repro.sparse.csr import CsrMatrix
 
 
 def assert_identical(a, b):
@@ -16,7 +17,7 @@ def assert_identical(a, b):
     assert a.converged == b.converged
     assert a.n_restarts == b.n_restarts
     assert a.n_iterations == b.n_iterations
-    assert a.history.initial_residual == b.history.initial_residual
+    assert a.history.rhs_norm == b.history.rhs_norm
     assert a.history.estimates == b.history.estimates
     assert a.history.true_residuals == b.history.true_residuals
     assert a.timers == b.timers
@@ -99,21 +100,70 @@ class TestWarmColdBitIdentity:
         assert_identical(cold, warm)
 
 
+def overflowing(A):
+    """``A`` scaled by 1e160: an unbalanced monomial basis overflows, so
+    every solve ends in a structured abort, with no fault plan."""
+    return CsrMatrix(A.shape, A.indptr, A.indices, A.data * 1e160)
+
+
+#: Configuration of the solves on :func:`overflowing` matrices.
+OVERFLOW_CFG = dict(n_gpus=2, s=4, m=12, basis="monomial", balance=False,
+                    max_restarts=3)
+
+
+def without_times(report):
+    """A ``details["faults"]`` report with the ``time`` of each record dropped."""
+    if report is None:
+        return None
+    return {
+        key: [{k: v for k, v in r.items() if k != "time"} for r in value]
+        if isinstance(value, list) and value and isinstance(value[0], dict)
+        else value
+        for key, value in report.items()
+    }
+
+
 class TestSolveMany:
     def test_interleaved_matches_sequential_per_rhs(self, problem, rng):
         A, _ = problem
         bs = [rng.standard_normal(A.n_rows) for _ in range(3)]
-        cfg = dict(n_gpus=2, s=4, m=12, tol=1e-8, max_restarts=20)
-        sess = SolverSession(A, **cfg)
-        batch = sess.solve_many(bs)
-        ref = SolverSession(A, **cfg)
-        for b, got in zip(bs, batch):
-            want = ref.solve(b)
-            assert np.array_equal(got.x, want.x)
-            assert got.history.estimates == want.history.estimates
-            assert got.history.true_residuals == want.history.true_residuals
-            assert got.converged == want.converged
-            assert got.n_iterations == want.n_iterations
+        clean = dict(n_gpus=2, s=4, m=12, tol=1e-8, max_restarts=20)
+        # The overflowing system aborts every solve: each RHS has faults.
+        for A, cfg in ((A, clean), (overflowing(A), OVERFLOW_CFG)):
+            sess = SolverSession(A, **cfg)
+            with np.errstate(over="ignore", invalid="ignore"):
+                batch = sess.solve_many(bs)
+                ref = SolverSession(A, **cfg)
+                wants = [ref.solve(b) for b in bs]
+            for got, want in zip(batch, wants):
+                assert np.array_equal(got.x, want.x)
+                assert got.history.estimates == want.history.estimates
+                assert got.history.true_residuals == want.history.true_residuals
+                assert got.converged == want.converged
+                assert got.n_iterations == want.n_iterations
+                # Each result reports its own faults only.
+                assert without_times(got.details.get("faults")) == without_times(
+                    want.details.get("faults")
+                )
+            if cfg is clean:
+                # Every cycle mark carries the index of the request it ran.
+                tags = sess.ctx.trace.cycle_requests
+                assert [tags.count(i) for i in range(3)] == [
+                    r.n_restarts for r in batch
+                ]
+
+    def test_batch_results_report_only_their_own_faults(self):
+        """Both results of a batch of two aborting solves used to report
+        both aborts (``unrecovered: 2``)."""
+        A = overflowing(poisson2d(16))
+        bs = np.random.default_rng(7).standard_normal((2, A.n_rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = SolverSession(A, **OVERFLOW_CFG).solve_many(bs)
+            single = SolverSession(A, **OVERFLOW_CFG).solve(bs[0])
+        counts = single.details["faults"]["counts"]
+        assert counts["unrecovered"] == 1
+        for result in batch:
+            assert result.details["faults"]["counts"] == counts
 
     def test_empty_batch(self, problem):
         A, _ = problem
@@ -134,6 +184,35 @@ class TestApiSurface:
         A, _ = problem
         with pytest.raises(ValueError, match="1 <= s <= m"):
             SolverSession(A, s=s, m=12)
+
+    @pytest.mark.parametrize(
+        "solver, options, error",
+        [
+            ("ca", dict(ordering="kway", s=4, m=12, tsqr_methd="cholqr"), TypeError),
+            ("gmres", dict(s=99), TypeError),
+            ("gmres", dict(basis="chebyshev"), TypeError),
+            ("pipelined", dict(orth_method="mgs"), TypeError),
+            ("ca", dict(s=4, m=12, basis="chebyshev"), ValueError),
+            ("ca", dict(s=4, m=12, reorth=0), ValueError),
+        ],
+    )
+    def test_bad_option_rejected_before_any_plan(self, problem, solver, options, error):
+        A, _ = problem
+        cache = PlanCache()
+        with pytest.raises(error):
+            SolverSession(A, solver=solver, n_gpus=2, cache=cache, **options)
+        assert not cache.host_plans and not cache.plans
+
+    def test_bad_per_solve_option_rejected_before_any_plan(self, problem):
+        A, b = problem
+        ca = SolverSession(A, n_gpus=2, s=4, m=12)
+        with pytest.raises(ValueError, match="on_breakdown"):
+            ca.solve(b, on_breakdown="ignore")
+        plain = SolverSession(A, solver="gmres", n_gpus=2, m=12)
+        with pytest.raises(TypeError, match="adaptive_s"):
+            plain.solve(b, adaptive_s=True)
+        assert ca.stats()["structural_plans"] == 0
+        assert plain.stats()["structural_plans"] == 0
 
     def test_structural_override_rejected(self, problem):
         A, b = problem
