@@ -24,9 +24,9 @@ from repro.core.balance import balance_matrix
 def gram_condition(matrix, s, m, basis="monomial") -> float:
     """kappa of the Gram matrix of the last MPK block of one restart cycle.
 
-    ``basis="monomial"`` reflects the shiftless first cycle (worst case);
+    ``basis="monomial"`` is the shiftless basis (worst case);
     ``basis="newton"`` uses Leja-ordered Ritz shifts from a short Arnoldi
-    run, which is what every cycle after the first actually executes.
+    run, as every Newton-basis CA-GMRES cycle does.
     """
     from repro.core.basis import newton_shift_ops
     from repro.matrices.suite import _arnoldi_ritz

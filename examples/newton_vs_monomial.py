@@ -18,6 +18,7 @@ Run:  python examples/newton_vs_monomial.py
 import numpy as np
 
 from repro.core import ca_gmres
+from repro.core.arnoldi import host_ritz_values
 from repro.core.basis import newton_shift_ops
 from repro.dist.multivector import DistMultiVector
 from repro.gpu.context import MultiGpuContext
@@ -49,26 +50,11 @@ def main() -> None:
     n = A.n_rows
     print(f"matrix: 2-D Poisson, n = {n}\n")
 
-    # Ritz shifts from a short Arnoldi seed run (what CA-GMRES's first
-    # restart cycle provides).
-    seed = ca_gmres(
-        A, np.ones(n), s=5, m=20, basis="newton", tol=1e-30, max_restarts=1
-    )
-    # Recompute shifts explicitly for the table.
-    from repro.core.gmres import gmres
-
-    g = gmres(A, np.ones(n), m=20, tol=1e-30, max_restarts=1)
-    del seed, g
-
-    # Build shifts directly from a host Arnoldi for clarity.
-    from repro.matrices.suite import dominant_ritz_ratio  # noqa: F401
-
-    from repro.core.arnoldi import host_ritz_values
-
     rows = []
     for s in (5, 10, 15, 20, 25):
         mono_v, mono_g = basis_condition(A, s, monomial_shift_ops(s))
-        # Ritz values of a 20-step Arnoldi run drive the Newton shifts.
+        # Ritz values of a short host Arnoldi run drive the Newton shifts
+        # (CA-GMRES builds its own once per plan, from m steps).
         shifts = host_ritz_values(A, min(20, s + 5))
         newt_v, newt_g = basis_condition(A, s, newton_shift_ops(shifts, s))
         rows.append([s, mono_v, mono_g, newt_v, newt_g])

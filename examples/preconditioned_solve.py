@@ -62,9 +62,7 @@ def main() -> None:
         if cfg["solver"] == "gmres":
             r = gmres(A, b, m=24, **kwargs)
         else:
-            # Monomial basis: CA kernels run from the first cycle (the
-            # Newton variant would spend its first cycle in standard GMRES
-            # seeding shifts, masking the comparison on this easy problem).
+            # CA-GMRES with the monomial basis.
             r = ca_gmres(A, b, s=8, m=24, basis="monomial", **kwargs)
         err = np.linalg.norm(r.x - x_true) / np.linalg.norm(x_true)
         rows.append(

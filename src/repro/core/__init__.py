@@ -24,7 +24,6 @@ from .lsq import GivensHessenbergSolver, hessenberg_lstsq
 from .gmres import gmres
 from .ca_gmres import ca_gmres
 from .pipelined import pipelined_gmres
-from .eigen import CaArnoldiResult, ca_arnoldi_eigs
 
 __all__ = [
     "DegradationManager",
@@ -43,6 +42,4 @@ __all__ = [
     "gmres",
     "ca_gmres",
     "pipelined_gmres",
-    "CaArnoldiResult",
-    "ca_arnoldi_eigs",
 ]

@@ -1,8 +1,9 @@
 """Host-side Arnoldi process.
 
-A small sequential Arnoldi used for spectral diagnostics: Newton-shift
-seeding outside the solver, the Fig. 12 θ1/θ2 estimates, and tests.  (The
-solvers build their basis on the devices; this runs entirely on the host.)
+A small sequential Arnoldi: the Newton shifts of CA-GMRES
+(:meth:`~repro.serve.plan.HostPlan.newton_shifts`), the Fig. 12 θ1/θ2
+estimates, and tests.  (The solvers build their basis on the devices; this
+runs entirely on the host.)
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def host_arnoldi(
     norm0 = np.linalg.norm(v0)
     if norm0 == 0.0:
         raise ValueError("starting vector is zero")
-    Q = np.zeros((n, k + 1))
+    # Column-major, so each basis vector the MGS loop walks is contiguous.
+    Q = np.zeros((n, k + 1), order="F")
     H = np.zeros((k + 1, k))
     Q[:, 0] = v0 / norm0
     for j in range(k):

@@ -59,10 +59,10 @@ def build_change_of_basis(ops: list[ShiftOp]) -> np.ndarray:
 
 
 def ritz_values(H: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the (square) Hessenberg matrix from a GMRES cycle.
+    """Eigenvalues of a (square) Arnoldi Hessenberg matrix.
 
     These approximate extreme eigenvalues of ``A`` and provide the Newton
-    shifts for subsequent CA-GMRES cycles [17].
+    shifts of CA-GMRES [17].
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:

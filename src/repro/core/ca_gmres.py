@@ -4,7 +4,8 @@ Each restart cycle generates the ``m+1``-vector basis in blocks of ``s``:
 
 1. **MPK** produces ``s`` new candidate vectors from the last orthonormal
    basis vector with a single communication phase (monomial or Newton
-   basis with Leja-ordered shifts);
+   basis with Leja-ordered shifts, the Ritz values the host plan builds
+   once per restart length: :meth:`~repro.serve.plan.HostPlan.newton_shifts`);
 2. **BOrth** projects the candidates against the previous basis (block CGS
    or MGS);
 3. **TSQR** orthonormalizes the panel (MGS / CGS / CholQR / SVQR / CAQR,
@@ -27,8 +28,7 @@ in standard GMRES, and ``x += Q_{1:t} z``.
 
 :func:`_orthogonalize` is the library's one BOrth + TSQR path
 (reorthogonalization, CAQR fallback, Fig. 13 error log) and
-:class:`_BlockHessenberg` its one block-to-Hessenberg assembly; the
-CA-Arnoldi eigensolver (:mod:`repro.core.eigen`) runs on both.
+:class:`_BlockHessenberg` its one block-to-Hessenberg assembly.
 
 Breakdowns: CholQR fails (Cholesky of a numerically indefinite Gram matrix)
 when the MPK basis is too ill-conditioned; by default the affected block
@@ -45,7 +45,7 @@ import scipy.linalg
 
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
-from ..mpk.shifts import ShiftOp, monomial_shift_ops, newton_shift_ops
+from ..mpk.shifts import ShiftOp, monomial_shift_ops
 from ..orth.borth import borth
 from ..orth.errors import (
     CholeskyBreakdown,
@@ -55,7 +55,7 @@ from ..orth.errors import (
 )
 from ..orth.tsqr import tsqr
 from ..sparse.csr import CsrMatrix
-from .basis import build_change_of_basis, ritz_values
+from .basis import build_change_of_basis
 from .convergence import SolveResult
 from .degrade import DegradePolicy
 from .gmres import (
@@ -63,7 +63,6 @@ from .gmres import (
     checked_true_residual,  # noqa: F401 - the restart loop calls it through this module
     compute_residual,
     normalize_first_column,
-    run_gmres_cycle,
     update_solution,
 )
 from .lsq import hessenberg_lstsq
@@ -114,7 +113,6 @@ class CaGmresRun(RestartedRun):
         self.on_breakdown = on_breakdown
         self.tsqr_errors: list[dict] | None = [] if collect_tsqr_errors else None
         self.adapt_state = {"s_eff": s, "history": []} if adaptive_s else None
-        self.shifts: np.ndarray | None = None
         super().__init__(b, plan, **kwargs)
 
     @classmethod
@@ -138,24 +136,7 @@ class CaGmresRun(RestartedRun):
             details["s_history"] = self.adapt_state["history"]
         return details
 
-    def cycle(self, offset, restart_index):
-        if self.basis == "newton" and self.shifts is None:
-            # Shift-seeding cycle: standard GMRES, Ritz values from its H.
-            ctx, st = self.ctx, self.st
-            H = run_gmres_cycle(
-                ctx, st.plan.dmat, st.plan.V, st.x, st.b, self.m, self.target,
-                history=self.history, iteration_offset=offset,
-            )
-            t = H.shape[1]
-            if t > 0:
-                ctx.host.charge_small_dense("eig", t)
-                self.shifts = ritz_values(H[:t, :t])
-            else:
-                self.shifts = np.empty(0, dtype=np.complex128)
-            return t, 0
-        return self._ca_cycle(offset, restart_index)
-
-    def _ca_cycle(self, offset, restart_index) -> tuple[int, int]:
+    def cycle(self, offset, restart_index) -> tuple[int, int]:
         """One CA-GMRES restart cycle; returns (iterations, breakdowns)."""
         ctx, plan, m = self.ctx, self.st.plan, self.m
         V = plan.V
@@ -174,7 +155,10 @@ class CaGmresRun(RestartedRun):
         while j < m:
             s_block = adapt_state["s_eff"] if adapt_state is not None else self.s
             s_cur = min(s_block, m - j)
-            ops = _block_shift_ops(self.basis, self.shifts, s_cur)
+            if self.basis == "newton":
+                ops = plan.host.newton_ops(m, s_cur)
+            else:
+                ops = monomial_shift_ops(s_cur)
             # Candidate generation + orthogonalization, as one recoverable
             # unit: a fault detected anywhere in the block (corrupted MPK
             # exchange, poisoned kernel output caught by the BOrth/TSQR
@@ -264,9 +248,11 @@ def ca_gmres(
     m
         Restart length (at most the problem size).
     basis
-        ``"newton"`` (Leja-ordered Ritz shifts; the first restart runs
-        standard GMRES to obtain them, per Section IV-A, and counts as a
-        restart cycle) or ``"monomial"``.
+        ``"newton"`` (Leja-ordered Ritz shifts from ``m`` host Arnoldi
+        steps on the balanced, preconditioned operator, built once per
+        host plan and ``m`` and reused by every later solve — see
+        :meth:`~repro.serve.plan.HostPlan.newton_shifts`; every restart,
+        the first included, is a CA cycle) or ``"monomial"``.
     tsqr_method, tsqr_variant
         Intra-block factorization (``cholqr``/``svqr``/``cgs``/``mgs``/
         ``caqr``) and its device-kernel variant.
@@ -327,12 +313,6 @@ def _adapt_block_length(adapt_state, R, s_max, s_used, block_breakdowns) -> None
         s_eff = min(s_max, max(s_eff, int(np.ceil(1.5 * s_used))))
     adapt_state["s_eff"] = s_eff
     adapt_state["history"].append({"s_used": s_used, "diag_ratio": ratio})
-
-
-def _block_shift_ops(basis: str, shifts, s_cur: int) -> list[ShiftOp]:
-    if basis == "monomial" or shifts is None or len(shifts) == 0:
-        return monomial_shift_ops(s_cur)
-    return newton_shift_ops(shifts, s_cur)
 
 
 def _spmv_block(ctx, dmat, V, j, ops: list[ShiftOp]) -> None:

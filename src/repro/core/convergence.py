@@ -116,11 +116,10 @@ class SolveResult:
     def total_time(self) -> float:
         """Simulated time attributed to regions (sum of phase timers).
 
-        Charges outside every region are not included: the Newton-shift
-        ``eig`` after the seeding cycle and the transfers of a degraded
-        rebuild appear only in ``details["profile"]["total_time"]``, the
-        timeline's end.  On perfbench ``cant-restart`` that is 57.419 ms of
-        timers against a 57.994 ms timeline.
+        Charges outside every region are not included: the transfers of a
+        degraded rebuild appear only in ``details["profile"]["total_time"]``,
+        the timeline's end.  A clean solve charges nothing outside a region,
+        so the two agree up to rounding.
         """
         return float(sum(self.timers.values()))
 

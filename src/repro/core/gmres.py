@@ -7,9 +7,8 @@ Hessenberg least-squares problem is solved on the CPU with incremental
 Givens rotations.
 
 This is the baseline every CA-GMRES speedup in the paper is measured
-against; :func:`run_gmres_cycle` is also reused by CA-GMRES for its first
-(shift-seeding) restart cycle.  :class:`RestartedRun` is the restart-loop
-driver that GMRES, CA-GMRES and pipelined GMRES share.
+against.  :class:`RestartedRun` is the restart-loop driver that GMRES,
+CA-GMRES and pipelined GMRES share.
 """
 
 from __future__ import annotations
@@ -116,22 +115,20 @@ def run_gmres_cycle(
     history: ConvergenceHistory,
     orth_method: str = "cgs",
     iteration_offset: int = 0,
-) -> np.ndarray:
+) -> int:
     """One GMRES(m) restart cycle (residual through solution update).
 
     The cycle stops early once the Givens estimate reaches ``target``.
-    Returns the cycle's ``(t+1) x t`` Hessenberg matrix, ``t`` its
-    iterations, so CA-GMRES can extract Ritz values for Newton shifts.
+    Returns the cycle's iteration count.
     """
     with ctx.region("spmv"):
         beta = compute_residual(ctx, dmat, x, b, V)
     guard_finite(ctx, beta, "cycle residual norm")
     if beta == 0.0:
-        return np.zeros((1, 0))
+        return 0
     with ctx.region("orth"):
         normalize_first_column(ctx, V, beta)
     solver = GivensHessenbergSolver(m, beta)
-    H = np.zeros((m + 1, m), dtype=np.float64)
     j_used = 0
     for j in range(m):
         with ctx.region("spmv"):
@@ -141,7 +138,6 @@ def run_gmres_cycle(
                 ctx, V.panel(0, j + 1), V.column(j + 1), method=orth_method
             )
         guard_finite(ctx, h, "Hessenberg column")
-        H[: j + 2, j] = h
         with ctx.region("lsq"):
             ctx.host.charge_small_dense("lstsq_hessenberg", j + 1)
             estimate = solver.append_column(h)
@@ -153,7 +149,7 @@ def run_gmres_cycle(
         y = solver.solve()
         ctx.host.charge_small_dense("trsv", j_used)
         update_solution(ctx, V, x, y)
-    return H[: j_used + 1, :j_used]
+    return j_used
 
 
 class RestartedRun:
@@ -429,12 +425,12 @@ class GmresRun(RestartedRun):
 
     def cycle(self, offset, restart_index):
         ctx, st = self.ctx, self.st
-        H = run_gmres_cycle(
+        iterations = run_gmres_cycle(
             ctx, st.plan.dmat, st.plan.V, st.x, st.b, self.m, self.target,
             orth_method=self.orth_method, history=self.history,
             iteration_offset=offset,
         )
-        return H.shape[1], 0
+        return iterations, 0
 
 
 def gmres(

@@ -20,8 +20,9 @@ roster-independent host work (:class:`HostPlan`) from the roster-dependent
 device state so a mid-solve repartition invalidates only the latter.  It
 is the library's one structural setup path: every solve builds its plan
 through a :class:`~repro.serve.session.SolverSession`'s cache (the solver
-functions are one-request sessions), and CA-Arnoldi builds its basis and
-MPK kernels through one as well.
+functions are one-request sessions).  A host plan also carries the Newton
+shifts of every restart length a CA-GMRES solve has asked it for
+(:meth:`HostPlan.newton_shifts`).
 
 Bit-identity
 ------------
@@ -40,11 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.arnoldi import host_arnoldi
 from ..core.balance import balance_matrix
+from ..core.basis import ritz_values
 from ..dist.matrix import DistributedMatrix
 from ..dist.multivector import DistMultiVector
 from ..gpu.trace import REGION_LANE
 from ..mpk.matrix_powers import MatrixPowersKernel
+from ..mpk.shifts import ShiftOp, newton_shift_ops
 from ..order.kway import kway_partition
 from ..order.partition import Partition, block_row_partition
 from ..order.rcm import rcm
@@ -55,6 +59,10 @@ __all__ = ["HostPlan", "StructuralPlan", "PlanCache"]
 
 #: Orderings the serving layer understands.
 ORDERINGS = ("natural", "rcm", "kway")
+
+#: Seed of the Newton shifts' Arnoldi start vector,
+#: ``default_rng(NEWTON_SEED).standard_normal(n)``.
+NEWTON_SEED = 7
 
 
 @dataclass
@@ -85,6 +93,47 @@ class HostPlan:
     bal: object | None
     operator: CsrMatrix
     preconditioner: object | None
+    _shifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def newton_shifts(self, m: int) -> np.ndarray:
+        """The Newton-basis shifts of CA-GMRES(s, ``m``) on :attr:`operator`.
+
+        The Ritz values of ``m`` host Arnoldi steps
+        (:func:`~repro.core.arnoldi.host_arnoldi`) from the fixed start
+        vector ``default_rng(NEWTON_SEED).standard_normal(n)``: a function
+        of this plan's key and ``m`` only, built on the first request and
+        shared by every structural plan, roster and session derived from
+        this host plan.  The build runs on the host alone, so it charges no
+        simulated time, records no trace event and draws no fault.
+
+        An operator too small for Arnoldi (``n < 2``), or one on which
+        Arnoldi stops early on an invariant subspace, gets no shifts: the
+        solve runs the monomial basis, since shifting by all the exact
+        eigenvalues of that subspace would annihilate the basis.
+        """
+        shifts = self._shifts.get(m)
+        if shifts is None:
+            shifts = np.empty(0, dtype=np.complex128)
+            if self.operator.n_rows >= 2:
+                _, H = host_arnoldi(self.operator, m, seed=NEWTON_SEED)
+                k = H.shape[1]
+                if H.shape[0] > k:
+                    shifts = ritz_values(H[:k, :k])
+            shifts.setflags(write=False)
+            self._shifts[m] = shifts
+        return shifts
+
+    def newton_ops(self, m: int, s: int) -> tuple[ShiftOp, ...]:
+        """The MPK operations of one ``s``-vector block of a Newton
+        CA-GMRES(s, ``m``) cycle: :func:`~repro.mpk.shifts.newton_shift_ops`
+        of :meth:`newton_shifts` (monomial operations when there are no
+        shifts), memoized because their modified Leja ordering is the
+        same for every block and costs milliseconds per call."""
+        ops = self._ops.get((m, s))
+        if ops is None:
+            ops = self._ops[m, s] = tuple(newton_shift_ops(self.newton_shifts(m), s))
+        return ops
 
     def to_solve_order(self, v: np.ndarray) -> np.ndarray:
         """Map a vector from original ordering into solve ordering."""

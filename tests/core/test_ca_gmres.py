@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.ca_gmres import ca_gmres
 from repro.core.gmres import gmres
-from repro.matrices import convection_diffusion2d, poisson2d
+from repro.matrices import cant, convection_diffusion2d, poisson2d
 from repro.orth.errors import CholeskyBreakdown
 
 
@@ -170,6 +170,32 @@ class TestBookkeeping:
         rels = r.history.relative()
         assert rels[-1] < 1e-8
         assert rels[0] >= rels[-1]
+
+    @pytest.mark.parametrize("n_gpus", [1, 3])
+    def test_newton_runs_only_ca_cycles(self, n_gpus):
+        """No GMRES seeding cycle: no ``orth`` region, no ``eig`` charge."""
+        A = convection_diffusion2d(12)
+        r = ca_gmres(A, np.ones(A.n_rows), n_gpus=n_gpus, s=4, m=12, tol=1e-8)
+        profile = r.details["profile"]
+        assert r.converged
+        assert "orth" not in profile["regions"]
+        assert not [k for k in profile["kernels"] if k.startswith("eig/")]
+        assert len(profile["cycles"]) == r.n_restarts
+        assert all(c["regions"].get("mpk", 0.0) > 0.0 for c in profile["cycles"])
+
+    def test_no_unattributed_time_on_the_cant_restart_configuration(self):
+        """Every charge of a clean Newton solve lies inside a region, so the
+        region timers sum to the timeline's end."""
+        A = cant(nx=64, ny=12, nz=12)
+        b = np.random.default_rng(21).random(A.n_rows)
+        r = ca_gmres(
+            A, b, n_gpus=3, s=15, m=60, basis="newton", reorth=2,
+            tol=1e-12, max_restarts=4,
+        )
+        assert r.n_restarts == 4 and r.breakdowns == 0
+        assert r.total_time == pytest.approx(
+            r.details["profile"]["total_time"], rel=1e-12, abs=0.0
+        )
 
 
 class TestValidation:

@@ -8,11 +8,9 @@ tests pin that layout on every path that allocates a ``DistMultiVector``.
 import numpy as np
 import pytest
 
-import repro.serve.plan as plan_module
 import repro.sparse.csr as csr_module
 from repro.core import DegradePolicy
 from repro.core.ca_gmres import CaGmresRun, mpk_block_lengths
-from repro.core.eigen import ca_arnoldi_eigs
 from repro.core.gmres import GmresRun
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.multivector import DistMultiVector, DistVector
@@ -68,21 +66,6 @@ class TestMultivectorLayout:
         assert run.st.plan.partition.n_parts == 2
         assert_column_major(run.st.plan.V)
         assert_column_major(run.st.x)
-
-    def test_ca_arnoldi_basis_is_column_major(self, monkeypatch):
-        made = []
-
-        class Recording(DistMultiVector):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
-
-        # CA-Arnoldi takes its basis from the structural-plan builder.
-        monkeypatch.setattr(plan_module, "DistMultiVector", Recording)
-        ca_arnoldi_eigs(poisson2d(10), n_gpus=2, s=4, m=12)
-        assert made
-        for mv in made:
-            assert_column_major(mv)
 
 
 class TestSpmvWritesInPlace:

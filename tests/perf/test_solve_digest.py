@@ -9,8 +9,7 @@ faults and under a rate fault plan, plus k-way-partitioned GMRES,
 CA-GMRES and pipelined runs on 3 GPUs, a clean two-node run, a scripted
 ``gpu1`` dropout absorbed by a degrade policy, an interleaved
 ``SolverSession.solve_many`` batch of three right-hand sides (one list of
-parts per batch, so the batch-wide timers and counters are pinned) and a
-``ca_arnoldi_eigs`` run (its Ritz values, timers and counters).  Everything
+parts per batch, so the batch-wide timers and counters are pinned).  Everything
 the simulated clock reports flows through the kernel cost model, so the
 golden pins that model's answers across refactors of how it is evaluated.
 Regenerate it only after an intentional change to a solver's outputs::
@@ -27,7 +26,6 @@ import pytest
 
 from repro.core.ca_gmres import ca_gmres
 from repro.core.degrade import DegradePolicy
-from repro.core.eigen import CaArnoldiResult, ca_arnoldi_eigs
 from repro.core.gmres import gmres
 from repro.core.pipelined import pipelined_gmres
 from repro.faults import FaultEvent, FaultPlan
@@ -109,9 +107,6 @@ def _batch():
 
 
 CASES["session-ca-newton-2gpu-batch3"] = _batch
-CASES["ca-arnoldi-eigs-2gpu"] = lambda: ca_arnoldi_eigs(
-    _system()[0], ctx=MultiGpuContext(2), s=4, m=12
-)
 
 
 def _jsonable(obj):
@@ -136,12 +131,6 @@ def _parts(result) -> dict:
     if isinstance(result, list):
         parts = [_parts(r) for r in result]
         return {key: [p[key] for p in parts] for key in parts[0]}
-    if isinstance(result, CaArnoldiResult):
-        return {
-            "ritz_values": _array(result.ritz_values),
-            "timers": result.timers,
-            "counters": result.counters,
-        }
     history = result.history
     return {
         "x": _array(result.x),

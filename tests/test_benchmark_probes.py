@@ -4,7 +4,10 @@
 or method a solver resolves at call time (for example
 ``repro.core.ca_gmres.borth``).  Moving a probed call into another module
 would silently zero that layer's metric, so one small CA-GMRES session
-solve must record at least one call on every solve layer.
+solve and one small GMRES session solve must together record at least one
+call on every solve layer.  The GMRES solve is what reaches ``orth.single``
+(``repro.core.gmres.orthogonalize_vector``): a CA-GMRES restart
+orthogonalizes blocks only.
 """
 
 import importlib.util
@@ -31,10 +34,14 @@ def load_spans(monkeypatch):
 def test_every_solve_layer_records_calls(monkeypatch):
     spans = load_spans(monkeypatch)
     A = poisson2d(16)
-    session = SolverSession(A, solver="ca", n_gpus=2, s=4, m=12)
+    sessions = (
+        SolverSession(A, solver="ca", n_gpus=2, s=4, m=12),
+        SolverSession(A, solver="gmres", n_gpus=2, m=12, max_restarts=2),
+    )
     tracer = spans.Tracer()
     with tracer.patched(spans.SOLVE_PROBES):
-        session.solve(np.ones(A.n_rows))
+        for session in sessions:
+            session.solve(np.ones(A.n_rows))
     assert tracer.all_restored()
     calls = {layer: n for layer, (_, n) in spans.layer_totals(tracer.spans).items()}
     silent = [layer for layer in spans.SOLVE_LAYERS if calls.get(layer, 0) < 1]
