@@ -7,9 +7,11 @@ GMRES, pipelined GMRES and CA-GMRES (monomial and Newton bases; the default,
 ``"auto"`` and ``"batched_sp"`` TSQR variants) on 1-3 GPUs, each without
 faults and under a rate fault plan, plus k-way-partitioned GMRES,
 CA-GMRES and pipelined runs on 3 GPUs, a clean two-node run, a scripted
-``gpu1`` dropout absorbed by a degrade policy, an interleaved
-``SolverSession.solve_many`` batch of three right-hand sides (one list of
-parts per batch, so the batch-wide timers and counters are pinned).  Everything
+``gpu1`` dropout absorbed by a degrade policy, and two
+``SolverSession.solve_many`` batches of three right-hand sides, one of them
+on an adaptive-``s`` monomial k-way plan whose solves need different restart
+counts (one list of parts per batch, so the batch-wide timers and counters
+are pinned).  Everything
 the simulated clock reports flows through the kernel cost model, so the
 golden pins that model's answers across refactors of how it is evaluated.
 Regenerate it only after an intentional change to a solver's outputs::
@@ -107,6 +109,20 @@ def _batch():
 
 
 CASES["session-ca-newton-2gpu-batch3"] = _batch
+
+
+def _adaptive_batch():
+    A, _ = _system()
+    # Restarts 6, 7 and 6; the CholQR breakdowns shrink the adaptive block
+    # length, so the three solves leave their cycles at different blocks.
+    session = SolverSession(
+        A, ctx=MultiGpuContext(3), ordering="kway", m=12, s=12,
+        basis="monomial", adaptive_s=True, tol=1e-8, max_restarts=10,
+    )
+    return session.solve_many(np.random.default_rng(3).standard_normal((3, A.n_rows)))
+
+
+CASES["session-ca-monomial-adaptive-3gpu-kway-batch3"] = _adaptive_batch
 
 
 def _jsonable(obj):
