@@ -111,6 +111,10 @@ class SolveResult:
     counters: dict
     breakdowns: int = 0
     details: dict = field(default_factory=dict)
+    #: The :class:`~repro.gpu.trace.TraceFold` that ``timers``, ``counters``
+    #: and ``details["profile"]`` were read from, for consumers that need
+    #: more of it (the metrics bridge); not part of the result's value.
+    fold: object = field(default=None, repr=False, compare=False)
 
     @property
     def total_time(self) -> float:

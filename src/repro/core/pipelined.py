@@ -55,6 +55,7 @@ class PipelinedRun(RestartedRun):
     name = "pipelined_gmres"
 
     def cycle(self, offset, restart_index):
+        yield from ()  # a pipelined cycle requests no MPK block
         st = self.st
         j_used = _pipelined_cycle(
             self.ctx, st.plan.dmat, st.plan.V, st.x, st.b, self.m, self.target,

@@ -99,7 +99,10 @@ def run_cycle_resilient(ctx, cycle, x, history, degrader=None):
     """Run one restart cycle with checkpoint/redo semantics.
 
     A recoverable fault rolls the cycle back and replays it, at most
-    :data:`MAX_CYCLE_REDOS` times.
+    :data:`MAX_CYCLE_REDOS` times.  A generator, like the cycle it runs:
+    it passes up every block request the cycle yields (``yield from``), so
+    an error raised into it at a request reaches the cycle's own handlers
+    first and then this one, as a direct call would.
 
     Parameters
     ----------
@@ -107,8 +110,10 @@ def run_cycle_resilient(ctx, cycle, x, history, degrader=None):
         The execution context (its injector logs recoveries and terminal
         failures on the trace's fault lane).
     cycle
-        Zero-argument callable performing the cycle; may raise any of
-        :data:`RECOVERABLE_FAULTS` or :class:`DeviceLost`.  When a
+        Zero-argument callable returning a generator that performs the
+        cycle (see :meth:`~repro.core.gmres.RestartedRun.cycle`); it may
+        raise any of :data:`RECOVERABLE_FAULTS` or :class:`DeviceLost`.
+        Each attempt calls it afresh.  When a
         degrader is attached the callable must read its inputs from
         mutable solver state so a replay after repartitioning picks up the
         rebuilt objects.
@@ -133,7 +138,8 @@ def run_cycle_resilient(ctx, cycle, x, history, degrader=None):
     Returns
     -------
     (result, aborted)
-        ``result`` is ``cycle()``'s return value (``None`` when aborted);
+        ``result`` is the cycle generator's return value (``None`` when
+        aborted);
         ``aborted`` is True when the solve must stop.  The terminal
         failure is then an ``unrecovered`` fault-lane event.
     """
@@ -147,7 +153,7 @@ def run_cycle_resilient(ctx, cycle, x, history, degrader=None):
                 x = degrader.rebuild(*rebuild)
                 rebuild = None
                 checkpoint = snapshot_solution(x)
-            return cycle(), False
+            return (yield from cycle()), False
         except RECOVERABLE_FAULTS as exc:
             restore_solution(x, checkpoint)
             del history.estimates[n_estimates:]

@@ -283,16 +283,26 @@ def spmv_csr_prefix(
     The matrix powers kernel computes a shrinking prefix of the level-ordered
     extended local matrix at each step; only the touched nonzeros are costed.
     The column indices address the extended vector ``x``.
+
+    ``x`` and ``out`` may also be column-major ``(rows, k)`` panels, one
+    column per right-hand side of a batch.  The step is then one SpMM launch
+    that reads the matrix once for all ``k`` columns (the ``k`` of its
+    charge), while the compiled kernel still runs column by column, so
+    every column is bit-identical to an SpMV of its own.
     """
     dev = _device_of(indptr, indices, data, x, out)
     ptr = indptr.data
     if not 0 <= n_active_rows < ptr.size:
         raise ValueError(f"n_active_rows out of range: {n_active_rows}")
     end = int(ptr[n_active_rows])
-    dev.charge_kernel("spmv", variant, nnz=end, n_rows=n_active_rows)
-    csr_matvec(
-        ptr, indices.data, data.data, x.data, out.data, n_active_rows, x.data.size
-    )
+    xs = x.data if x.data.ndim == 2 else x.data[:, None]
+    outs = out.data if out.data.ndim == 2 else out.data[:, None]
+    dev.charge_kernel("spmv", variant, nnz=end, n_rows=n_active_rows, k=xs.shape[1])
+    for c in range(xs.shape[1]):
+        csr_matvec(
+            ptr, indices.data, data.data, xs[:, c], outs[:, c], n_active_rows,
+            xs.shape[0],
+        )
     # Poison only the rows this step actually computed — anything beyond
     # the active prefix is never read back.
     dev.apply_pending_faults(out.data[:n_active_rows])

@@ -77,8 +77,8 @@ def serve_requests_total(reg: MetricsRegistry):
 def serve_batch_occupancy(reg: MetricsRegistry):
     return reg.gauge(
         "repro_serve_batch_occupancy",
-        "Fraction of interleave slots that advanced a restart cycle "
-        "in the last solve_many batch",
+        "Mean fraction of the batch's right-hand sides one MPK call "
+        "carried in the last solve_many batch",
         labelnames=_SM,
     )
 
@@ -118,11 +118,15 @@ def plan_build_seconds(reg: MetricsRegistry):
 # ---------------------------------------------------------------------------
 # Context: utilization, kernels, transfers (derived from the trace)
 # ---------------------------------------------------------------------------
-def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "") -> None:
+def observe_context(
+    reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "", fold=None
+) -> None:
     """Record one finished run's runtime telemetry from ``ctx``.
 
     Everything is read from one fold of the structured event trace
-    (:meth:`~repro.gpu.trace.TraceRecorder.fold`): a device is *busy*
+    (:meth:`~repro.gpu.trace.TraceRecorder.fold`): ``fold``, the one a
+    finished run's result already holds (:attr:`~repro.core.convergence.
+    SolveResult.fold`), or a fresh one when omitted.  A device is *busy*
     while a kernel interval occupies its lane, the PCIe bus while a
     transfer occupies the ``pcie`` lane; *elapsed* is the latest event end;
     kernel-launch / transfer / flop counts are the fold's counters.  Each
@@ -132,7 +136,8 @@ def observe_context(reg: MetricsRegistry, ctx, solver: str = "", matrix: str = "
     """
     labels = {"solver": solver, "matrix": matrix}
     trace = ctx.trace
-    fold = trace.fold()
+    if fold is None:
+        fold = trace.fold()
     elapsed = fold.end_time
     busy = fold.lane_busy
 
@@ -345,7 +350,9 @@ def observe_faults(reg: MetricsRegistry, result, solver: str = "", matrix: str =
 
 
 def observe_solve(reg: MetricsRegistry, ctx, result, solver: str = "", matrix: str = "") -> None:
-    """Record one solve end-to-end: runtime telemetry + convergence."""
-    observe_context(reg, ctx, solver=solver, matrix=matrix)
+    """Record one solve end-to-end: runtime telemetry + convergence.
+
+    The runtime telemetry reads the result's own trace fold."""
+    observe_context(reg, ctx, solver=solver, matrix=matrix, fold=result.fold)
     observe_result(reg, result, solver=solver, matrix=matrix)
 

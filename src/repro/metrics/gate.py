@@ -47,6 +47,11 @@ SIM_TIME_TOL = 0.10
 #: Iteration counts may drift more before it means a real regression.
 ITERATIONS_TOL = 0.25
 
+#: PCIe messages per right-hand side move only with the iteration count or
+#: the TSQR fallback path, so a few percent.  Batching saves fewer than
+#: one in ten of them, and a lost saving must not hide in the tolerance.
+MESSAGES_TOL = 0.05
+
 
 def _lower(value: float, tol: float) -> dict:
     return {
@@ -79,6 +84,15 @@ def extract_metrics(doc: dict) -> dict[str, dict]:
             metrics[f"{prefix}/iterations"] = _lower(
                 case["iterations"], ITERATIONS_TOL
             )
+            # The batched solve, per right-hand side (documents from before
+            # these figures existed carry neither).
+            if "batch_sim_ms_per_rhs" in case:
+                metrics[f"{prefix}/batch_sim_ms_per_rhs"] = _lower(
+                    case["batch_sim_ms_per_rhs"], SIM_TIME_TOL
+                )
+                metrics[f"{prefix}/batch_pcie_msgs_per_rhs"] = _lower(
+                    case["batch_pcie_msgs_per_rhs"], MESSAGES_TOL
+                )
         metrics["serving/all_bit_identical"] = _exact(
             1.0 if doc["summary"]["all_bit_identical"] else 0.0
         )

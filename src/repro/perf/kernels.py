@@ -81,7 +81,8 @@ class KernelModel:
 
 # ----------------------------------------------------------------------
 # Shape -> flops / bytes.  n = long dimension (rows), k/j = short dims,
-# nnz = stored nonzeros, batch = number of sub-GEMMs.
+# nnz = stored nonzeros, batch = number of sub-GEMMs; a sparse product's
+# k is its column count (1 = SpMV).
 # ----------------------------------------------------------------------
 def _dot_flops(n):
     return 2.0 * n
@@ -170,13 +171,15 @@ def _qr_panel_bytes(n, k):
     return _F64 * (n * k * k)
 
 
-def _spmv_flops(nnz, n_rows):
-    return 2.0 * nnz
+def _spmv_flops(nnz, n_rows, k=1):
+    # k = right-hand sides sharing one pass over the matrix (SpMM)
+    return 2.0 * nnz * k
 
 
-def _spmv_bytes(nnz, n_rows):
-    # matrix values + indices + source gathers + result write
-    return (_F64 + _I64) * nnz + _F64 * nnz + 2.0 * _F64 * n_rows
+def _spmv_bytes(nnz, n_rows, k=1):
+    # matrix values + indices once, then per column: source gathers +
+    # result read/write
+    return (_F64 + _I64) * nnz + k * (_F64 * nnz + 2.0 * _F64 * n_rows)
 
 
 def _batched_launches(n, k, j, batch=None):

@@ -37,6 +37,7 @@ assert byte-for-byte equality of warm and cold solves.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +158,9 @@ class StructuralPlan:
     :meth:`derive` for degraded-mode repartitions.  ``mpk`` maps block
     length to kernel; :meth:`mpk_kernel` fills it on demand, so MPK
     closures built during the first solve persist for every later one.
+    ``V`` is the basis of batch slot 0; :meth:`basis` gives every slot of
+    a ``solve_many`` batch its own, since the batch's solves hold their
+    bases across each other's blocks.
     """
 
     def __init__(
@@ -173,8 +177,12 @@ class StructuralPlan:
         self.partition = partition
         self.dmat = DistributedMatrix(ctx, host.operator, partition)
         self.V = DistMultiVector(ctx, partition, key.m + 1)
+        self._bases = [self.V]
         self.mpk: dict[int, MatrixPowersKernel] = {}
-        self._cache = cache
+        # Weak: the cache holds its plans, and a strong back-reference would
+        # leave a dropped cache (and every plan on it) to the cycle
+        # collector instead of freeing it at once.
+        self._cache = weakref.ref(cache)
 
     @property
     def m(self) -> int:
@@ -191,6 +199,15 @@ class StructuralPlan:
     @property
     def preconditioner(self):
         return self.host.preconditioner
+
+    def basis(self, slot: int = 0) -> DistMultiVector:
+        """The ``(m+1)``-column basis of batch slot ``slot``, built on first
+        request and kept for later batches (slot 0 is :attr:`V`)."""
+        while len(self._bases) <= slot:
+            self._bases.append(
+                DistMultiVector(self.ctx, self.partition, self.key.m + 1)
+            )
+        return self._bases[slot]
 
     def mpk_kernel(self, length: int) -> MatrixPowersKernel:
         """The MPK kernel for one block length, built on first request."""
@@ -213,9 +230,11 @@ class StructuralPlan:
         degradations to the same roster reuse it.  A cached entry whose
         partition disagrees with ``new_partition`` is invalidated and
         rebuilt.  The survivor plan prebuilds the MPK kernels of the
-        key's block lengths.
+        key's block lengths.  If that cache is gone, a private one builds
+        the plan: nothing could reuse it anyway.
         """
-        return self._cache.structural_plan(
+        cache = self._cache() or PlanCache()
+        return cache.structural_plan(
             self.ctx,
             self.host,
             self.key.m,
@@ -228,7 +247,7 @@ class StructuralPlan:
         """Per-device resident bytes of the plan's distributed state."""
         total = list(self.dmat.device_memory_bytes())
         for d in range(len(total)):
-            total[d] += int(self.V.local[d].nbytes)
+            total[d] += sum(int(V.local[d].nbytes) for V in self._bases)
         for mpk in self.mpk.values():
             for d, nbytes in enumerate(mpk.device_memory_bytes()):
                 total[d] += nbytes

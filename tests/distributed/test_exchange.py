@@ -153,3 +153,35 @@ class TestStagedExchange:
         ref = fresh.exchange(MultiGpuContext(3), dist_parts(ctx, part, v2))
         for a, b in zip(got, ref):
             np.testing.assert_array_equal(a, b)
+
+
+class TestPanelExchange:
+    """A ``(rows, k)`` panel's columns travel in one message per device."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_columns_share_each_message(self, k, rng):
+        n = 12
+        part = block_row_partition(n, 3)
+        recv = [np.array([4, 8]), np.array([0, 11]), np.array([3, 5])]
+        panel = rng.standard_normal((n, k))
+        ctx = MultiGpuContext(3)
+        received = StagedExchange(part, recv).exchange(ctx, dist_parts(ctx, part, panel))
+        counters = ctx.counters
+        assert (counters.d2h_messages, counters.h2d_messages) == (3, 3)
+        assert counters.h2d_bytes == 8 * k * sum(r.size for r in recv)
+        for c in range(k):
+            one = MultiGpuContext(3)
+            want = StagedExchange(part, recv).exchange(
+                one, dist_parts(one, part, panel[:, c].copy())
+            )
+            for got, ref in zip(received, want):
+                assert got.shape == (ref.size, k)
+                np.testing.assert_array_equal(got[:, c], ref)
+
+    def test_device_with_nothing_to_receive_gets_an_empty_panel(self):
+        part = block_row_partition(6, 2)
+        ex = StagedExchange(part, [np.array([3]), np.array([], dtype=np.int64)])
+        ctx = MultiGpuContext(2)
+        received = ex.exchange(ctx, dist_parts(ctx, part, np.ones((6, 3))))
+        assert received[1].shape == (0, 3)
+        np.testing.assert_array_equal(received[0], np.ones((1, 3)))

@@ -150,3 +150,19 @@ def test_committed_baselines_are_well_formed():
     assert fig14["schema"] == BASELINE_SCHEMA
     assert "serving/all_bit_identical" in serving["metrics"]
     assert any(k.startswith("fig14/") for k in fig14["metrics"])
+
+
+def test_serving_batch_figures_are_gated():
+    doc = copy.deepcopy(SERVING_DOC)
+    doc["cases"][0].update(batch_sim_ms_per_rhs=7.5, batch_pcie_msgs_per_rhs=69.0)
+    metrics = extract_metrics(doc)
+    assert metrics["serving/poisson2d/batch_sim_ms_per_rhs"]["value"] == 7.5
+    assert metrics["serving/poisson2d/batch_pcie_msgs_per_rhs"]["value"] == 69.0
+    assert "serving/cant/batch_sim_ms_per_rhs" not in metrics  # older document
+    baseline = make_baseline(doc)
+    # Losing the batch's shared exchanges (69 -> 75 messages per RHS, +8.7%)
+    # fails the gate although it is well inside the sim-time tolerance.
+    unbatched = copy.deepcopy(doc)
+    unbatched["cases"][0]["batch_pcie_msgs_per_rhs"] = 75.0
+    violations = compare(unbatched, baseline)
+    assert [v["metric"] for v in violations] == ["serving/poisson2d/batch_pcie_msgs_per_rhs"]

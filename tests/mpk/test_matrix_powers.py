@@ -292,3 +292,71 @@ class TestCostAccounting:
         expected = senders + 3 * (1 + s) + halo_devices
         assert ctx.counters.kernel_counts["copy/cublas"] == expected
         assert halo_devices > 0  # the fix is actually exercised
+
+
+class TestFusedBatch:
+    """One call over ``k`` multivectors: one exchange, one SpMM launch per
+    step, and every column bit-identical to a call of its own."""
+
+    @staticmethod
+    def setup(n_gpus, s, k, rng):
+        A = g3_circuit(nx=12)
+        ctx = MultiGpuContext(n_gpus)
+        part = kway_partition(A, n_gpus) if n_gpus > 1 else block_row_partition(A.n_rows, 1)
+        mpk = MatrixPowersKernel(ctx, A, part, s)
+        Vs = [DistMultiVector(ctx, part, 2 * s + 1) for _ in range(k)]
+        for V in Vs:
+            V.set_column_from_host(s, rng.standard_normal(A.n_rows))
+        return ctx, mpk, Vs
+
+    @pytest.mark.parametrize("n_gpus", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_columns_match_calls_of_their_own(self, n_gpus, k, rng):
+        s = 4
+        ops = [ShiftOp("real", re=0.5), ShiftOp("complex_first", re=0.1, im=0.7),
+               ShiftOp("complex_second", re=0.1, im=0.7), ShiftOp("none")]
+        seed = int(rng.integers(2**31))
+        _, fused, Vs = self.setup(n_gpus, s, k, np.random.default_rng(seed))
+        _, single, Ws = self.setup(n_gpus, s, k, np.random.default_rng(seed))
+        fused.run(Vs, s, ops)
+        for W in Ws:
+            single.run(W, s, ops)
+        for V, W in zip(Vs, Ws):
+            for a, b in zip(V.local, W.local):
+                assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_one_exchange_and_one_spmm_launch_per_step(self, k, rng):
+        s, n_gpus = 5, 3
+        ctx, mpk, Vs = self.setup(n_gpus, s, k, rng)
+        ctx.reset_clocks()
+        mpk.run(Vs, s)
+        counters = ctx.counters
+        senders = sum(1 for send in mpk.exchange.send_local if send.size)
+        receivers = sum(1 for b in mpk.boundary_sizes() if b)
+        assert counters.d2h_messages == senders
+        assert counters.h2d_messages == receivers
+        for dev in ctx.devices:
+            launches = [e for e in ctx.trace.events
+                        if e.lane == dev.name and e.name == "spmv/ellpack"]
+            assert len(launches) == s
+        # The gather copies, one own-row and one halo copy per device, and
+        # one result copy per device and step.
+        assert counters.kernel_counts["copy/cublas"] == senders + n_gpus * (1 + s) + receivers
+
+    def test_fused_call_is_cheaper_than_separate_calls(self, rng):
+        s, k = 5, 3
+        ctx, mpk, Vs = self.setup(3, s, k, rng)
+        ctx.reset_clocks()
+        mpk.run(Vs, s)
+        fused = ctx.current_time()
+        ctx.reset_clocks()
+        for V in Vs:
+            mpk.run(V, s)
+        assert fused < ctx.current_time()
+
+    def test_too_few_columns_in_any_multivector_rejected(self, rng):
+        ctx, mpk, Vs = self.setup(2, 4, 2, rng)
+        short = DistMultiVector(ctx, Vs[0].partition, 5)
+        with pytest.raises(IndexError):
+            mpk.run([Vs[0], short], 1)

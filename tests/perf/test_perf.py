@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.pcie import PcieBus
-from repro.perf.kernels import KERNEL_TABLE
+from repro.perf.kernels import KERNEL_TABLE, KernelModel
 from repro.perf.machine import CpuSpec, GpuSpec, PcieSpec, keeneland_node
 from repro.perf.model import PerformanceModel
 
@@ -209,3 +209,46 @@ class TestPerformanceModelFacade:
         t_gpu, _ = model.kernel_cost("gemm_tn", "batched", on="gpu", n=500_000, k=30, j=30)
         t_cpu, _ = model.kernel_cost("gemm_tn", "mkl", on="cpu", n=500_000, k=30, j=30)
         assert t_cpu > t_gpu  # GPU wins on the big tall-skinny product
+
+
+class TestSpmmCostModel:
+    """``("spmv", variant)`` takes a column count ``k``: the matrix is read
+    once and the vectors ``k`` times, at the SpMV's efficiencies."""
+
+    VARIANTS = ("ellpack", "csr", "mkl")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("nnz, n_rows", [(0, 0), (37, 11), (322_418, 65_318)])
+    def test_one_column_is_the_spmv_charge(self, variant, nnz, n_rows):
+        model = PerformanceModel(keeneland_node())
+        entry = KERNEL_TABLE[("spmv", variant)]
+        # The SpMV charge before the column count existed.
+        spmv = KernelModel(
+            lambda nnz, n_rows: 2.0 * nnz,
+            lambda nnz, n_rows: 16 * nnz + 8 * nnz + 16.0 * n_rows,
+            entry.eff_compute, entry.eff_bandwidth,
+        )
+        gpu = model.machine.gpu
+        want = (
+            spmv.time(gpu.peak_gflops * 1e9, gpu.mem_bandwidth, gpu.kernel_overhead,
+                      nnz=nnz, n_rows=n_rows),
+            2.0 * nnz,
+        )
+        shape = dict(nnz=nnz, n_rows=n_rows)
+        assert model.kernel_cost("spmv", variant, on="gpu", **shape, k=1) == want
+        assert model.kernel_cost("spmv", variant, on="gpu", **shape) == want
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_time_per_column_falls_with_k(self, variant):
+        model = PerformanceModel(keeneland_node())
+        per_column = [
+            model.kernel_cost("spmv", variant, on="gpu", nnz=322_418,
+                              n_rows=65_318, k=k)[0] / k
+            for k in range(1, 7)
+        ]
+        assert all(b < a for a, b in zip(per_column, per_column[1:]))
+
+    def test_flops_scale_with_k(self):
+        model = PerformanceModel(keeneland_node())
+        _, flops = model.kernel_cost("spmv", "ellpack", on="gpu", nnz=100, n_rows=10, k=3)
+        assert flops == 600.0
