@@ -41,6 +41,7 @@ SECTIONS = [
             "ablation_spmv_format",
         ],
     ),
+    ("Batched right-hand sides — lockstep solve_many", ["batch_lockstep"]),
     ("Outlook — multi-node", ["multinode_outlook"]),
 ]
 

@@ -16,8 +16,9 @@ including after ``ctx.reset_clocks()`` or a mid-solve repartition — reuses
 it.  Warm solves are bit-identical to cold ones; only host wall-clock time
 changes (structural setup is uncosted in the simulated timeline).
 
-``solve_many`` batches several right-hand sides over one plan, interleaving
-their restart cycles on the shared context.
+``solve_many`` batches several right-hand sides over one plan, running
+their cycles in lockstep so that matching MPK blocks share one kernel
+call on the shared context.
 """
 
 from .fingerprint import pattern_hash

@@ -1,6 +1,9 @@
 """PlanCache: two-level caching, stats, invalidation, and keys that hold
 every input of a plan."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +122,42 @@ class TestStructuralPlans:
                                   prebuild_mpk=(4,))
         mem = p.device_memory_bytes()
         assert len(mem) == 2 and all(x > 0 for x in mem)
+
+
+    def test_batch_slot_bases_counted_in_device_memory(self, A):
+        cache = PlanCache()
+        p = cache.structural_plan(MultiGpuContext(2), cache.host_plan(A, "natural"), m=12)
+        one = p.device_memory_bytes()
+        extra = p.basis(2)
+        assert p.basis(0) is p.V and p.basis(2) is extra
+        grown = p.device_memory_bytes()
+        assert [b - a for a, b in zip(one, grown)] == [
+            2 * panel.nbytes for panel in extra.local
+        ]
+
+
+class TestRelease:
+    def test_dropped_session_frees_its_plan_without_the_cycle_collector(self, A):
+        session = SolverSession(A, n_gpus=2, s=4, m=8, max_restarts=2)
+        session.solve(np.ones(A.n_rows))
+        plan = weakref.ref(session.plan)
+        gc.disable()
+        try:
+            del session
+            assert plan() is None
+        finally:
+            gc.enable()
+
+    def test_derive_after_the_cache_is_gone_builds_on_a_private_cache(self, A):
+        ctx = MultiGpuContext(3)
+        cache = PlanCache()
+        plan = cache.structural_plan(ctx, cache.host_plan(A, "natural"), m=12,
+                                     mpk_lengths=(4,))
+        del cache
+        ctx.devices = [d for d in ctx.all_devices if d.name != "gpu1"]
+        survivors = Partition(np.minimum(np.arange(A.n_rows) // 32, 1), 2)
+        derived = plan.derive(survivors)
+        assert derived.partition is survivors and sorted(derived.mpk) == [4]
 
 
 class TestInvalidation:
