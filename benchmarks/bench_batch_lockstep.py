@@ -2,7 +2,7 @@
 
 A batch of ``k`` right-hand sides on one plan runs its CA-GMRES cycles in
 lockstep, so each MPK block is one fused kernel call for the whole batch:
-one halo exchange whose messages carry ``k`` columns and one SpMM launch
+one halo exchange whose messages carry ``k`` columns and one step launch
 per step (see ``SolverSession.solve_many``).  This bench batches k = 1-4
 RHS on the perfbench systems — the G3_circuit analog solved to 1e-4 with
 CA-GMRES(15, 30), and the cant analog with CA-GMRES(15, 60) and 2x CholQR

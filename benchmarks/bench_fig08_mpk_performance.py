@@ -2,11 +2,12 @@
 
 Generates m = 100 basis vectors with MPK(s) on 3 simulated GPUs and
 reports the total simulated time (communication included) and the
-SpMV-kernel-only time, exactly the two curves of Fig. 8.  Expected shape:
-the SpMV time grows ~linearly with s (redundant boundary flops) while the
-total time drops steeply from s = 1 (latency amortized) and bottoms out at
-a moderate s — the paper's headline MPK result (up to ~16% / 11% saved for
-cant / G3_circuit).
+SpMV-kernel-only time (the step launches the runs charge:
+``MatrixPowersKernel.step_seconds``), exactly the two curves of Fig. 8.
+Expected shape: the SpMV time grows ~linearly with s (redundant boundary
+flops) while the total time drops steeply from s = 1 (latency amortized)
+and bottoms out at a moderate s — the paper's headline MPK result (up to
+~16% / 11% saved for cant / G3_circuit).
 """
 
 import numpy as np
@@ -46,7 +47,6 @@ def sweep(matrix, ordering):
         V.set_column_from_host(0, v0)
         ctx.reset_clocks()
         calls = -(-M // s)
-        spmv_only = 0.0
         for _ in range(calls):
             with ctx.region("mpk"):
                 mpk.run(V, 0)
@@ -54,15 +54,8 @@ def sweep(matrix, ordering):
             for d in range(N_GPUS):
                 V.local[d].data[:, 0] = V.local[d].data[:, s]
         total_ms.append(1e3 * ctx.timers["mpk"])
-        # SpMV-only: modeled kernel time of every per-step product.
-        for d, dep in enumerate(mpk.deps):
-            indptr = mpk._local[d][0].data
-            for k in range(1, s + 1):
-                active = dep.active_rows(k)
-                spmv_only += ctx.perf.kernel_cost(
-                    "spmv", "ellpack", on="gpu", nnz=int(indptr[active]), n_rows=active
-                )[0]
-        spmv_ms.append(1e3 * spmv_only * calls / N_GPUS)
+        # SpMV-only: modeled time of the step launches the run charged.
+        spmv_ms.append(1e3 * sum(mpk.step_seconds()) * calls / N_GPUS)
     return {"total (ms)": total_ms, "spmv only (ms)": spmv_ms}
 
 

@@ -61,8 +61,9 @@ fi
 
 if [[ "$run_degrade_smoke" == 1 ]]; then
     echo "== degraded-mode smoke campaign (dropout -> repartition) =="
-    # seed 0 at this rate scripts a dropout on trial 0; with --degrade the
-    # solve repartitions onto the surviving GPUs and still converges.  The
+    # seed 3 at this rate draws a dropout of gpu0 on the second trial; with
+    # --degrade the solve repartitions onto the surviving GPUs and still
+    # converges.  The
     # generous deadline arms the watchdog without tripping it.  Two runs
     # must write byte-identical campaign records.
     replay_dir="$(mktemp -d)"
@@ -71,9 +72,9 @@ if [[ "$run_degrade_smoke" == 1 ]]; then
         PYTHONPATH=src python -m repro faults \
             --nx 16 --m 12 --s 4 --max-restarts 40 --trials 2 --rate 2e-3 \
             --gpus 3 --kinds corrupt,poison,stall,dropout --degrade \
-            --deadline 1.0 --out "$replay_dir/run$run"
+            --deadline 1.0 --seed 3 --out "$replay_dir/run$run"
     done
-    cmp "$replay_dir"/run{1,2}/faults_ca_gmres_poisson2d_seed0.json
+    cmp "$replay_dir"/run{1,2}/faults_ca_gmres_poisson2d_seed3.json
     echo "campaign records bit-identical across two runs"
 fi
 

@@ -189,7 +189,7 @@ def run_lockstep(runs: list["RestartedRun"]) -> list[int]:
     the lowest block start ``j`` are then fulfilled: those naming the same
     kernel and shift operations together, with one fused
     :meth:`~repro.mpk.MatrixPowersKernel.run` (one halo exchange and one
-    SpMM launch per step for all of them), and their runs resume with the
+    step launch per step for all of them), and their runs resume with the
     outcome.  Runs further along their cycle wait, so a run that left a
     cycle early, and so restarts at ``j = 0``, catches up with the rest
     instead of running out of step with them for good.  A run whose block

@@ -153,6 +153,7 @@ class StagedExchange:
                 continue
             compressed = DeviceArray(np.take(x_parts[d].data.T, send, axis=-1), dev)
             dev.charge_kernel("copy", "cublas", n=compressed.data.size)
+            dev.apply_pending_faults(compressed)
             arrived = self._retried(
                 ctx, lambda: ctx.d2h(compressed), f"gather d2h {dev.name}"
             )

@@ -29,6 +29,8 @@ only in charged time, exactly as the real kernels differ only in speed
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 from scipy.linalg import blas as _blas
 
@@ -51,7 +53,7 @@ __all__ = [
     "trsm_right",
     "qr_panel",
     "spmv_ell",
-    "spmv_csr_prefix",
+    "spmv_step",
 ]
 
 
@@ -269,40 +271,62 @@ def spmv_ell(
     dev.apply_pending_faults(out)
 
 
-def spmv_csr_prefix(
+def spmv_step(
     indptr: DeviceArray,
     indices: DeviceArray,
     data: DeviceArray,
-    x: DeviceArray,
-    out: DeviceArray,
+    z_prev: DeviceArray,
+    z_cur: DeviceArray,
+    z_next: DeviceArray,
     n_active_rows: int,
-    variant: str = "csr",
+    stores: Sequence[DeviceArray],
+    re: float | None = None,
+    im2: float | None = None,
+    variant: str = "ellpack",
 ) -> None:
-    """CSR SpMV over the leading ``n_active_rows`` rows (MPK's step kernel).
+    """One matrix powers step in one launch (MPK's step kernel).
 
-    The matrix powers kernel computes a shrinking prefix of the level-ordered
-    extended local matrix at each step; only the touched nonzeros are costed.
-    The column indices address the extended vector ``x``.
+    Over the leading ``n_active_rows`` rows of the level-ordered extended
+    local matrix (CSR, column indices addressing the extended vector):
 
-    ``x`` and ``out`` may also be column-major ``(rows, k)`` panels, one
-    column per right-hand side of a batch.  The step is then one SpMM launch
-    that reads the matrix once for all ``k`` columns (the ``k`` of its
-    charge), while the compiled kernel still runs column by column, so
-    every column is bit-identical to an SpMV of its own.
+    * ``z_next = A z_cur`` — only the touched nonzeros are costed;
+    * the Newton shift on the same prefix: ``z_next -= re * z_cur`` when
+      ``re`` is given, then ``z_next += im2 * z_prev`` when ``im2`` is
+      (the second step of a complex pair);
+    * ``stores[c][:] = z_next[:len(stores[c]), c]`` — the own rows into
+      the basis column of each right-hand side.
+
+    ``z_*`` are column-major ``(rows, k)`` panels, one column per
+    right-hand side of a batch: the step reads the matrix once for all
+    ``k`` columns (the ``k`` of its charge), while the compiled kernel
+    still runs column by column, so every column is bit-identical to a
+    step of its own.  A poison armed on the launch lands in the computed
+    prefix of ``z_next``, before the store.
     """
-    dev = _device_of(indptr, indices, data, x, out)
+    dev = _device_of(indptr, indices, data, z_prev, z_cur, z_next, *stores)
     ptr = indptr.data
     if not 0 <= n_active_rows < ptr.size:
         raise ValueError(f"n_active_rows out of range: {n_active_rows}")
+    if len(stores) != z_next.data.shape[1]:
+        raise ValueError("need one store per column")
     end = int(ptr[n_active_rows])
-    xs = x.data if x.data.ndim == 2 else x.data[:, None]
-    outs = out.data if out.data.ndim == 2 else out.data[:, None]
-    dev.charge_kernel("spmv", variant, nnz=end, n_rows=n_active_rows, k=xs.shape[1])
-    for c in range(xs.shape[1]):
+    xs, outs = z_cur.data, z_next.data
+    k = xs.shape[1]
+    terms = (re is not None) + (im2 is not None)
+    dev.charge_kernel(
+        "spmv_step", variant, nnz=end, n_rows=n_active_rows, k=k, terms=terms,
+        stored=sum(store.data.size for store in stores),
+    )
+    for c in range(k):
         csr_matvec(
             ptr, indices.data, data.data, xs[:, c], outs[:, c], n_active_rows,
             xs.shape[0],
         )
-    # Poison only the rows this step actually computed — anything beyond
-    # the active prefix is never read back.
-    dev.apply_pending_faults(out.data[:n_active_rows])
+    cur, nxt = xs[:n_active_rows], outs[:n_active_rows]
+    if re is not None:
+        nxt -= re * cur
+    if im2 is not None:
+        nxt += im2 * z_prev.data[:n_active_rows]
+    dev.apply_pending_faults(nxt)
+    for c, store in enumerate(stores):
+        store.data[:] = outs[: store.data.shape[0], c]

@@ -82,7 +82,8 @@ class KernelModel:
 # ----------------------------------------------------------------------
 # Shape -> flops / bytes.  n = long dimension (rows), k/j = short dims,
 # nnz = stored nonzeros, batch = number of sub-GEMMs; a sparse product's
-# k is its column count (1 = SpMV).
+# k is its column count (1 = SpMV).  MPK's step also takes its number of
+# shift terms and the elements it stores into the basis.
 # ----------------------------------------------------------------------
 def _dot_flops(n):
     return 2.0 * n
@@ -182,6 +183,21 @@ def _spmv_bytes(nnz, n_rows, k=1):
     return (_F64 + _I64) * nnz + k * (_F64 * nnz + 2.0 * _F64 * n_rows)
 
 
+def _spmv_step_flops(nnz, n_rows, k=1, terms=0, stored=0):
+    # the prefix SpMV plus one multiply-add per shift term and active entry
+    return _spmv_flops(nnz, n_rows, k) + 2.0 * terms * n_rows * k
+
+
+def _spmv_step_bytes(nnz, n_rows, k=1, terms=0, stored=0):
+    # the prefix SpMV, one read of the active prefix per shift term, and
+    # the store of the own rows into the basis
+    return (
+        _spmv_bytes(nnz, n_rows, k)
+        + _F64 * terms * n_rows * k
+        + _F64 * stored
+    )
+
+
 def _batched_launches(n, k, j, batch=None):
     # one batched launch + one reduction launch
     return 2.0
@@ -272,4 +288,10 @@ KERNEL_TABLE: dict[tuple[str, str], KernelModel] = {
     ("spmv", "ellpack"): KernelModel(_spmv_flops, _spmv_bytes, 0.08, 0.85),
     ("spmv", "csr"): KernelModel(_spmv_flops, _spmv_bytes, 0.05, 0.60),
     ("spmv", "mkl"): KernelModel(_spmv_flops, _spmv_bytes, 0.08, 0.80),
+    # MPK's fused step (prefix SpMV + Newton shift + basis store), at the
+    # ELLPACK SpMV's efficiencies: the extended local matrix uses the same
+    # padded layout (level-ordered rows have near-uniform width).
+    ("spmv_step", "ellpack"): KernelModel(
+        _spmv_step_flops, _spmv_step_bytes, 0.08, 0.85
+    ),
 }

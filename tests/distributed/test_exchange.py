@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dist.exchange import StagedExchange
+from repro.dist.exchange import MAX_TRANSFER_RETRIES, StagedExchange
 from repro.faults import FaultEvent, FaultPlan, TransferCorruption
 from repro.gpu.context import MultiGpuContext
 from repro.order.partition import Partition, block_row_partition
@@ -118,6 +118,23 @@ class TestStagedExchange:
         ex = StagedExchange(part, [np.array([4]), np.array([1])])
         with pytest.raises(TransferCorruption):
             ex.exchange(ctx, dist_parts(ctx, part, np.zeros(6)))
+
+    def test_poisoned_gather_copy_lands_in_its_payload(self, rng):
+        # A poison armed on gpu0's gather-compress copy is delivered into the
+        # compressed payload it wrote: the d2h arrival check sees it on
+        # every re-issue (the source stays poisoned), so the exchange raises
+        # and nothing is left pending for gpu0's next kernel.
+        plan = FaultPlan.scripted([FaultEvent("gpu0", "poison", trigger=0)])
+        ctx = MultiGpuContext(2, fault_plan=plan)
+        part = block_row_partition(6, 2)
+        ex = StagedExchange(part, [np.array([4]), np.array([1])])
+        v = rng.standard_normal(6)
+        parts = dist_parts(ctx, part, v)
+        with pytest.raises(TransferCorruption):
+            ex.exchange(ctx, parts)
+        assert ctx.counters.d2h_messages == 1 + MAX_TRANSFER_RETRIES
+        assert ctx.devices[0]._poison_pending is None
+        np.testing.assert_array_equal(parts[0].data, v[:3])  # source intact
 
     def test_stage_masks_precomputed_and_consistent(self):
         # The per-device staging mask is exchange-invariant; it must be built

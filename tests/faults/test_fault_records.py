@@ -69,7 +69,7 @@ CASES = {
         *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=30, position=9)), **CA
     ),
     "poison-cycle-redo": lambda: ca_gmres(
-        *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=110, position=9)), **CA
+        *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=86, position=9)), **CA
     ),
     "stall-gpu1": lambda: ca_gmres(
         *_poisson(), ctx=_scripted(2, FaultEvent("gpu1", "stall", trigger=20)), **CA

@@ -180,26 +180,37 @@ class TestSpmv:
         )
         np.testing.assert_array_equal(out.data, 0.0)
 
-    def test_spmv_csr_prefix(self, dev, rng):
+    def test_spmv_step(self, dev, rng):
         dense = rng.standard_normal((8, 8))
         dense[rng.random((8, 8)) < 0.5] = 0.0
         csr = csr_from_dense(dense)
         indptr = dev.adopt(csr.indptr)
         indices = dev.adopt(csr.indices)
         data = dev.adopt(csr.data)
-        x = dev.adopt(rng.standard_normal(8))
-        out = dev.zeros(8)
-        blas.spmv_csr_prefix(indptr, indices, data, x, out, 5)
-        np.testing.assert_allclose(out.data[:5], (dense @ x.data)[:5], atol=1e-13)
+        prev = dev.adopt(np.asfortranarray(rng.standard_normal((8, 2))))
+        cur = dev.adopt(np.asfortranarray(rng.standard_normal((8, 2))))
+        nxt = dev.adopt(np.zeros((8, 2), order="F"))
+        stores = [dev.zeros(3), dev.zeros(3)]
+        blas.spmv_step(indptr, indices, data, prev, cur, nxt, 5, stores, re=0.5, im2=0.25)
+        want = (dense @ cur.data)[:5] - 0.5 * cur.data[:5] + 0.25 * prev.data[:5]
+        np.testing.assert_allclose(nxt.data[:5], want, atol=1e-13)
+        for c, store in enumerate(stores):
+            assert store.data.tobytes() == nxt.data[:3, c].tobytes()
+        # One launch, priced with both shift terms and the six stored values.
+        assert dev.clock == dev.perf.kernel_cost(
+            "spmv_step", "ellpack", on="gpu", nnz=int(csr.indptr[5]), n_rows=5,
+            k=2, terms=2, stored=6,
+        )[0]
 
-    def test_spmv_csr_prefix_bounds(self, dev):
+    def test_spmv_step_bounds(self, dev):
         indptr = dev.adopt(np.array([0, 1], dtype=np.int64))
         indices = dev.adopt(np.array([0], dtype=np.int64))
         data = dev.adopt(np.array([1.0]))
-        x = dev.adopt(np.ones(1))
-        out = dev.zeros(1)
+        z = [dev.zeros((1, 1)) for _ in range(3)]
         with pytest.raises(ValueError):
-            blas.spmv_csr_prefix(indptr, indices, data, x, out, 2)
+            blas.spmv_step(indptr, indices, data, *z, 2, [dev.zeros(1)])
+        with pytest.raises(ValueError, match="one store per column"):
+            blas.spmv_step(indptr, indices, data, *z, 1, [])
 
 
 class TestVariantTiming:

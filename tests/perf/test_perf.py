@@ -28,6 +28,8 @@ def shape_of(op, n=1000, k=10, j=10, nnz=5000):
         return {"n": n, "k": k}
     if op in ("gemm_tn", "gemm_nn"):
         return {"n": n, "k": k, "j": j}
+    if op == "spmv_step":  # MPK's fused step: both shift terms, own rows stored
+        return {"nnz": nnz, "n_rows": n, "k": 1, "terms": 2, "stored": n}
     assert op == "spmv", op
     return {"nnz": nnz, "n_rows": n}
 
@@ -252,3 +254,44 @@ class TestSpmmCostModel:
         model = PerformanceModel(keeneland_node())
         _, flops = model.kernel_cost("spmv", "ellpack", on="gpu", nnz=100, n_rows=10, k=3)
         assert flops == 600.0
+
+
+class TestSpmvStepCostModel:
+    """``("spmv_step", "ellpack")`` prices MPK's fused step: the prefix
+    SpMV, one read of the active prefix and a multiply-add per shift term,
+    and the store of the own rows, at the ELLPACK SpMV's efficiencies."""
+
+    SHAPE = dict(nnz=322_418, n_rows=65_318, k=3)
+
+    def test_bare_step_is_the_spmv(self):
+        model = PerformanceModel(keeneland_node())
+        step = model.kernel_cost("spmv_step", "ellpack", on="gpu", **self.SHAPE)
+        assert step == model.kernel_cost("spmv", "ellpack", on="gpu", **self.SHAPE)
+        entry, spmv = KERNEL_TABLE[("spmv_step", "ellpack")], KERNEL_TABLE[("spmv", "ellpack")]
+        assert (entry.eff_compute, entry.eff_bandwidth) == (spmv.eff_compute, spmv.eff_bandwidth)
+
+    @pytest.mark.parametrize("terms", [0, 1, 2])
+    def test_flops_and_bytes_per_term_and_store(self, terms):
+        entry = KERNEL_TABLE[("spmv_step", "ellpack")]
+        spmv = KERNEL_TABLE[("spmv", "ellpack")]
+        nnz, n_rows, k = self.SHAPE.values()
+        shape = dict(self.SHAPE, terms=terms, stored=21_000 * k)
+        assert entry.flops(**shape) == spmv.flops(**self.SHAPE) + 2.0 * terms * n_rows * k
+        assert entry.bytes_moved(**shape) == (
+            spmv.bytes_moved(**self.SHAPE) + 8.0 * terms * n_rows * k + 8.0 * 21_000 * k
+        )
+
+    def test_one_launch_is_cheaper_than_spmv_axpys_and_copy(self):
+        """The fusion saves the launch overheads and the re-streamed prefix."""
+        model = PerformanceModel(keeneland_node())
+        nnz, n_rows, k = self.SHAPE.values()
+        own = 21_000
+        fused = model.kernel_cost(
+            "spmv_step", "ellpack", on="gpu", **self.SHAPE, terms=2, stored=own * k
+        )[0]
+        separate = (
+            model.kernel_cost("spmv", "ellpack", on="gpu", **self.SHAPE)[0]
+            + 2 * model.kernel_cost("axpy", "cublas", on="gpu", n=n_rows * k)[0]
+            + model.kernel_cost("copy", "cublas", on="gpu", n=own * k)[0]
+        )
+        assert fused < separate
