@@ -112,12 +112,15 @@ class DistributedMatrix:
             # Expand own part + received halo into the extended vector.
             z.data[:n_own] = x_parts[d].data
             dev.charge_kernel("copy", "cublas", n=n_own)
+            dev.apply_pending_faults(z.data[:n_own])
             if received[d].size:
                 # Halo placement is a device copy too (same undercounting as
                 # the MPK setup phase had: the own-row copy was charged but
                 # the halo copy was free).
-                z.data[n_own : n_own + received[d].size] = received[d]
+                placed = z.data[n_own : n_own + received[d].size]
+                placed[...] = received[d]
                 dev.charge_kernel("copy", "cublas", n=received[d].size)
+                dev.apply_pending_faults(placed)
             values, col_idx = self.local_ell[d]
             blas.spmv_ell(values, col_idx, z, y_parts[d])
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.dist.matrix import DistributedMatrix, HaloPlan
 from repro.dist.multivector import DistMultiVector
+from repro.faults import FaultEvent, FaultPlan
 from repro.gpu.context import MultiGpuContext
 from repro.matrices import poisson2d, g3_circuit
 from repro.order import kway_partition
@@ -148,3 +149,29 @@ class TestSpmvCostAccounting:
         expected = senders + 3 + halo_devices
         assert halo_devices > 0
         assert ctx.counters.kernel_counts["copy/cublas"] == expected
+
+    @pytest.mark.parametrize("launch", ["own", "halo"])
+    def test_poisoned_expand_copy_lands_in_its_slice(self, launch):
+        """A poison armed on an expand copy is delivered into the slice of
+        the extended vector that copy wrote, not into the next kernel's
+        output."""
+        A = poisson2d(8)
+        part = block_row_partition(A.n_rows, 2)
+        # gpu1's launches: the exchange's gather copy, the own-row copy,
+        # the halo copy, then the ELLPACK SpMV.
+        trigger = {"own": 1, "halo": 2}[launch]
+        plan = FaultPlan.scripted([FaultEvent("gpu1", "poison", trigger=trigger)])
+        ctx = MultiGpuContext(2, fault_plan=plan)
+        dmat = DistributedMatrix(ctx, A, part)
+        x = DistMultiVector(ctx, part, 1)
+        y = DistMultiVector(ctx, part, 1)
+        x.set_column_from_host(0, np.ones(A.n_rows))
+        ctx.reset_clocks()
+        with np.errstate(invalid="ignore", over="ignore"):
+            dmat.spmv(x, 0, y, 0)
+        n_own = dmat.plan.owned[1].size
+        z = dmat._z[1].data[: n_own + dmat.plan.halo[1].size]
+        written = z[:n_own] if launch == "own" else z[n_own:]
+        assert not np.all(np.isfinite(written))
+        assert np.all(np.isfinite(x.local[1].data))  # source intact
+        assert ctx.devices[1]._poison_pending is None
