@@ -335,15 +335,6 @@ class RestartedRun:
         self.b_solve = b_solve = bal.scale_rhs(b) if bal is not None else b
         self.row_scale = row_scale = bal.row_scale if bal is not None else 1.0
 
-        # Mutable solver state: the cycles and the degraded-mode rebuild
-        # both go through it, so a repartition swaps the plan (and with it
-        # every distributed object) at once and replayed cycles pick up the
-        # rebuilt versions.
-        self.st = st = SimpleNamespace(
-            plan=plan,
-            x=DistVector(ctx, partition),
-            b=DistVector.from_host(ctx, partition, b_solve),
-        )
         if x0 is not None:
             if preconditioner is not None:
                 raise ValueError("x0 with a preconditioner is not supported")
@@ -351,7 +342,24 @@ class RestartedRun:
             if x0.shape != (n,) or not np.all(np.isfinite(x0)):
                 raise ValueError(f"x0 must be a finite vector of shape ({n},)")
             x0 = host.to_solve_order(x0)
-            st.x.set_from_host(x0 / bal.col_scale if bal is not None else x0)
+            x0 = x0 / bal.col_scale if bal is not None else x0
+
+        # Mutable solver state: the cycles and the degraded-mode rebuild
+        # both go through it, so a repartition swaps the plan (and with it
+        # every distributed object) at once and replayed cycles pick up the
+        # rebuilt versions.  Its setup transfers precede the reset below,
+        # which erases their time, so they draw no faults either.
+        armed, ctx.faults.active = ctx.faults.active, False
+        try:
+            self.st = st = SimpleNamespace(
+                plan=plan,
+                x=DistVector(ctx, partition),
+                b=DistVector.from_host(ctx, partition, b_solve),
+            )
+            if x0 is not None:
+                st.x.set_from_host(x0)
+        finally:
+            ctx.faults.active = armed
         ctx.reset_clocks()
 
         self.degrader = None

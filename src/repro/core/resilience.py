@@ -150,7 +150,8 @@ def run_cycle_resilient(ctx, cycle, x, history, degrader=None):
     while True:
         try:
             if rebuild is not None:
-                x = degrader.rebuild(*rebuild)
+                with ctx.region("repartition"):
+                    x = degrader.rebuild(*rebuild)
                 rebuild = None
                 checkpoint = snapshot_solution(x)
             return (yield from cycle()), False

@@ -134,7 +134,9 @@ class MultiGpuContext:
         transfers raise :class:`DeviceLost`), it stops contributing to
         :meth:`current_time`/:meth:`sync`, and collectives/broadcasts
         iterate over the survivors only.  A ``degraded`` event is recorded
-        on the fault lane at the current time.  The roster is restored by
+        on the fault lane at the current time, and the host waits until
+        then, so the wall clock does not go back when the device with the
+        latest clock leaves.  The roster is restored by
         :meth:`reset_clocks`, so reruns on this context replay the same
         degradation deterministically.  Deactivating the last active
         device is refused.
@@ -152,7 +154,9 @@ class MultiGpuContext:
             raise ValueError(f"device {dev.name} is already inactive")
         if len(self.devices) == 1:
             raise ValueError("cannot deactivate the last active device")
-        self.faults.note_degradation("degraded", self.current_time(), site=dev.name)
+        now = self.current_time()
+        self.faults.note_degradation("degraded", now, site=dev.name)
+        self.host.wait_until(now)
         self.devices.remove(dev)
         self._inactive.add(dev.name)
         self._routes[dev][0].deactivate_peer(dev.name)

@@ -76,7 +76,7 @@ def run_solver_experiment(
         orth_ms=1e3 * orth / cycles,
         tsqr_ms=1e3 * timers.get("tsqr", 0.0) / cycles,
         spmv_ms=1e3 * spmv / cycles,
-        total_ms=1e3 * result.total_time / cycles,
+        total_ms=1e3 * result.time_per_restart(),
         breakdowns=result.breakdowns,
         raw=result,
     )

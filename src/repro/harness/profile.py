@@ -35,7 +35,7 @@ def resolve_profile(result_or_profile) -> dict:
 
 def region_breakdown_rows(profile: dict) -> list:
     """Rows ``[region, incl ms, excl ms, count, % of total]``, largest first."""
-    total = profile.get("total_time", 0.0) or 0.0
+    total = profile["total_time"]
     rows = []
     for name, entry in sorted(
         profile["regions"].items(), key=lambda kv: -kv[1]["inclusive"]

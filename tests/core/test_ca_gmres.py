@@ -193,9 +193,8 @@ class TestBookkeeping:
             tol=1e-12, max_restarts=4,
         )
         assert r.n_restarts == 4 and r.breakdowns == 0
-        assert r.total_time == pytest.approx(
-            r.details["profile"]["total_time"], rel=1e-12, abs=0.0
-        )
+        assert r.total_time == r.details["profile"]["total_time"]
+        assert sum(r.timers.values()) == pytest.approx(r.total_time, rel=1e-12, abs=0.0)
 
 
 class TestValidation:

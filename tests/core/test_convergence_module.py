@@ -50,12 +50,16 @@ class TestConvergenceHistory:
         assert h.relative().size == 0
 
 
+#: A profile whose timeline (3.2 s) is not the region timers' sum (3.0 s).
+TIMELINE = {"profile": {"total_time": 3.2}}
+
+
 class TestSolveResult:
     def test_total_time(self):
-        assert make_result().total_time == pytest.approx(3.0)
+        assert make_result(details=TIMELINE).total_time == 3.2
 
     def test_time_per_restart_total(self):
-        assert make_result().time_per_restart() == pytest.approx(0.75)
+        assert make_result(details=TIMELINE).time_per_restart() == pytest.approx(0.8)
 
     def test_time_per_restart_phase(self):
         assert make_result().time_per_restart("spmv") == pytest.approx(0.5)
@@ -64,8 +68,8 @@ class TestSolveResult:
         assert make_result().time_per_restart("warp") == 0.0
 
     def test_zero_restarts_guard(self):
-        r = make_result(n_restarts=0)
-        assert r.time_per_restart() == pytest.approx(3.0)  # divides by 1
+        r = make_result(n_restarts=0, details=TIMELINE)
+        assert r.time_per_restart() == pytest.approx(3.2)  # divides by 1
 
     def test_details_default(self):
         assert make_result().details == {}

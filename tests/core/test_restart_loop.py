@@ -8,11 +8,15 @@ class.  The runs are built directly over a session's structural plan.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.ca_gmres import CaGmresRun, ca_gmres
+from repro.core.degrade import DegradePolicy
 from repro.core.gmres import GmresRun, gmres
 from repro.core.pipelined import PipelinedRun, pipelined_gmres
+from repro.faults import FaultEvent, FaultPlan
 from repro.gpu.context import MultiGpuContext
+from repro.gpu.multinode import MultiNodeContext
 from repro.matrices.stencil import poisson2d
 from repro.serve.session import SolverSession
 from repro.sparse.csr import csr_from_dense
@@ -134,3 +138,69 @@ def test_step_to_completion_equals_function_call(solver, problem):
     assert stepped.history == called.history
     assert stepped.timers == called.timers
     assert stepped.counters == called.counters
+
+
+def assert_one_time_base(r):
+    """The exclusive region times cover the timeline, whose end is the
+    result's ``total_time``."""
+    fold = r.fold
+    assert abs(fold.end_time - sum(fold.timers.values())) <= 1e-12 * fold.end_time
+    assert r.total_time == r.details["profile"]["total_time"] == fold.end_time
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    solver=st.sampled_from(sorted(SOLVERS)),
+    n_gpus=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    dropout=st.booleans(),
+    degrade=st.booleans(),
+    deadline=st.sampled_from([None, 2e-3]),
+)
+def test_regions_cover_the_timeline(solver, n_gpus, seed, dropout, degrade, deadline):
+    _, solve, _, kw = SOLVERS[solver]
+    A = poisson2d(12)
+    b = np.random.default_rng(seed).standard_normal(A.n_rows)
+    kinds = ("corrupt", "poison", "stall") + (("dropout",) if dropout else ())
+    ctx = MultiGpuContext(n_gpus, fault_plan=FaultPlan(seed=seed, rate=5e-3, kinds=kinds))
+    with np.errstate(all="ignore"):
+        r = solve(
+            A, b, ctx=ctx, tol=1e-8, max_restarts=20, deadline=deadline,
+            degrade=DegradePolicy() if degrade else None, **kw,
+        )
+    assert_one_time_base(r)
+
+
+def _two_dropouts():
+    """Two device losses, each absorbed by a repartition."""
+    A = poisson2d(16)
+    b = np.random.default_rng(7).standard_normal(A.n_rows)
+    plan = FaultPlan.scripted(
+        [FaultEvent("gpu1", "dropout", trigger=40), FaultEvent("gpu0", "dropout", trigger=90)]
+    )
+    r = ca_gmres(
+        A, b, ctx=MultiGpuContext(3, fault_plan=plan), s=4, m=12,
+        basis="monomial", degrade=DegradePolicy(),
+    )
+    assert r.details["degradation"]["n_repartitions"] == 2
+    return [r]
+
+
+def _two_nodes():
+    A = poisson2d(12)
+    b = np.random.default_rng(2).standard_normal(A.n_rows)
+    plan = FaultPlan(seed=3, rate=5e-3, kinds=("corrupt", "stall", "dropout"))
+    ctx = MultiNodeContext(2, 2, fault_plan=plan)
+    return [ca_gmres(A, b, ctx=ctx, s=4, m=8, tol=1e-8, degrade=DegradePolicy())]
+
+
+def _batch():
+    A = poisson2d(12)
+    bs = np.random.default_rng(4).standard_normal((3, A.n_rows))
+    return SolverSession(A, n_gpus=3, s=4, m=8, tol=1e-8).solve_many(bs)
+
+
+@pytest.mark.parametrize("case", [_two_dropouts, _two_nodes, _batch])
+def test_regions_cover_the_timeline_of(case):
+    for r in case():
+        assert_one_time_base(r)

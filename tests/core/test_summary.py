@@ -28,6 +28,7 @@ class TestSummary:
         base = dict(
             x=np.zeros(2), converged=True, n_restarts=1, n_iterations=1,
             history=ConvergenceHistory(), timers={}, counters={},
+            details={"profile": {"total_time": 0.0}},
         )
         assert "breakdowns" not in SolveResult(**base).summary()
         assert "breakdowns     : 3" in SolveResult(**base, breakdowns=3).summary()

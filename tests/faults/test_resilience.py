@@ -5,6 +5,8 @@ Scripted triggers below were chosen so the fault lands inside the solve
 ``ctx.reset_clocks()``, i.e. at the top of every solver run).
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,22 @@ class TestTransferCorruptionRecovery:
         np.testing.assert_array_equal(faulty.x, clean.x)
         # ... but the redo costs simulated time.
         assert faulty.total_time > clean.total_time
+
+    @pytest.mark.parametrize(
+        "solve", [gmres, functools.partial(ca_gmres, s=4)], ids=["gmres", "ca_gmres"]
+    )
+    def test_setup_transfers_draw_no_faults(self, solve):
+        """Distributing ``b`` is uncosted setup, so a corrupt scripted on
+        the first bus message lands on the solve's own first transfer and is
+        recovered; it used to escape the solver from the setup copy."""
+        A, b = make_problem()
+        ctx = scripted_ctx(FaultEvent("pcie", "corrupt", trigger=0))
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = solve(A, b, ctx=ctx, m=8, tol=1e-8, max_restarts=30)
+        assert result.converged
+        assert result.details["faults"]["counts"] == {
+            "injected": 1, "detected": 1, "recovered": 1, "unrecovered": 0
+        }
 
     def test_corrupt_inside_exchange_uses_transfer_retry(self):
         A, b = make_problem()

@@ -140,6 +140,20 @@ class TestContextTransfers:
         assert all(d.clock == t for d in ctx.devices)
         assert ctx.host.clock == t
 
+    def test_wall_clock_survives_deactivating_the_latest_device(self):
+        ctx = MultiGpuContext(2)
+        with ctx.region("work"):
+            ctx.devices[0].advance(1.0)
+            ctx.devices[1].advance(3.0)
+        before = ctx.current_time()
+        ctx.deactivate_device("gpu1")
+        assert ctx.current_time() >= before
+        with ctx.region("next"):
+            ctx.devices[0].advance(3.0)
+        # The next region starts where the last one ended, so none overlap.
+        fold = ctx.trace.fold()
+        assert sum(fold.timers.values()) == fold.end_time == pytest.approx(4.0)
+
     def test_reset_clocks(self):
         ctx = MultiGpuContext(2)
         ctx.devices[0].advance(1.0)

@@ -206,10 +206,14 @@ class TestApiSurface:
     def test_bad_per_solve_option_rejected_before_any_plan(self, problem):
         A, b = problem
         ca = SolverSession(A, n_gpus=2, s=4, m=12)
-        with pytest.raises(ValueError, match="on_breakdown"):
-            ca.solve(b, on_breakdown="ignore")
+        for name, value in [
+            ("on_breakdown", "raise"), ("adaptive_s", True),
+            ("collect_tsqr_errors", True),
+        ]:
+            with pytest.raises(TypeError, match="not per-solve overridable"):
+                ca.solve(b, **{name: value})
         plain = SolverSession(A, solver="gmres", n_gpus=2, m=12)
-        with pytest.raises(TypeError, match="adaptive_s"):
+        with pytest.raises(TypeError, match="not per-solve overridable"):
             plain.solve(b, adaptive_s=True)
         assert ca.stats()["structural_plans"] == 0
         assert plain.stats()["structural_plans"] == 0
