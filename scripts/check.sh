@@ -15,7 +15,8 @@
 #               byte-identical (fault and degradation records replay).
 #   --serve     additionally run a serving smoke: the plan-reuse CLI
 #               (python -m repro serve, exits nonzero unless warm solves
-#               are bit-identical to cold) plus a fault campaign, whose
+#               are bit-identical to cold and each solve_many result's x
+#               to a sequential solve's) plus a fault campaign, whose
 #               trials share one solver session's structural plan.
 #   --metrics   additionally run a metrics smoke: the instrumented
 #               workload twice (python -m repro metrics --check, exits

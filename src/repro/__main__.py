@@ -370,6 +370,14 @@ def _cmd_serve(args) -> int:
     print(f"warm == cold (bit-identical): {identical}")
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")
     print(f"plan reuse : warm solve {speedup:.1f}x faster (wall-clock)")
+    if len(bs) > 1:
+        # Each lockstep result must be what a sequential solve returns.
+        sequential = [warm] + [session.solve(b) for b in bs[1:]]
+        lockstep = all(
+            np.array_equal(r.x, s.x) for r, s in zip(batch, sequential)
+        )
+        print(f"solve_many == sequential solves (bit-identical x): {lockstep}")
+        identical = identical and lockstep
     return 0 if identical else 1
 
 

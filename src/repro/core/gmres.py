@@ -14,6 +14,7 @@ CA-GMRES and pipelined GMRES share.
 from __future__ import annotations
 
 from importlib import import_module
+from numbers import Integral, Real
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -165,18 +166,6 @@ class BlockRequest(NamedTuple):
     ops: tuple
 
 
-def fulfil_blocks(ctx: MultiGpuContext, requests: list[BlockRequest]):
-    """Generate the blocks of ``requests`` — one kernel, one ``j``, one set
-    of ``ops`` — with one MPK call; returns what the call raised, or None."""
-    kernel, _, j, ops = requests[0]
-    try:
-        with ctx.region("mpk"):
-            kernel.run([request.V for request in requests], j, ops)
-    except Exception as exc:
-        return exc
-    return None
-
-
 def _finite_input(request: BlockRequest) -> bool:
     """Uncosted host check that a block's input column is finite."""
     return all(np.isfinite(part.data).all() for part in request.V.column(request.j))
@@ -185,9 +174,12 @@ def _finite_input(request: BlockRequest) -> bool:
 def run_lockstep(runs: list["RestartedRun"]) -> list[int]:
     """Run ``runs`` (on one context) to completion, sharing MPK calls.
 
-    Every pending run advances to its next block request.  The requests at
-    the lowest block start ``j`` are then fulfilled: those naming the same
-    kernel and shift operations together, with one fused
+    This is the one loop that advances a run; a single solve is a batch of
+    one, ``run_lockstep([run])``, whose requests are fulfilled one at a
+    time in the order its cycles make them.  Every pending run advances to
+    its next block request.  The requests at the lowest block start ``j``
+    are then fulfilled: those naming the same kernel and shift operations
+    together, with one fused
     :meth:`~repro.mpk.MatrixPowersKernel.run` (one halo exchange and one
     step launch per step for all of them), and their runs resume with the
     outcome.  Runs further along their cycle wait, so a run that left a
@@ -225,9 +217,17 @@ def run_lockstep(runs: list["RestartedRun"]) -> list[int]:
                 )
                 groups.setdefault(key, []).append(run)
         for members in groups.values():
+            requests = [asked.pop(run) for run in members]
             ctx = members[0].ctx
             ctx.trace.request = members[0].request
-            error = fulfil_blocks(ctx, [asked.pop(run) for run in members])
+            error = None
+            try:
+                with ctx.region("mpk"):
+                    requests[0].kernel.run(
+                        [request.V for request in requests], j, requests[0].ops
+                    )
+            except Exception as exc:
+                error = exc
             ready.update(dict.fromkeys(members, error))
             sizes.append(len(members))
     return sizes
@@ -250,14 +250,11 @@ class RestartedRun:
     :class:`~repro.core.convergence.SolveResult`.
 
     A cycle is a generator (:meth:`cycle`): where CA-GMRES needs an MPK
-    block it yields a :class:`BlockRequest` and waits.  :meth:`step`
-    advances the solve by exactly one restart cycle, fulfilling each
-    request at once, and :meth:`result` runs the remaining cycles that
-    way; a single solve is a batch of one.
-    :func:`run_lockstep`, the loop behind
-    :meth:`~repro.serve.session.SolverSession.solve_many`, instead
-    fulfils the matching requests of many right-hand sides with one MPK
-    call.
+    block it yields a :class:`BlockRequest` and waits.  The run does not
+    advance itself: :func:`run_lockstep` drives it, fulfilling the
+    matching requests of every run it is given with one MPK call, and a
+    single solve is a batch of one.  :meth:`result` drives a run that is
+    not finished yet that way before building its result.
 
     Parameters
     ----------
@@ -386,6 +383,14 @@ class RestartedRun:
         """Validate ``m`` and every constructor option (defaults filled in)."""
         if m < 1:
             raise ValueError(f"restart length m={m} must be at least 1")
+        tol = options["tol"]
+        if not (isinstance(tol, Real) and np.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+        max_restarts = options["max_restarts"]
+        if not (isinstance(max_restarts, Integral) and max_restarts >= 0):
+            raise ValueError(
+                f"max_restarts must be an integer >= 0, got {max_restarts!r}"
+            )
 
     def cycle(self, offset: int, restart_index: int):
         """Run one restart cycle on ``self.st``, as a generator.
@@ -438,16 +443,6 @@ class RestartedRun:
             self._gen = None
             return None
 
-    def step(self) -> bool:
-        """Advance by one restart cycle, generating each requested block at
-        once; False once the solve is finished."""
-        if self._gen is None:
-            return False
-        request = self._resume()
-        while request is not None:
-            request = self._resume(fulfil_blocks(self.ctx, [request]))
-        return self._gen is not None
-
     def _test(self, norms: tuple[float, float]) -> None:
         """The one convergence test, on measured ``(||r_bal||, ||b - A x||)``.
 
@@ -491,16 +486,17 @@ class RestartedRun:
             yield
 
     def result(self, fold=None) -> SolveResult:
-        """Run any remaining cycles and return the (cached) final result.
+        """The (cached) final result, after running the solve to its end.
 
-        ``fold`` is ``ctx.trace.fold()`` of the finished timeline when the
-        caller already has it (the runs of one batch share their timeline);
-        it is computed here otherwise.  The result keeps it as
-        :attr:`~repro.core.convergence.SolveResult.fold`.
+        An unfinished run is driven to completion as a batch of one,
+        ``run_lockstep([self])``.  ``fold`` is ``ctx.trace.fold()`` of the
+        finished timeline when the caller already has it (the runs of one
+        batch share their timeline); it is computed here otherwise.  The
+        result keeps it as :attr:`~repro.core.convergence.SolveResult.fold`.
         """
-        while self.step():
-            pass
         if self._result is None:
+            if not self.finished:
+                run_lockstep([self])
             ctx = self.ctx
             x_host = gathered_solution(self.st.x)
             if self.bal is not None:

@@ -133,10 +133,7 @@ class MatrixPowersKernel:
             raise IndexError("multivector has too few columns for this MPK run")
         k = len(Vs)
         if self._buffers[0][0].data.shape[1] < k:
-            self._buffers = [
-                [dev.zeros((buf.data.shape[0], k)) for buf in buffers]
-                for dev, buffers in zip(self.ctx.devices, self._buffers)
-            ]
+            self._resize_buffers(k)
 
         # The input columns go straight into the own rows of the extended
         # vectors, and the exchange gathers from there; the copy is charged
@@ -178,6 +175,18 @@ class MatrixPowersKernel:
                     **shift,
                 )
                 z_prev, z_cur, z_next = z_cur, z_next, z_prev
+
+    def release_batch(self) -> None:
+        """Shrink the ping-pong buffers back to one column after a batch
+        widened them (allocation is uncosted)."""
+        if self._buffers[0][0].data.shape[1] > 1:
+            self._resize_buffers(1)
+
+    def _resize_buffers(self, k: int) -> None:
+        self._buffers = [
+            [buf.device.zeros((buf.data.shape[0], k)) for buf in buffers]
+            for buffers in self._buffers
+        ]
 
     def step_seconds(self) -> list[float]:
         """Modeled time of a monomial single-vector :meth:`run`'s step

@@ -160,7 +160,8 @@ class StructuralPlan:
     closures built during the first solve persist for every later one.
     ``V`` is the basis of batch slot 0; :meth:`basis` gives every slot of
     a ``solve_many`` batch its own, since the batch's solves hold their
-    bases across each other's blocks.
+    bases across each other's blocks, and :meth:`release_batch` frees them
+    when the batch is done.
     """
 
     def __init__(
@@ -202,12 +203,20 @@ class StructuralPlan:
 
     def basis(self, slot: int = 0) -> DistMultiVector:
         """The ``(m+1)``-column basis of batch slot ``slot``, built on first
-        request and kept for later batches (slot 0 is :attr:`V`)."""
+        request and kept until :meth:`release_batch` (slot 0 is :attr:`V`)."""
         while len(self._bases) <= slot:
             self._bases.append(
                 DistMultiVector(self.ctx, self.partition, self.key.m + 1)
             )
         return self._bases[slot]
+
+    def release_batch(self) -> None:
+        """Free what a finished batch added to the plan: the bases of slots
+        1 and up and the extra columns of the MPK ping-pong buffers, so the
+        plan holds its single-request memory again."""
+        del self._bases[1:]
+        for mpk in self.mpk.values():
+            mpk.release_batch()
 
     def mpk_kernel(self, length: int) -> MatrixPowersKernel:
         """The MPK kernel for one block length, built on first request."""

@@ -17,17 +17,20 @@ plan holds no RHS-dependent state, and structural setup is uncosted in the
 simulated timeline, so even the simulated timers/counters match exactly —
 only host wall-clock changes.
 
-``solve_many`` batches right-hand sides over the shared plan and runs
-their CA-GMRES cycles in lockstep (:func:`~repro.core.gmres.run_lockstep`):
-the MPK blocks the pending solves request at the same block start, with
-the same kernel and shift operations, are generated by one fused kernel
-call — one halo exchange carrying every column, one step launch per step.
-Numerics stay per RHS, so each returned
-:class:`~repro.core.convergence.SolveResult` is byte-for-byte what a
-sequential ``solve`` would have produced, while the simulated timers and
-counters describe the whole batch.  Fault injection, degradation
-policies, and deadlines force the sequential path — their replay
-determinism is defined per-solve.
+Every request goes through one routine: it constructs one run per
+right-hand side, records the ``plan-build`` marker after the last run
+constructor has reset the clocks, drives the runs with
+:func:`~repro.core.gmres.run_lockstep`, folds the trace once and builds
+the results.  ``solve(b)`` is a batch of one; ``solve_many`` batches
+right-hand sides over the shared plan, and the MPK blocks its pending
+solves request at the same block start, with the same kernel and shift
+operations, are generated by one fused kernel call — one halo exchange
+carrying every column, one step launch per step.  Numerics stay per RHS,
+so each returned :class:`~repro.core.convergence.SolveResult` is
+byte-for-byte what a sequential ``solve`` would have produced, while the
+simulated timers and counters describe the whole batch.  Fault injection,
+degradation policies, and deadlines make ``solve_many`` a sequence of
+batches of one — their replay determinism is defined per solve.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ __all__ = ["SolverSession"]
 #: Run class per ``solver`` choice.
 _RUNS = {"ca": CaGmresRun, "gmres": GmresRun, "pipelined": PipelinedRun}
 
-#: Arguments solve() may override per call.  Every run class takes them and
-#: ``check_options`` reads none of them, so solve() merges them unchecked;
-#: everything else is fixed at session construction.
+#: Arguments solve() may override per call; ``check_options`` re-checks them
+#: on every call.  Everything else is fixed at session construction.
 _PER_SOLVE_KWARGS = frozenset({"x0", "tol", "max_restarts", "degrade", "deadline"})
 
 
@@ -224,36 +226,44 @@ class SolverSession:
         return _RUNS[self.solver].name
 
     # ------------------------------------------------------------------
-    def _make_run(self, b: np.ndarray, overrides: dict):
+    def _serve(self, bs, overrides: dict) -> tuple[list[SolveResult], list[int]]:
+        """Build, drive (:func:`~repro.core.gmres.run_lockstep`) and finish
+        one run per entry of ``bs``; returns the results and MPK call sizes."""
         bad = set(overrides) - _PER_SOLVE_KWARGS
         if bad:
             raise TypeError(
                 f"not per-solve overridable: {sorted(bad)} "
                 "(fix these at session construction)"
             )
+        run_cls = _RUNS[self.solver]
+        kwargs = {**self.options, **overrides}
+        run_cls.check_options(self.m, kwargs)
         if self.ctx.inactive_devices:
             # A previous degraded solve left the roster shrunken; restore it
             # so the plan lookup keys on the full roster (the survivor-roster
             # entry stays cached for the next mid-solve repartition).
             self.ctx.reset_clocks()
-        kwargs = {**self.options, **overrides}
         plan_misses_before = self.cache.stats["plan_misses"]
-        plan = self.plan
-        run = _RUNS[self.solver](b, plan, **kwargs)
+        runs = [run_cls(b, self.plan, **kwargs) for b in bs]
+        if not runs:
+            return [], []
+        for i, run in enumerate(runs):
+            run.request = i
         if self.cache.stats["plan_misses"] > plan_misses_before:
-            # The run constructor reset the clocks and wiped the trace —
-            # re-emit the plan-build marker onto the fresh timeline so cold
-            # runs show where their structural plan came from.
+            # Each run constructor reset the clocks and wiped the trace —
+            # emit the plan-build marker onto the batch's timeline, after
+            # the last reset, so cold runs show where their plan came from.
             self.ctx.trace.record(
                 "plan-build", REGION_LANE, "plan", self.ctx.current_time(),
                 0.0, **self.cache.last_structural_build,
             )
-        return run
-
-    def _postprocess(self, run, fold=None) -> SolveResult:
-        result = run.result(fold)
-        self.n_solves += 1
-        return result
+        sizes = run_lockstep(runs)
+        fold = self.ctx.trace.fold()
+        results = [run.result(fold) for run in runs]
+        self.n_solves += len(results)
+        # The runs' plan: looking ``self.plan`` up again would count a hit.
+        runs[0].st.plan.release_batch()
+        return results, sizes
 
     def solve(self, b: np.ndarray, **overrides) -> SolveResult:
         """Solve ``A x = b`` reusing the session's structural plan.
@@ -263,7 +273,8 @@ class SolverSession:
         is fixed for the session's lifetime.
         """
         if self.metrics is None:
-            return self._postprocess(self._make_run(b, overrides))
+            [result], _ = self._serve([b], overrides)
+            return result
         from ..metrics.collect import (
             observe_solve,
             serve_request_seconds,
@@ -275,7 +286,7 @@ class SolverSession:
             self.cache.stats["plan_misses"] + self.cache.stats["host_misses"]
         )
         wall_start = time.perf_counter()
-        result = self._postprocess(self._make_run(b, overrides))
+        [result], _ = self._serve([b], overrides)
         wall = time.perf_counter() - wall_start
         misses_after = (
             self.cache.stats["plan_misses"] + self.cache.stats["host_misses"]
@@ -308,16 +319,8 @@ class SolverSession:
             or self.options["deadline"] is not None
         ):
             return [self.solve(b, **overrides) for b in bs]
-        runs = [self._make_run(b, overrides) for b in bs]
-        for i, run in enumerate(runs):
-            run.request = i
-        sizes = run_lockstep(runs)
-        # Each run's constructor reset the clocks, and the last reset
-        # precedes the first cycle: the trace is the whole batch's, folded
-        # once for every result.
-        fold = self.ctx.trace.fold() if runs else None
-        results = [self._postprocess(run, fold) for run in runs]
-        if self.metrics is not None and runs:
+        results, sizes = self._serve(bs, overrides)
+        if self.metrics is not None and results:
             from ..metrics.collect import (
                 observe_context,
                 observe_result,
@@ -329,14 +332,14 @@ class SolverSession:
             labels = {"solver": self._solver_label, "matrix": self.metrics_label}
             # Occupancy: the mean fraction of the batch one MPK call carried;
             # 1.0 means every block of every RHS was generated in lockstep.
-            occupancy = sum(sizes) / (len(sizes) * len(runs)) if sizes else 1.0
+            occupancy = sum(sizes) / (len(sizes) * len(results)) if sizes else 1.0
             serve_batch_occupancy(self.metrics).set(occupancy, **labels)
-            serve_batch_rhs_total(self.metrics).inc(len(runs), **labels)
+            serve_batch_rhs_total(self.metrics).inc(len(results), **labels)
             serve_requests_total(self.metrics).inc(
-                len(runs), mode="batched", **labels
+                len(results), mode="batched", **labels
             )
             # The trace describes the batch as a whole: bridge it once.
-            observe_context(self.metrics, self.ctx, fold=fold, **labels)
+            observe_context(self.metrics, self.ctx, fold=results[0].fold, **labels)
             for result in results:
                 observe_result(self.metrics, result, **labels)
         return results

@@ -2,8 +2,8 @@
 
 Every solver runs on :class:`repro.core.gmres.RestartedRun`, so the
 boundary checks, the trivial zero right-hand side, the trace's cycle windows,
-the deadline and the ``step()`` interface are tested once, for each run
-class.  The runs are built directly over a session's structural plan.
+the deadline and ``result()``, which drives an unfinished run to its end,
+are tested once, for each run class.  The runs are built directly over a session's structural plan.
 """
 
 import numpy as np
@@ -88,8 +88,9 @@ def test_bad_x0(solver, problem, x0):
 def test_zero_rhs_converged_without_restarts(solver, problem):
     A, _ = problem
     run = make_run(solver, A, np.zeros(A.n_rows), n_gpus=2)
-    assert run.finished and not run.step()
+    assert run.finished
     r = run.result()
+    assert run.result() is r
     assert r.converged and r.n_restarts == 0 and r.n_iterations == 0
     np.testing.assert_array_equal(r.x, np.zeros(A.n_rows))
 
@@ -125,19 +126,17 @@ def test_step_to_completion_equals_function_call(solver, problem):
     _, solve, _, kw = solver
     A, b = problem
     run = make_run(solver, A, b, n_gpus=3)
-    steps = 0
-    while run.step():
-        steps += 1
-    stepped, called = run.result(), solve(A, b, n_gpus=3, **kw)
-    assert run.result() is stepped
-    # Every step but the converging one reports more work to do.
-    assert called.converged and steps == stepped.n_restarts - 1
-    np.testing.assert_array_equal(stepped.x, called.x)
-    assert stepped.converged == called.converged
-    assert stepped.n_iterations == called.n_iterations
-    assert stepped.history == called.history
-    assert stepped.timers == called.timers
-    assert stepped.counters == called.counters
+    assert not run.finished
+    # result() drives the unfinished run to its end, as a batch of one.
+    driven, called = run.result(), solve(A, b, n_gpus=3, **kw)
+    assert run.finished and run.result() is driven
+    assert called.converged and driven.n_restarts == called.n_restarts > 1
+    np.testing.assert_array_equal(driven.x, called.x)
+    assert driven.converged == called.converged
+    assert driven.n_iterations == called.n_iterations
+    assert driven.history == called.history
+    assert driven.timers == called.timers
+    assert driven.counters == called.counters
 
 
 def assert_one_time_base(r):

@@ -83,6 +83,15 @@ class TestRunSolverExperiment:
         assert rec.tsqr_ms > 0
         assert rec.spmv_ms > 0
 
+    def test_pipelined_gmres_record(self, matrix):
+        rec = run_solver_experiment(
+            "Pipelined", matrix, np.ones(matrix.n_rows), "pipelined_gmres", 2,
+            m=12, tol=1e-6,
+        )
+        assert rec.converged
+        assert rec.orth_ms > 0 and rec.spmv_ms > 0
+        assert rec.tsqr_ms == 0
+
     def test_unknown_solver(self, matrix):
         with pytest.raises(ValueError, match="unknown solver"):
             run_solver_experiment(

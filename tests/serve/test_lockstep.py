@@ -114,13 +114,32 @@ class TestLockstepEqualsSequential:
     def test_each_slot_has_its_own_basis(self):
         A = poisson2d(8)
         session = SolverSession(A, n_gpus=2, s=4, m=8, max_restarts=2)
-        session.solve_many(np.ones((3, A.n_rows)))
         plan = session.plan
         bases = [plan.basis(i) for i in range(3)]
         assert bases[0] is plan.V
         assert len({id(V) for V in bases}) == 3
         session.solve_many(np.ones((3, A.n_rows)))
-        assert [plan.basis(i) for i in range(3)] == bases  # kept for reuse
+        # The batch frees the bases of slots 1 and up; slot 0 is the plan's.
+        assert plan.basis(0) is plan.V
+        assert all(plan.basis(i) is not bases[i] for i in (1, 2))
+
+
+@pytest.mark.parametrize("n_gpus", [1, 2, 3])
+@pytest.mark.parametrize(
+    "solver, cfg",
+    [("gmres", dict(m=8)), ("ca", dict(s=4, m=8)), ("pipelined", dict(m=8))],
+)
+def test_a_single_solve_is_a_batch_of_one(solver, cfg, n_gpus):
+    A = poisson2d(10)
+    b = np.random.default_rng(n_gpus).standard_normal(A.n_rows)
+    single = SolverSession(A, solver=solver, n_gpus=n_gpus, **cfg).solve(b)
+    [batched] = SolverSession(A, solver=solver, n_gpus=n_gpus, **cfg).solve_many([b])
+    assert single.n_restarts > 1
+    assert single.x.tobytes() == batched.x.tobytes()
+    assert single.history == batched.history
+    assert single.timers == batched.timers
+    assert single.counters == batched.counters
+    assert single.details["profile"] == batched.details["profile"]
 
 
 class TestOneFoldPerRequest:

@@ -148,6 +148,18 @@ class TestRelease:
         finally:
             gc.enable()
 
+    def test_a_batch_leaves_the_plan_at_its_single_request_memory(self):
+        A = poisson2d(32)
+        rng = np.random.default_rng(0)
+        session = SolverSession(A, n_gpus=2, s=4, m=8)
+        session.solve(rng.standard_normal(A.n_rows))
+        plan = session.plan
+        single = plan.device_memory_bytes()
+        session.solve_many(rng.standard_normal((3, A.n_rows)))
+        assert plan.device_memory_bytes() == single
+        session.solve(rng.standard_normal(A.n_rows))
+        assert plan.device_memory_bytes() == single
+
     def test_derive_after_the_cache_is_gone_builds_on_a_private_cache(self, A):
         ctx = MultiGpuContext(3)
         cache = PlanCache()

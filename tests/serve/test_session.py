@@ -165,6 +165,22 @@ class TestSolveMany:
         for result in batch:
             assert result.details["faults"]["counts"] == counts
 
+    def test_cold_batch_keeps_its_plan_build_marker(self):
+        """A cold batch of two used to lose the marker: the second run's
+        constructor wiped the trace it was recorded on."""
+        A = poisson2d(12)
+        bs = np.random.default_rng(1).standard_normal((2, A.n_rows))
+
+        def marks(session):
+            return [e for e in session.ctx.trace.events if e.name == "plan-build"]
+
+        single, batch = (SolverSession(A, n_gpus=2, s=4, m=8) for _ in range(2))
+        single.solve(bs[0])
+        batch.solve_many(bs)
+        assert len(marks(single)) == len(marks(batch)) == 1
+        batch.solve_many(bs)
+        assert marks(batch) == []  # warm
+
     def test_empty_batch(self, problem):
         A, _ = problem
         sess = SolverSession(A, n_gpus=2, s=4, m=12)
@@ -217,6 +233,27 @@ class TestApiSurface:
             plain.solve(b, adaptive_s=True)
         assert ca.stats()["structural_plans"] == 0
         assert plain.stats()["structural_plans"] == 0
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("tol", -1.0), ("tol", 0.0), ("tol", np.nan), ("tol", np.inf),
+            ("max_restarts", -3), ("max_restarts", 2.5),
+        ],
+    )
+    def test_bad_tol_or_max_restarts_rejected(self, option, value):
+        A = poisson2d(8)
+        b = np.ones(A.n_rows)
+        cache = PlanCache()
+        with pytest.raises(ValueError, match=option):
+            SolverSession(A, n_gpus=2, s=4, m=8, cache=cache, **{option: value})
+        assert not cache.host_plans and not cache.plans
+        session = SolverSession(A, n_gpus=2, s=4, m=8)
+        with pytest.raises(ValueError, match=option):
+            session.solve(b, **{option: value})
+        with pytest.raises(ValueError, match=option):
+            session.solve_many([b, b], **{option: value})
+        assert session.stats()["n_solves"] == 0
 
     def test_structural_override_rejected(self, problem):
         A, b = problem
