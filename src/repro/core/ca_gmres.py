@@ -43,17 +43,17 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from ..gpu import blas
 from ..gpu.context import MultiGpuContext
 from ..mpk.shifts import ShiftOp, monomial_shift_ops
-from ..orth.borth import borth
+from ..orth.borth import BORTH_METHODS, borth
 from ..orth.errors import (
     CholeskyBreakdown,
     elementwise_error,
     factorization_error,
     orthogonality_error,
 )
-from ..orth.tsqr import tsqr
+from ..orth.tsqr import _PRIMARY_KERNEL, TSQR_METHODS, tsqr
+from ..perf.kernels import KERNEL_TABLE
 from ..sparse.csr import CsrMatrix
 from .basis import build_change_of_basis
 from .convergence import SolveResult
@@ -69,13 +69,7 @@ from .gmres import (
 from .lsq import hessenberg_lstsq
 from .resilience import MAX_PANEL_RETRIES, RECOVERABLE_FAULTS, guard_finite
 
-__all__ = ["ca_gmres", "CaGmresRun", "mpk_block_lengths"]
-
-
-def mpk_block_lengths(s: int, m: int) -> tuple[int, ...]:
-    """Block lengths a CA-GMRES(s, m) cycle runs MPK with: ``s`` and the
-    ``m % s`` tail (the structural plan prebuilds one kernel per length)."""
-    return tuple(sorted({s, m % s} - {0}))
+__all__ = ["ca_gmres", "CaGmresRun"]
 
 
 class CaGmresRun(RestartedRun):
@@ -128,6 +122,16 @@ class CaGmresRun(RestartedRun):
             raise ValueError(f"unknown on_breakdown {options['on_breakdown']!r}")
         if options["reorth"] < 1:
             raise ValueError(f"reorth must be >= 1, got {options['reorth']}")
+        method, variant = options["tsqr_method"], options["tsqr_variant"]
+        if method not in TSQR_METHODS:
+            raise ValueError(f"unknown tsqr_method {method!r}; choose from {sorted(TSQR_METHODS)}")
+        if variant not in (None, "auto") and (_PRIMARY_KERNEL[method], variant) not in KERNEL_TABLE:
+            raise ValueError(f"unknown tsqr_variant {variant!r} for tsqr_method {method!r}")
+        if options["borth_method"] not in BORTH_METHODS:
+            raise ValueError(f"unknown borth_method {options['borth_method']!r}")
+        for flag in ("use_mpk", "collect_tsqr_errors", "adaptive_s"):
+            if not isinstance(options[flag], (bool, np.bool_)):
+                raise ValueError(f"{flag} must be a bool, got {options[flag]!r}")
 
     def _details(self) -> dict:
         details: dict = {}
@@ -140,9 +144,9 @@ class CaGmresRun(RestartedRun):
     def cycle(self, offset, restart_index):
         """One CA-GMRES restart cycle; returns (iterations, breakdowns).
 
-        Each MPK block is a :class:`~repro.core.gmres.BlockRequest` the
+        Each block is a chain of MPK requests (:func:`_sub_blocks`) the
         cycle yields, on the basis of the run's batch slot, so a batch may
-        generate it together with other runs' blocks (:func:`~repro.core.gmres.run_lockstep`).
+        generate them together with other runs' (:func:`~repro.core.gmres.run_lockstep`).
         """
         ctx, plan, m = self.ctx, self.st.plan, self.m
         V = plan.basis(self.request)
@@ -161,6 +165,7 @@ class CaGmresRun(RestartedRun):
         while j < m:
             s_block = adapt_state["s_eff"] if adapt_state is not None else self.s
             s_cur = min(s_block, m - j)
+            depth = s_cur if self.use_mpk else 1
             if self.basis == "newton":
                 ops = plan.host.newton_ops(m, s_cur)
             else:
@@ -173,11 +178,10 @@ class CaGmresRun(RestartedRun):
             panel_attempts = 0
             while True:
                 try:
-                    if self.use_mpk:
-                        yield BlockRequest(plan.mpk_kernel(s_cur), V, j, ops)
-                    else:
-                        with ctx.region("spmv"):
-                            _spmv_block(ctx, plan.dmat, V, j, ops)
+                    k = j
+                    for sub in _sub_blocks(ops, depth):
+                        yield BlockRequest(plan.mpk_kernel(len(sub)), V, k, sub)
+                        k += len(sub)
                     C, R, block_breakdowns = _orthogonalize(
                         ctx, V, j, s_cur,
                         tsqr_method=self.tsqr_method,
@@ -267,8 +271,9 @@ def ca_gmres(
     reorth
         Orthogonalization passes, at least 1 (2 = the paper's "2x" rows).
     use_mpk
-        Generate candidates with the matrix powers kernel; ``False`` uses
-        ``s`` plain SpMVs (what Fig. 15 falls back to when MPK is slower).
+        Generate each block with one matrix powers kernel call of depth
+        ``s``; ``False`` chains depth-1 calls (plain SpMVs: what Fig. 15
+        falls back to when MPK is slower; depth 2 per complex shift pair).
     on_breakdown
         ``"fallback"`` (retry the failing block's TSQR with CAQR) or
         ``"raise"``.
@@ -320,19 +325,19 @@ def _adapt_block_length(adapt_state, R, s_max, s_used, block_breakdowns) -> None
     adapt_state["history"].append({"s_used": s_used, "diag_ratio": ratio})
 
 
-def _spmv_block(ctx, dmat, V, j, ops: list[ShiftOp]) -> None:
-    """Generate a block with plain SpMVs + shift updates (MPK disabled)."""
-    for k, op in enumerate(ops, start=1):
-        dmat.spmv(V, j + k - 1, V, j + k)
-        new = V.column(j + k)
-        cur = V.column(j + k - 1)
-        if op.kind in ("real", "complex_first", "complex_second"):
-            for cn, cc in zip(new, cur):
-                blas.axpy(-op.re, cc, cn)
-        if op.kind == "complex_second":
-            prev = V.column(j + k - 2)
-            for cn, cp in zip(new, prev):
-                blas.axpy(op.im**2, cp, cn)
+def _sub_blocks(ops, depth: int) -> list:
+    """Split a block's shift ops into consecutive runs of at most ``depth``
+    steps, one MPK request each.  A run that would end on a
+    ``complex_first`` takes its ``complex_second`` too: the second step
+    reads the first one's extended rows, so a pair never spans two runs."""
+    runs, start = [], 0
+    while start < len(ops):
+        end = min(start + depth, len(ops))
+        if ops[end - 1].kind == "complex_first":
+            end += 1
+        runs.append(ops[start:end])
+        start = end
+    return runs
 
 
 def _orthogonalize(

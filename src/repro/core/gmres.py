@@ -25,7 +25,7 @@ from ..dist.multivector import DistMultiVector, DistVector
 from ..faults.injector import fault_report
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
-from ..orth.single import orthogonalize_vector
+from ..orth.single import ORTH_METHODS, orthogonalize_vector
 from ..sparse.csr import CsrMatrix
 from .convergence import ConvergenceHistory, SolveResult
 from .degrade import DegradationManager, DegradePolicy
@@ -186,8 +186,8 @@ def run_lockstep(runs: list["RestartedRun"]) -> list[int]:
     cycle early, and so restarts at ``j = 0``, catches up with the rest
     instead of running out of step with them for good.  A run whose block
     input is not finite is fulfilled alone: the failure of its exchange
-    stays its own.  A run that requests no block (GMRES, pipelined GMRES,
-    ``use_mpk=False``) runs to its end when it is first advanced.
+    stays its own.  A run that requests no block (GMRES, pipelined GMRES)
+    runs to its end when it is first advanced.
 
     The arithmetic of each run is that of a run of its own, so its
     solution, history and fault report are too; only the shared timeline
@@ -539,6 +539,15 @@ class GmresRun(RestartedRun):
     def __init__(self, b, plan, orth_method: str = "cgs", **kwargs):
         self.orth_method = orth_method
         super().__init__(b, plan, **kwargs)
+
+    @classmethod
+    def check_options(cls, m, options):
+        super().check_options(m, options)
+        if options["orth_method"] not in ORTH_METHODS:
+            raise ValueError(
+                f"unknown orth_method {options['orth_method']!r}; "
+                f"choose from {ORTH_METHODS}"
+            )
 
     def cycle(self, offset, restart_index):
         yield from ()  # a GMRES cycle requests no MPK block

@@ -18,7 +18,10 @@ from ..gpu.context import MultiGpuContext
 from ..gpu.device import DeviceArray
 from .errors import OrthogonalizationError
 
-__all__ = ["orthogonalize_vector"]
+__all__ = ["orthogonalize_vector", "ORTH_METHODS"]
+
+#: The single-vector orthogonalization methods :func:`orthogonalize_vector` runs.
+ORTH_METHODS = ("mgs", "cgs")
 
 
 def orthogonalize_vector(

@@ -74,14 +74,10 @@ class Fingerprint:
         The :class:`HostKey` of the host plan the structural plan is built on.
     m
         Restart length (fixes the basis multivector width ``m + 1``).
-    mpk_lengths
-        Sorted tuple of MPK block lengths the solver will request
-        (``{s, m % s} - {0}`` for CA-GMRES, ``()`` for standard GMRES).
     roster
         Names of the active devices the plan's distributed state lives on.
     """
 
     host: HostKey
     m: int
-    mpk_lengths: tuple
     roster: tuple

@@ -238,19 +238,16 @@ class StructuralPlan:
         degradation to a given roster builds the survivor plan, later
         degradations to the same roster reuse it.  A cached entry whose
         partition disagrees with ``new_partition`` is invalidated and
-        rebuilt.  The survivor plan prebuilds the MPK kernels of the
-        key's block lengths.  If that cache is gone, a private one builds
-        the plan: nothing could reuse it anyway.
+        rebuilt.  The survivor plan prebuilds the MPK kernels this plan
+        holds.  If that cache is gone, a private one builds the plan:
+        nothing could reuse it anyway.
         """
         cache = self._cache() or PlanCache()
-        return cache.structural_plan(
-            self.ctx,
-            self.host,
-            self.key.m,
-            self.key.mpk_lengths,
-            partition=new_partition,
-            prebuild_mpk=self.key.mpk_lengths,
+        plan = cache.structural_plan(
+            self.ctx, self.host, self.key.m, partition=new_partition
         )
+        plan.ensure_mpk(self.mpk)
+        return plan
 
     def device_memory_bytes(self) -> list[int]:
         """Per-device resident bytes of the plan's distributed state."""
@@ -381,18 +378,11 @@ class PlanCache:
         ctx,
         host: HostPlan,
         m: int,
-        mpk_lengths=(),
         partition: Partition | None = None,
-        prebuild_mpk=(),
     ) -> StructuralPlan:
         """Fetch or build the device-level plan for the *active* roster."""
         roster = tuple(dev.name for dev in ctx.devices)
-        key = Fingerprint(
-            host=host.key,
-            m=int(m),
-            mpk_lengths=tuple(sorted(int(x) for x in mpk_lengths)),
-            roster=roster,
-        )
+        key = Fingerprint(host=host.key, m=int(m), roster=roster)
         cached = self.plans.get(key)
         if cached is not None:
             stale = cached.ctx is not ctx or (
@@ -402,7 +392,6 @@ class PlanCache:
             if not stale:
                 self.stats["plan_hits"] += 1
                 self._note_request("structural", "hit")
-                cached.ensure_mpk(prebuild_mpk)
                 return cached
             self.invalidate(key)
         self.stats["plan_misses"] += 1
@@ -414,7 +403,6 @@ class PlanCache:
             else:
                 partition = block_row_partition(host.operator.n_rows, len(roster))
         plan = StructuralPlan(key, host, ctx, partition, self)
-        plan.ensure_mpk(prebuild_mpk)
         self.plans[key] = plan
         host_seconds = time.perf_counter() - build_start
         self._note_build("structural", host_seconds)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.ca_gmres import ca_gmres
+from repro.core.ca_gmres import _sub_blocks, ca_gmres
 from repro.core.gmres import gmres
 from repro.matrices import cant, convection_diffusion2d, poisson2d
+from repro.mpk.shifts import ShiftOp
 from repro.orth.errors import CholeskyBreakdown
+from repro.serve import SolverSession
 
 
 def residual(A, b, x):
@@ -84,6 +87,27 @@ class TestCaGmresConvergence:
         assert r_mpk.n_iterations == r_spmv.n_iterations
         np.testing.assert_allclose(r_mpk.x, r_spmv.x, atol=1e-8)
 
+    def test_without_mpk_complex_shifts(self):
+        """Complex Ritz shifts: use_mpk=False chains depth-1 MPK calls and
+        one depth-2 call per conjugate pair, with use_mpk=True's
+        convergence."""
+        A = convection_diffusion2d(12, wind=(20.0, 10.0))
+        b = np.ones(A.n_rows)
+        results, lengths = {}, {}
+        for use_mpk in (True, False):
+            session = SolverSession(
+                A, n_gpus=2, s=6, m=18, tol=1e-6, use_mpk=use_mpk
+            )
+            results[use_mpk] = session.solve(b)
+            lengths[use_mpk] = sorted(session.plan.mpk)
+        kinds = {op.kind for op in session.plan.host.newton_ops(18, 6)}
+        assert "complex_first" in kinds
+        assert lengths == {True: [6], False: [1, 2]}
+        r_mpk, r_spmv = results[True], results[False]
+        assert r_mpk.converged and r_spmv.converged
+        assert r_mpk.n_iterations == r_spmv.n_iterations
+        np.testing.assert_allclose(r_mpk.x, r_spmv.x, atol=1e-8)
+
     def test_kway_partition(self):
         A = poisson2d(14)
         b = np.ones(A.n_rows)
@@ -146,10 +170,17 @@ class TestBookkeeping:
         assert "lsq" in r.timers  # may be ~0: host work overlaps devices
 
     def test_spmv_timer_when_mpk_disabled(self):
+        """Without MPK each block step is a depth-1 MPK call (one fused
+        SpMV + shift launch); the spmv region keeps the cycle residuals."""
         A = poisson2d(12)
-        r = ca_gmres(A, np.ones(A.n_rows), s=6, m=12, tol=1e-6, use_mpk=False)
-        assert r.timers.get("mpk", 0.0) == 0.0
-        assert r.timers.get("spmv", 0.0) > 0.0
+        session = SolverSession(A, s=6, m=12, tol=1e-6, use_mpk=False)
+        r = session.solve(np.ones(A.n_rows))
+        assert sorted(session.plan.mpk) == [1]
+        assert r.timers["mpk"] > 0.0 and r.timers["spmv"] > 0.0
+        kernels = r.counters["kernel_counts"]
+        assert kernels["spmv_step/ellpack"] == r.n_iterations
+        assert kernels["spmv/ellpack"] == r.n_restarts
+        assert r.details["profile"]["regions"]["mpk"]["count"] == r.n_iterations
 
     def test_collect_tsqr_errors(self):
         A = poisson2d(12)
@@ -224,3 +255,31 @@ class TestValidation:
         A = poisson2d(4)
         r = ca_gmres(A, np.zeros(16), s=2, m=4)
         assert r.converged
+
+
+def shift_op_blocks():
+    """Valid block shift sequences: unshifted, real and paired complex steps."""
+    step = st.sampled_from([
+        (ShiftOp("none"),),
+        (ShiftOp("real", re=0.5),),
+        (ShiftOp("complex_first", re=0.1, im=0.7),
+         ShiftOp("complex_second", re=0.1, im=0.7)),
+    ])
+    return st.lists(step, min_size=1, max_size=10).map(
+        lambda steps: tuple(op for ops in steps for op in ops)
+    )
+
+
+class TestSubBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=shift_op_blocks(), depth=st.integers(1, 8))
+    def test_runs_tile_the_block_and_never_split_a_pair(self, ops, depth):
+        runs = _sub_blocks(ops, depth)
+        assert tuple(op for run in runs for op in run) == ops
+        for run in runs:
+            assert run and run[0].kind != "complex_second"
+            assert len(run) <= depth or (
+                len(run) == depth + 1 and run[-2].kind == "complex_first"
+            )
+        if depth >= len(ops):
+            assert runs == [ops]

@@ -10,7 +10,7 @@ import pytest
 
 import repro.sparse.csr as csr_module
 from repro.core import DegradePolicy
-from repro.core.ca_gmres import CaGmresRun, mpk_block_lengths
+from repro.core.ca_gmres import CaGmresRun
 from repro.core.gmres import GmresRun
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.multivector import DistMultiVector, DistVector
@@ -114,8 +114,7 @@ class TestEmptyPanels:
         ca = solver == "ca_gmres"
         cache = PlanCache()
         plan = cache.structural_plan(
-            MultiGpuContext(3), cache.host_plan(A), m=4,
-            mpk_lengths=mpk_block_lengths(2, 4) if ca else (), partition=part,
+            MultiGpuContext(3), cache.host_plan(A), m=4, partition=part
         )
         run = CaGmresRun(b, plan, s=2, tol=1e-8) if ca else GmresRun(b, plan, tol=1e-8)
         res = run.result()

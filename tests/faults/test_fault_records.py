@@ -68,6 +68,13 @@ CASES = {
     "poison-panel-retry": lambda: ca_gmres(
         *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=30, position=9)), **CA
     ),
+    # Without MPK the block is four depth-1 MPK calls; the poisoned copy of
+    # one call is caught after the later calls ran, and the retry
+    # regenerates the whole block.
+    "poison-panel-retry-depth1": lambda: ca_gmres(
+        *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=30, position=9)),
+        use_mpk=False, **CA
+    ),
     "poison-cycle-redo": lambda: ca_gmres(
         *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=86, position=9)), **CA
     ),

@@ -5,7 +5,8 @@ residual history, the region timers, the counters and ``details`` (the
 trace profile and any fault and degradation reports).  The grid covers
 GMRES, pipelined GMRES and CA-GMRES (monomial and Newton bases; the default,
 ``"auto"`` and ``"batched_sp"`` TSQR variants) on 1-3 GPUs, each without
-faults and under a rate fault plan, plus k-way-partitioned GMRES,
+faults and under a rate fault plan, plus Newton CA-GMRES without MPK
+(depth-1 blocks) on 3 GPUs, clean and rate-faulted, k-way-partitioned GMRES,
 CA-GMRES and pipelined runs on 3 GPUs, a clean two-node run, a scripted
 ``gpu1`` dropout absorbed by a degrade policy, and two
 ``SolverSession.solve_many`` batches of three right-hand sides, one of them
@@ -77,6 +78,14 @@ CASES = {
     for n_gpus in (1, 2, 3)
     for faulted in (False, True)
 }
+for _faulted in (False, True):
+    CASES[f"ca-newton-nompk-3gpu-{'rate' if _faulted else 'clean'}"] = (
+        lambda faulted=_faulted: ca_gmres(
+            *_system(),
+            ctx=MultiGpuContext(3, fault_plan=FaultPlan(**RATE_PLAN) if faulted else None),
+            s=4, m=12, use_mpk=False, tol=1e-8, max_restarts=6,
+        )
+    )
 CASES["gmres-3gpu-kway"] = lambda: gmres(
     *_system(), n_gpus=3, ordering="kway", m=12, tol=1e-8, max_restarts=6,
 )

@@ -36,19 +36,18 @@ class TestPatternHash:
         assert pattern_hash(a) != pattern_hash(b)
 
 
-def plan_key(A, ordering="natural", m=20, mpk_lengths=(5,), n_gpus=2, balance=True):
+def plan_key(A, ordering="natural", m=20, n_gpus=2, balance=True):
     cache = PlanCache()
     host = cache.host_plan(A, ordering, balance=balance)
-    return cache.structural_plan(MultiGpuContext(n_gpus), host, m, mpk_lengths).key
+    return cache.structural_plan(MultiGpuContext(n_gpus), host, m).key
 
 
 class TestFingerprint:
     def test_roundtrip_fields(self):
         A = poisson2d(6)
-        fp = plan_key(A, "kway", 20, [5])
+        fp = plan_key(A, "kway", 20)
         assert fp.host.ordering == "kway"
         assert fp.m == 20
-        assert fp.mpk_lengths == (5,)
         assert fp.roster == ("gpu0", "gpu1")
         assert fp.host.balance is True
         assert fp.host.preconditioner is None
@@ -62,20 +61,28 @@ class TestFingerprint:
 
     def test_host_key_drops_roster_and_m(self):
         A = poisson2d(6)
-        f2 = plan_key(A, "rcm", 20, [5], n_gpus=1)
-        f3 = plan_key(A, "rcm", 30, [15], n_gpus=2)
+        f2 = plan_key(A, "rcm", 20, n_gpus=1)
+        f3 = plan_key(A, "rcm", 30, n_gpus=2)
         assert f2 != f3
         assert f2.host == f3.host
 
-    def test_mpk_lengths_sorted(self):
+    def test_mpk_kernels_stay_out_of_the_key(self):
+        """The plan builds its MPK kernels on demand; the lengths a solve
+        asks for (Newton shift pairs decide them without MPK) never move
+        the key, so every solver configuration with one ``m`` shares it."""
         A = poisson2d(6)
-        fa = plan_key(A, mpk_lengths=[15, 5], n_gpus=1)
-        fb = plan_key(A, mpk_lengths=[5, 15], n_gpus=1)
-        assert fa == fb
+        cache = PlanCache()
+        ctx = MultiGpuContext(1)
+        host = cache.host_plan(A)
+        plan = cache.structural_plan(ctx, host, 20)
+        key = plan.key
+        plan.ensure_mpk((5, 1, 2))
+        assert plan.key == key
+        assert cache.structural_plan(ctx, host, 20) is plan
 
     def test_frozen(self):
         A = poisson2d(6)
-        fp = plan_key(A, mpk_lengths=[], n_gpus=1)
+        fp = plan_key(A, n_gpus=1)
         with pytest.raises(AttributeError):
             fp.m = 99
         with pytest.raises(AttributeError):

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from repro.core.ca_gmres import _sub_blocks
 from repro.core.gmres import BlockRequest, run_lockstep
 from repro.dist.multivector import DistMultiVector
 from repro.gpu.context import MultiGpuContext
@@ -110,6 +111,20 @@ class TestLockstepEqualsSequential:
         assert profile["bus"]["messages"] < 3 * alone["bus"]["messages"]
         assert batch[0].counters["kernel_launches"] < 3 * single.counters["kernel_launches"]
         assert batch[0].total_time < 3 * single.total_time
+
+    def test_depth_one_blocks_fuse_across_the_batch(self):
+        """Without MPK a block is a chain of depth-1 requests (depth 2 per
+        complex shift pair), and a batch in step shares every one."""
+        A = convection_diffusion2d(12, wind=(20.0, 10.0))
+        session = SolverSession(
+            A, n_gpus=2, s=6, m=12, tol=1e-12, max_restarts=2, use_mpk=False
+        )
+        bs = list(np.random.default_rng(5).standard_normal((3, A.n_rows)))
+        results, sizes = session._serve(bs, {})
+        assert sorted(session.plan.mpk) == [1, 2]
+        assert sizes and set(sizes) == {3}
+        calls_per_block = len(_sub_blocks(session.plan.host.newton_ops(12, 6), 1))
+        assert len(sizes) == results[0].n_restarts * 2 * calls_per_block
 
     def test_each_slot_has_its_own_basis(self):
         A = poisson2d(8)

@@ -60,20 +60,19 @@ class TestStructuralPlans:
         cache = PlanCache()
         ctx = MultiGpuContext(2)
         host = cache.host_plan(A, "natural")
-        p1 = cache.structural_plan(ctx, host, m=12, mpk_lengths=(4,))
-        p2 = cache.structural_plan(ctx, host, m=12, mpk_lengths=(4,))
+        p1 = cache.structural_plan(ctx, host, m=12)
+        p2 = cache.structural_plan(ctx, host, m=12)
         assert p1 is p2
         assert cache.stats["plan_hits"] == 1
         assert cache.stats["plan_misses"] == 1
 
-    def test_distinct_per_m_and_mpk_lengths(self, A):
+    def test_distinct_per_m(self, A):
         cache = PlanCache()
         ctx = MultiGpuContext(2)
         host = cache.host_plan(A, "natural")
-        p1 = cache.structural_plan(ctx, host, m=12, mpk_lengths=(4,))
-        p2 = cache.structural_plan(ctx, host, m=20, mpk_lengths=(4,))
-        p3 = cache.structural_plan(ctx, host, m=12, mpk_lengths=(5,))
-        assert len({p1.key, p2.key, p3.key}) == 3
+        p1 = cache.structural_plan(ctx, host, m=12)
+        p2 = cache.structural_plan(ctx, host, m=20)
+        assert p1.key != p2.key
         assert p2.V.n_cols == 21
 
     def test_replaced_context_invalidates(self, A):
@@ -105,21 +104,22 @@ class TestStructuralPlans:
         cache = PlanCache()
         ctx = MultiGpuContext(2)
         host = cache.host_plan(A, "natural")
-        p = cache.structural_plan(ctx, host, m=12, mpk_lengths=(4, 2),
-                                  prebuild_mpk=(4, 2))
+        p = cache.structural_plan(ctx, host, m=12)
+        assert p.mpk == {}
+        p.ensure_mpk((4, 2))
         assert sorted(p.mpk) == [2, 4]
         # A cache hit must not rebuild existing closures.
         mpk4 = p.mpk[4]
-        p2 = cache.structural_plan(ctx, host, m=12, mpk_lengths=(4, 2),
-                                   prebuild_mpk=(4,))
-        assert p2.mpk[4] is mpk4
+        p2 = cache.structural_plan(ctx, host, m=12)
+        p2.ensure_mpk((4,))
+        assert p2 is p and p2.mpk[4] is mpk4
 
     def test_device_memory_accounting_positive(self, A):
         cache = PlanCache()
         ctx = MultiGpuContext(2)
         host = cache.host_plan(A, "natural")
-        p = cache.structural_plan(ctx, host, m=12, mpk_lengths=(4,),
-                                  prebuild_mpk=(4,))
+        p = cache.structural_plan(ctx, host, m=12)
+        p.ensure_mpk((4,))
         mem = p.device_memory_bytes()
         assert len(mem) == 2 and all(x > 0 for x in mem)
 
@@ -163,8 +163,8 @@ class TestRelease:
     def test_derive_after_the_cache_is_gone_builds_on_a_private_cache(self, A):
         ctx = MultiGpuContext(3)
         cache = PlanCache()
-        plan = cache.structural_plan(ctx, cache.host_plan(A, "natural"), m=12,
-                                     mpk_lengths=(4,))
+        plan = cache.structural_plan(ctx, cache.host_plan(A, "natural"), m=12)
+        plan.ensure_mpk((4,))
         del cache
         ctx.devices = [d for d in ctx.all_devices if d.name != "gpu1"]
         survivors = Partition(np.minimum(np.arange(A.n_rows) // 32, 1), 2)

@@ -255,6 +255,29 @@ class TestApiSurface:
             session.solve_many([b, b], **{option: value})
         assert session.stats()["n_solves"] == 0
 
+    @pytest.mark.parametrize(
+        "solver, options",
+        [
+            ("ca", {"tsqr_method": "foo"}),
+            ("ca", {"borth_method": "foo"}),
+            ("ca", {"tsqr_variant": "foo"}),
+            ("ca", {"tsqr_method": "cgs", "tsqr_variant": "batched"}),
+            ("ca", {"use_mpk": "no"}),
+            ("ca", {"collect_tsqr_errors": 1}),
+            ("ca", {"adaptive_s": "yes"}),
+            ("gmres", {"orth_method": "foo"}),
+        ],
+    )
+    def test_bad_solver_option_rejected_before_any_plan(self, solver, options):
+        A = poisson2d(8)
+        cache = PlanCache()
+        with pytest.raises(ValueError, match=list(options)[-1]):
+            SolverSession(
+                A, solver=solver, n_gpus=2, m=8, cache=cache,
+                **({"s": 4} if solver == "ca" else {}), **options,
+            )
+        assert not cache.host_plans and not cache.plans
+
     def test_structural_override_rejected(self, problem):
         A, b = problem
         sess = SolverSession(A, n_gpus=2, s=4, m=12)
