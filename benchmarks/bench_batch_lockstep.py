@@ -1,9 +1,12 @@
 """Lockstep ``solve_many`` — simulated time and PCIe messages per RHS vs k.
 
 A batch of ``k`` right-hand sides on one plan runs its CA-GMRES cycles in
-lockstep, so each MPK block is one fused kernel call for the whole batch:
-one halo exchange whose messages carry ``k`` columns and one step launch
-per step (see ``SolverSession.solve_many``).  This bench batches k = 1-4
+lockstep and shares every message of a cycle: each MPK block is one fused
+kernel call for the whole batch (one halo exchange whose messages carry
+``k`` columns, one step launch per step), and the residual's SpMV exchange
+and norm, the normalization and update broadcasts and every BOrth and TSQR
+reduction and broadcast send one message per device for the whole batch
+(see ``SolverSession.solve_many``).  This bench batches k = 1-4
 RHS on the perfbench systems — the G3_circuit analog solved to 1e-4 with
 CA-GMRES(15, 30), and the cant analog with CA-GMRES(15, 60) and 2x CholQR
 capped at 4 restarts — on one node of 3 GPUs and on 2 nodes x 3 GPUs,

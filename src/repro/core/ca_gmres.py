@@ -26,8 +26,9 @@ cycle (S_m is upper triangular with TSQR's positive diagonal).  The
 least-squares problem ``min_z ||β e_1 - H̲ z||`` is then solved exactly as
 in standard GMRES, and ``x += Q_{1:t} z``.
 
-:func:`_orthogonalize` is the library's one BOrth + TSQR path
-(reorthogonalization, CAQR fallback, Fig. 13 error log) and
+:func:`_orth_passes` is the library's one BOrth + TSQR path
+(reorthogonalization, CAQR fallback, Fig. 13 error log; a cycle runs it
+with ``yield from``, :func:`_orthogonalize` alone) and
 :class:`_BlockHessenberg` its one block-to-Hessenberg assembly.
 
 Breakdowns: CholQR fails (Cholesky of a numerically indefinite Gram matrix)
@@ -39,6 +40,8 @@ failure mode instead.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -53,7 +56,7 @@ from ..orth.errors import (
     orthogonality_error,
 )
 from ..orth.tsqr import _PRIMARY_KERNEL, TSQR_METHODS, tsqr
-from ..perf.kernels import KERNEL_TABLE
+from ..perf.kernels import HOST_VARIANT, KERNEL_TABLE
 from ..sparse.csr import CsrMatrix
 from .basis import build_change_of_basis
 from .convergence import SolveResult
@@ -63,6 +66,7 @@ from .gmres import (
     RestartedRun,
     checked_true_residual,  # noqa: F401 - the restart loop calls it through this module
     compute_residual,
+    fulfil_alone,
     normalize_first_column,
     update_solution,
 )
@@ -125,8 +129,13 @@ class CaGmresRun(RestartedRun):
         method, variant = options["tsqr_method"], options["tsqr_variant"]
         if method not in TSQR_METHODS:
             raise ValueError(f"unknown tsqr_method {method!r}; choose from {sorted(TSQR_METHODS)}")
-        if variant not in (None, "auto") and (_PRIMARY_KERNEL[method], variant) not in KERNEL_TABLE:
-            raise ValueError(f"unknown tsqr_variant {variant!r} for tsqr_method {method!r}")
+        # A host BLAS variant would price the device Gram product at CPU rates.
+        if variant not in (None, "auto") and (
+            variant == HOST_VARIANT or (_PRIMARY_KERNEL[method], variant) not in KERNEL_TABLE
+        ):
+            raise ValueError(
+                f"tsqr_variant {variant!r} is not a device variant for tsqr_method {method!r}"
+            )
         if options["borth_method"] not in BORTH_METHODS:
             raise ValueError(f"unknown borth_method {options['borth_method']!r}")
         for flag in ("use_mpk", "collect_tsqr_errors", "adaptive_s"):
@@ -144,19 +153,20 @@ class CaGmresRun(RestartedRun):
     def cycle(self, offset, restart_index):
         """One CA-GMRES restart cycle; returns (iterations, breakdowns).
 
-        Each block is a chain of MPK requests (:func:`_sub_blocks`) the
-        cycle yields, on the basis of the run's batch slot, so a batch may
-        generate them together with other runs' (:func:`~repro.core.gmres.run_lockstep`).
+        Each block is a chain of MPK requests (:func:`_sub_blocks`) and
+        its BOrth and TSQR passes (:func:`_orthogonalize`); the cycle's
+        residual, first-column normalization and solution update are
+        requests too.  The cycle yields them, on the basis of the run's
+        batch slot, so a batch may fulfil them together with other runs'
+        (:func:`~repro.core.gmres.run_lockstep`).
         """
         ctx, plan, m = self.ctx, self.st.plan, self.m
         V = plan.basis(self.request)
-        with ctx.region("spmv"):
-            beta = compute_residual(ctx, plan.dmat, self.st.x, self.st.b, V)
+        beta = yield _Residual(plan.dmat, self.st.x, self.st.b, V)
         guard_finite(ctx, beta, "cycle residual norm")
         if beta == 0.0:
             return 0, 0
-        with ctx.region("borth"):
-            normalize_first_column(ctx, V, beta)
+        yield _Normalize(V, beta)
 
         hessenberg = _BlockHessenberg(m)
         adapt_state = self.adapt_state
@@ -182,7 +192,7 @@ class CaGmresRun(RestartedRun):
                     for sub in _sub_blocks(ops, depth):
                         yield BlockRequest(plan.mpk_kernel(len(sub)), V, k, sub)
                         k += len(sub)
-                    C, R, block_breakdowns = _orthogonalize(
+                    C, R, block_breakdowns = yield from _orth_passes(
                         ctx, V, j, s_cur,
                         tsqr_method=self.tsqr_method,
                         tsqr_variant=self.tsqr_variant,
@@ -215,9 +225,7 @@ class CaGmresRun(RestartedRun):
             if estimate <= self.target:
                 break
         # --- solution update: z from the last block's least squares -----
-        with ctx.region("update"):
-            ctx.host.charge_small_dense("trsv", t - 1)
-            update_solution(ctx, V, self.st.x, z)
+        yield _Update(V, self.st.x, z)
         return j, breakdowns
 
 
@@ -340,11 +348,7 @@ def _sub_blocks(ops, depth: int) -> list:
     return runs
 
 
-def _orthogonalize(
-    ctx, V, j, s_cur, tsqr_method="cholqr", tsqr_variant=None,
-    borth_method="cgs", reorth=1, on_breakdown="fallback", error_log=None,
-    restart_index=0,
-):
+def _orthogonalize(ctx, V, j, s_cur, **options):
     """The combined Orth step: BOrth + TSQR on block ``[j+1, j+s_cur+1)``.
 
     One pass projects the block against ``Q_prev = V[:, :j+1]`` and
@@ -353,29 +357,34 @@ def _orthogonalize(
     (``C += C_pass R``, ``R = R_pass R``).  Returns ``(C, R, breakdowns)``
     with ``W_raw = Q_prev C + Q_new R``.  A CholQR breakdown falls back to
     CAQR unless ``on_breakdown == "raise"``; with an ``error_log`` list,
-    every TSQR appends its Fig. 13 errors to it.
+    every TSQR appends its Fig. 13 errors to it.  The options are those of
+    :func:`_orth_passes`, the form a cycle runs, which this runs alone.
     """
+    return fulfil_alone(ctx, _orth_passes(ctx, V, j, s_cur, **options))
+
+
+def _orth_passes(
+    ctx, V, j, s_cur, tsqr_method="cholqr", tsqr_variant=None,
+    borth_method="cgs", reorth=1, on_breakdown="fallback", error_log=None,
+    restart_index=0,
+):
+    """:func:`_orthogonalize` as a generator, like the cycle that runs it
+    with ``yield from``: it yields each pass's :class:`_Borth` and
+    :class:`_Tsqr` requests, which a batch fulfils together."""
     v_panels = V.panel(j + 1, j + s_cur + 1)
     q_panels = V.panel(0, j + 1)
     C_total = np.zeros((j + 1, s_cur), dtype=np.float64)
     R_total = np.eye(s_cur, dtype=np.float64)
     breakdowns = 0
-    for _ in range(reorth):
-        with ctx.region("borth"):
-            C_pass = borth(ctx, q_panels, v_panels, method=borth_method)
+    for p in range(reorth):
+        C_pass = yield _Borth(q_panels, v_panels, j, s_cur, 2 * p, borth_method)
         guard_finite(ctx, C_pass, "BOrth coefficients")
         if error_log is not None:
             pre = _gather_panel(V, j + 1, j + s_cur + 1)
-        with ctx.region("tsqr"):
-            try:
-                R_pass = tsqr(
-                    ctx, v_panels, method=tsqr_method, variant=tsqr_variant
-                )
-            except CholeskyBreakdown:
-                if on_breakdown == "raise":
-                    raise
-                breakdowns += 1
-                R_pass = tsqr(ctx, v_panels, method="caqr")
+        R_pass, fell_back = yield _Tsqr(
+            v_panels, j, s_cur, 2 * p + 1, tsqr_method, tsqr_variant, on_breakdown
+        )
+        breakdowns += fell_back
         if error_log is not None:
             post = _gather_panel(V, j + 1, j + s_cur + 1)
             error_log.append(
@@ -390,6 +399,157 @@ def _orthogonalize(
         C_total = C_total + C_pass @ R_total
         R_total = R_pass @ R_total
     return C_total, np.triu(R_total), breakdowns
+
+
+# -- the cycle's communicating phases, as requests ---------------------------
+# Positions order a cycle's requests (see :class:`~repro.core.gmres.
+# BlockRequest`, whose MPK blocks sit at ``(j, 1, 0)``): the residual and
+# the normalization open column 0, the Orth passes of the block ending at
+# column ``e`` come before the next block's MPK at ``e``, and the update
+# follows the last block.  Each ``fulfil`` runs its phase for the whole
+# group in one region, one message per device per reduction and broadcast.
+
+
+class _Residual(NamedTuple):
+    """``V[:, 0] := b - A x`` and its norm, at the cycle start."""
+
+    dmat: object
+    x: object
+    b: object
+    V: object
+    position = (0, 0, 0)
+
+    def key(self):
+        # Alone when x is not finite: its SpMV exchange would detect it
+        # (an uncosted host check).
+        finite = all(np.isfinite(part.data).all() for part in self.x.parts())
+        return (self.dmat,) if finite else None
+
+    @staticmethod
+    def fulfil(ctx, requests, tags):
+        with ctx.region("spmv"):
+            return compute_residual(
+                ctx, requests[0].dmat, [r.x for r in requests],
+                [r.b for r in requests], [r.V for r in requests], tags=tags,
+            )
+
+
+class _Normalize(NamedTuple):
+    """``V[:, 0] /= beta``."""
+
+    V: object
+    beta: float
+    position = (0, 0, 1)
+
+    def key(self):
+        return ()
+
+    @staticmethod
+    def fulfil(ctx, requests, tags):
+        with ctx.region("borth"):
+            return normalize_first_column(
+                ctx, [r.V for r in requests], [r.beta for r in requests], tags=tags
+            )
+
+
+class _Borth(NamedTuple):
+    """One BOrth pass of the block ``[j+1, j+s_cur+1)``."""
+
+    q_panels: list
+    v_panels: list
+    j: int
+    s_cur: int
+    ordinal: int
+    method: str
+
+    @property
+    def position(self):
+        return (self.j + self.s_cur, 0, self.ordinal)
+
+    def key(self):
+        return (self.j, self.method)
+
+    @staticmethod
+    def fulfil(ctx, requests, tags):
+        with ctx.region("borth"):
+            return borth(
+                ctx, [r.q_panels for r in requests], [r.v_panels for r in requests],
+                method=requests[0].method, tags=tags,
+            )
+
+
+class _Tsqr(NamedTuple):
+    """One TSQR pass of the block ``[j+1, j+s_cur+1)``; its outcome is
+    ``(R, 1)`` after a CholQR breakdown fell back to CAQR, else ``(R, 0)``."""
+
+    panels: list
+    j: int
+    s_cur: int
+    ordinal: int
+    method: str
+    variant: str | None
+    on_breakdown: str
+
+    @property
+    def position(self):
+        return (self.j + self.s_cur, 0, self.ordinal)
+
+    def key(self):
+        return (self.j, self.method, self.variant, self.on_breakdown)
+
+    @staticmethod
+    def fulfil(ctx, requests, tags):
+        first = requests[0]
+        with ctx.region("tsqr"):
+            try:
+                Rs = tsqr(
+                    ctx, [r.panels for r in requests], method=first.method,
+                    variant=first.variant, tags=tags,
+                )
+            except CholeskyBreakdown as exc:  # the call broke down as a whole
+                Rs = [exc] * len(requests)
+            fell_back = [
+                isinstance(R, CholeskyBreakdown) and first.on_breakdown == "fallback"
+                for R in Rs
+            ]
+            if any(fell_back):
+                # Only the runs that broke down pay for the fallback; the
+                # others kept the shared R broadcast.
+                redo = [i for i, f in enumerate(fell_back) if f]
+                retried = tsqr(
+                    ctx, [requests[i].panels for i in redo], method="caqr",
+                    tags=[tags[i] for i in redo],
+                )
+                for i, R in zip(redo, retried):
+                    Rs[i] = R
+        return [
+            R if isinstance(R, Exception) else (R, int(f)) for R, f in zip(Rs, fell_back)
+        ]
+
+
+class _Update(NamedTuple):
+    """``x += V[:, :t] z`` after the cycle's last block (``t = z.size``)."""
+
+    V: object
+    x: object
+    z: np.ndarray
+
+    @property
+    def position(self):
+        return (self.z.size, 2, 0)
+
+    def key(self):
+        return ()
+
+    @staticmethod
+    def fulfil(ctx, requests, tags):
+        with ctx.region("update"):
+            for r in requests:
+                ctx.host.charge_small_dense("trsv", r.z.size)
+            return update_solution(
+                ctx, [r.V for r in requests], [r.x for r in requests],
+                [r.z for r in requests], tags=tags,
+            )
 
 
 def _gather_panel(V, j0, j1) -> np.ndarray:

@@ -24,6 +24,7 @@ from ..dist.matrix import DistributedMatrix
 from ..dist.multivector import DistMultiVector, DistVector
 from ..faults.injector import fault_report
 from ..gpu import blas
+from ..gpu.collective import Broadcast, Reduce, resume, run_alone, run_together
 from ..gpu.context import MultiGpuContext
 from ..orth.single import ORTH_METHODS, orthogonalize_vector
 from ..sparse.csr import CsrMatrix
@@ -38,28 +39,67 @@ __all__ = [
 ]
 
 
+def _members(V, *args) -> tuple[bool, list]:
+    """``(batch, members)``: whether ``V`` is a sequence of a batch's
+    multivectors, and the argument tuples of its members."""
+    if isinstance(V, DistMultiVector):
+        return False, [(V, *args)]
+    return True, list(zip(V, *args))
+
+
+def _collective(ctx, batch, programs, tags):
+    """Run a single member's program alone, or a batch's in step."""
+    if batch:
+        return run_together(ctx, programs, tags)
+    return run_alone(ctx, programs[0])
+
+
 def compute_residual(
     ctx: MultiGpuContext,
     dmat: DistributedMatrix,
     x: DistVector,
     b: DistVector,
     V: DistMultiVector,
+    tags: list[int] | None = None,
 ) -> float:
-    """``V[:, 0] := b - A x``; returns ``||r||_2`` (not yet normalized)."""
-    dmat.spmv(x, 0, V, 0)
+    """``V[:, 0] := b - A x``; returns ``||r||_2`` (not yet normalized).
+
+    ``x``, ``b`` and ``V`` may also be sequences of a batch's ``k``
+    vectors: one SpMV exchange and one norm reduction then serve them all,
+    and the result is a list of ``k`` outcomes (a norm, or the exception
+    that member raised; see :mod:`repro.gpu.collective`).
+    """
+    batch, members = _members(V, x, b)
+    dmat.spmv([x for _, x, _ in members], 0, [V for V, _, _ in members], 0)
+    return _collective(ctx, batch, [_residual_norm(V, b) for V, _, b in members], tags)
+
+
+def _residual_norm(V, b):
     r_parts = V.column(0)
     for rp, bp in zip(r_parts, b.parts()):
         blas.scal(-1.0, rp)
         blas.axpy(1.0, bp, rp)
     partials = [blas.nrm2(rp) for rp in r_parts]
-    return float(np.sqrt(ctx.allreduce_sum(partials)[0]))
+    return float(np.sqrt((yield Reduce(partials))[0]))
 
 
-def normalize_first_column(ctx: MultiGpuContext, V: DistMultiVector, beta: float) -> None:
-    """``V[:, 0] /= beta`` (broadcast the scale as the paper's code does)."""
+def normalize_first_column(
+    ctx: MultiGpuContext, V: DistMultiVector, beta: float,
+    tags: list[int] | None = None,
+):
+    """``V[:, 0] /= beta`` (broadcast the scale as the paper's code does).
+
+    ``V`` and ``beta`` may also be a batch's sequences, as in
+    :func:`compute_residual`: one broadcast carries every scale.
+    """
+    batch, members = _members(V, beta)
+    return _collective(ctx, batch, [_normalize(V, beta) for V, beta in members], tags)
+
+
+def _normalize(V, beta):
     if beta == 0.0:
         raise ZeroDivisionError("cannot normalize a zero residual")
-    for bcast, rp in zip(ctx.broadcast(np.array([beta])), V.column(0)):
+    for bcast, rp in zip((yield Broadcast(np.array([beta]))), V.column(0)):
         blas.scal(1.0 / float(bcast.data[0]), rp)
 
 
@@ -68,13 +108,23 @@ def update_solution(
     V: DistMultiVector,
     x: DistVector,
     y: np.ndarray,
-) -> None:
-    """``x += V[:, :len(y)] @ y`` with one broadcast + one GEMV per device."""
+    tags: list[int] | None = None,
+):
+    """``x += V[:, :len(y)] @ y`` with one broadcast + one GEMV per device.
+
+    ``V``, ``x`` and ``y`` may also be a batch's sequences, as in
+    :func:`compute_residual`: one broadcast carries every ``y``.
+    """
+    batch, members = _members(V, x, y)
+    return _collective(ctx, batch, [_update(V, x, y) for V, x, y in members], tags)
+
+
+def _update(V, x, y):
     t = y.size
     if t == 0:
         return
     for bcast, (panel, xp) in zip(
-        ctx.broadcast(-np.asarray(y, dtype=np.float64)),
+        (yield Broadcast(-np.asarray(y, dtype=np.float64))),
         zip(V.panel(0, t), x.parts()),
     ):
         blas.gemv_n_update(panel, bcast, xp)  # x -= V @ (-y)
@@ -158,36 +208,62 @@ def run_gmres_cycle(
 class BlockRequest(NamedTuple):
     """A restart cycle's request for one MPK block: generate
     ``V[:, j+1 … j+s]`` from ``V[:, j]`` with ``kernel`` (an
-    :class:`~repro.mpk.MatrixPowersKernel`) and the shift ``ops``."""
+    :class:`~repro.mpk.MatrixPowersKernel`) and the shift ``ops``.
+
+    Every request a cycle yields has a :attr:`position` in its cycle
+    (block column, stage, ordinal: ``(j, 1, 0)`` for a block starting at
+    ``j``), a :meth:`key` (requests at one position with equal keys are
+    fulfilled together; ``None`` asks to be fulfilled alone) and
+    ``fulfil(ctx, requests, tags)``, which serves a group of them and
+    returns one outcome per request: the value its cycle resumes with, or
+    the exception raised into it.
+    """
 
     kernel: object
     V: DistMultiVector
     j: int
     ops: tuple
 
+    @property
+    def position(self) -> tuple:
+        return (self.j, 1, 0)
 
-def _finite_input(request: BlockRequest) -> bool:
-    """Uncosted host check that a block's input column is finite."""
-    return all(np.isfinite(part.data).all() for part in request.V.column(request.j))
+    def key(self):
+        """Kernel and shifts; alone when the input column is not finite,
+        so the failure of its exchange stays its own (uncosted check)."""
+        finite = all(np.isfinite(part.data).all() for part in self.V.column(self.j))
+        return (self.kernel, tuple(self.ops)) if finite else None
+
+    @staticmethod
+    def fulfil(ctx, requests, tags) -> list:
+        """One fused :meth:`~repro.mpk.MatrixPowersKernel.run` for all:
+        one halo exchange and one step launch per step."""
+        first = requests[0]
+        with ctx.region("mpk"):
+            first.kernel.run([request.V for request in requests], first.j, first.ops)
+        return [None] * len(requests)
 
 
 def run_lockstep(runs: list["RestartedRun"]) -> list[int]:
-    """Run ``runs`` (on one context) to completion, sharing MPK calls.
+    """Run ``runs`` (on one context) to completion, sharing communication.
 
     This is the one loop that advances a run; a single solve is a batch of
     one, ``run_lockstep([run])``, whose requests are fulfilled one at a
     time in the order its cycles make them.  Every pending run advances to
-    its next block request.  The requests at the lowest block start ``j``
-    are then fulfilled: those naming the same kernel and shift operations
-    together, with one fused
-    :meth:`~repro.mpk.MatrixPowersKernel.run` (one halo exchange and one
-    step launch per step for all of them), and their runs resume with the
-    outcome.  Runs further along their cycle wait, so a run that left a
-    cycle early, and so restarts at ``j = 0``, catches up with the rest
-    instead of running out of step with them for good.  A run whose block
-    input is not finite is fulfilled alone: the failure of its exchange
-    stays its own.  A run that requests no block (GMRES, pipelined GMRES)
-    runs to its end when it is first advanced.
+    its next request (:class:`BlockRequest` for an MPK block; CA-GMRES
+    cycles also request their residual, normalization, BOrth, TSQR and
+    solution-update phases).  The requests at the lowest position are then
+    fulfilled: those with equal keys together, with one call for all of
+    them (one fused :meth:`~repro.mpk.MatrixPowersKernel.run`, or one
+    phase whose every reduction and broadcast is one message per device
+    for the whole group, :mod:`repro.gpu.collective`), and their runs
+    resume with their outcomes.  Runs further along their cycle wait, so a
+    run that left a cycle early, and so restarts at ``j = 0``, catches up
+    with the rest instead of running out of step with them for good.  A
+    run whose input or payload is not finite is fulfilled alone: the
+    failure its transfer detects stays its own.  A run that requests
+    nothing (GMRES, pipelined GMRES) runs to its end when it is first
+    advanced.
 
     The arithmetic of each run is that of a run of its own, so its
     solution, history and fault report are too; only the shared timeline
@@ -206,31 +282,41 @@ def run_lockstep(runs: list["RestartedRun"]) -> list[int]:
                     asked[run] = request
         if not asked:
             break
-        j = min(request.j for request in asked.values())
+        at = min(request.position for request in asked.values())
         groups: dict = {}
         for run in runs:
             request = asked.get(run)
-            if request is not None and request.j == j:
-                key = (
-                    (request.kernel, tuple(request.ops))
-                    if _finite_input(request) else run
-                )
-                groups.setdefault(key, []).append(run)
-        for members in groups.values():
+            if request is not None and request.position == at:
+                key = request.key()
+                groups.setdefault((type(request), run if key is None else key), []).append(run)
+        for (kind, _), members in groups.items():
             requests = [asked.pop(run) for run in members]
             ctx = members[0].ctx
             ctx.trace.request = members[0].request
-            error = None
             try:
-                with ctx.region("mpk"):
-                    requests[0].kernel.run(
-                        [request.V for request in requests], j, requests[0].ops
-                    )
+                outcomes = kind.fulfil(ctx, requests, [run.request for run in members])
             except Exception as exc:
-                error = exc
-            ready.update(dict.fromkeys(members, error))
-            sizes.append(len(members))
+                outcomes = [exc] * len(members)
+            ready.update(zip(members, outcomes))
+            if kind is BlockRequest:
+                sizes.append(len(members))
     return sizes
+
+
+def fulfil_alone(ctx, steps):
+    """Drive a generator of cycle requests by itself, each request
+    fulfilled as a group of one (what :func:`run_lockstep` does for a
+    batch of one); returns the generator's value or raises what ended it."""
+    outcome = None
+    while True:
+        try:
+            request = resume(steps, outcome)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            [outcome] = type(request).fulfil(ctx, [request], [ctx.trace.request])
+        except Exception as exc:
+            outcome = exc
 
 
 class RestartedRun:
@@ -250,9 +336,10 @@ class RestartedRun:
     :class:`~repro.core.convergence.SolveResult`.
 
     A cycle is a generator (:meth:`cycle`): where CA-GMRES needs an MPK
-    block it yields a :class:`BlockRequest` and waits.  The run does not
+    block or a communicating phase (residual, normalization, BOrth, TSQR,
+    solution update) it yields a request and waits.  The run does not
     advance itself: :func:`run_lockstep` drives it, fulfilling the
-    matching requests of every run it is given with one MPK call, and a
+    matching requests of every run it is given with one call, and a
     single solve is a batch of one.  :meth:`result` drives a run that is
     not finished yet that way before building its result.
 
@@ -397,10 +484,11 @@ class RestartedRun:
 
         ``offset`` is the iteration count before the cycle (for history
         records).  The cycle may stop early once its residual estimate
-        reaches ``self.target``.  It yields a :class:`BlockRequest` for
-        each MPK block it needs, and is resumed once the block
-        is generated, or raises what generating it raised at the
-        ``yield``.  Returns ``(iterations, breakdowns)``.
+        reaches ``self.target``.  It yields a request (see
+        :class:`BlockRequest`) for each MPK block or communicating phase it
+        needs, and is resumed with the request's outcome, or raises what
+        fulfilling it raised at the ``yield``.  Returns ``(iterations,
+        breakdowns)``.
         """
         raise NotImplementedError
 
@@ -426,19 +514,17 @@ class RestartedRun:
         """True once the restart loop has terminated."""
         return self._gen is None
 
-    def _resume(self, error: Exception | None = None) -> BlockRequest | None:
-        """Run the solve up to its next block request or restart boundary.
+    def _resume(self, outcome=None):
+        """Run the solve up to its next request or restart boundary.
 
-        ``error`` is what fulfilling the last block request raised; it is
-        raised in the cycle where the request was made.  Returns the next
-        request, or None at a restart boundary and once the solve is
-        finished.
+        ``outcome`` is what fulfilling the last request gave: the cycle
+        resumes with it, or it is raised in the cycle when it is an
+        exception.  Returns the next request, or None at a restart boundary
+        and once the solve is finished.
         """
         self.ctx.trace.request = self.request
         try:
-            if error is None:
-                return self._gen.send(None)
-            return self._gen.throw(error)
+            return resume(self._gen, outcome)
         except StopIteration:
             self._gen = None
             return None

@@ -18,10 +18,13 @@ the paper does; the exchange itself is the generic
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..gpu import blas
 from ..gpu.context import MultiGpuContext
+from ..gpu.device import DeviceArray
 from ..order.partition import Partition
 from ..sparse.csr import CsrMatrix
 from ..sparse.ellpack import EllpackMatrix
@@ -100,29 +103,47 @@ class DistributedMatrix:
         return self.global_matrix.n_rows
 
     def spmv(
-        self, x: DistMultiVector, j_in: int, y: DistMultiVector, j_out: int
+        self,
+        x: DistMultiVector | Sequence[DistMultiVector],
+        j_in: int,
+        y: DistMultiVector | Sequence[DistMultiVector],
+        j_out: int,
     ) -> None:
-        """Distributed ``y[:, j_out] = A @ x[:, j_in]`` with halo exchange."""
-        x_parts = x.column(j_in)
-        y_parts = y.column(j_out)
-        received = self.plan.exchange(self.ctx, x_parts)
+        """Distributed ``y[:, j_out] = A @ x[:, j_in]`` with halo exchange.
+
+        ``x`` and ``y`` may also be sequences of ``k`` multivectors, the
+        right-hand sides of a batch: one exchange whose messages carry all
+        ``k`` columns, then per device and vector the expand copies and the
+        SpMV launch a single product makes.
+        """
+        xs = [x] if isinstance(x, DistMultiVector) else list(x)
+        ys = [y] if isinstance(y, DistMultiVector) else list(y)
+        columns = [X.column(j_in) for X in xs]
+        outputs = [Y.column(j_out) for Y in ys]
+        sources = [
+            DeviceArray(np.column_stack([col[d].data for col in columns]), dev)
+            for d, dev in enumerate(self.ctx.devices)
+        ]
+        received = self.plan.exchange(self.ctx, sources)
         for d, dev in enumerate(self.ctx.devices):
             z = self._z[d]
             n_own = self.plan.owned[d].size
-            # Expand own part + received halo into the extended vector.
-            z.data[:n_own] = x_parts[d].data
-            dev.charge_kernel("copy", "cublas", n=n_own)
-            dev.apply_pending_faults(z.data[:n_own])
-            if received[d].size:
-                # Halo placement is a device copy too (same undercounting as
-                # the MPK setup phase had: the own-row copy was charged but
-                # the halo copy was free).
-                placed = z.data[n_own : n_own + received[d].size]
-                placed[...] = received[d]
-                dev.charge_kernel("copy", "cublas", n=received[d].size)
-                dev.apply_pending_faults(placed)
             values, col_idx = self.local_ell[d]
-            blas.spmv_ell(values, col_idx, z, y_parts[d])
+            for c, (col, out) in enumerate(zip(columns, outputs)):
+                # Expand own part + received halo into the extended vector.
+                z.data[:n_own] = col[d].data
+                dev.charge_kernel("copy", "cublas", n=n_own)
+                dev.apply_pending_faults(z.data[:n_own])
+                halo = received[d][:, c]
+                if halo.size:
+                    # Halo placement is a device copy too (same undercounting
+                    # as the MPK setup phase had: the own-row copy was charged
+                    # but the halo copy was free).
+                    placed = z.data[n_own : n_own + halo.size]
+                    placed[...] = halo
+                    dev.charge_kernel("copy", "cublas", n=halo.size)
+                    dev.apply_pending_faults(placed)
+                blas.spmv_ell(values, col_idx, z, out[d])
 
     def device_memory_bytes(self) -> list[int]:
         """Per-device bytes of the resident SpMV state (ELLPACK + buffer)."""

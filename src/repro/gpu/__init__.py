@@ -16,7 +16,9 @@ structure:
   consumer (copy-engine overlap).
 
 ``MultiGpuContext`` is the entry point; ``repro.gpu.blas`` holds the device
-BLAS with per-variant cost models (cublas / magma / batched).
+BLAS with per-variant cost models (cublas / magma / batched), and
+``repro.gpu.collective`` the collective programs whose reductions and
+broadcasts the members of a batch share.
 """
 
 from .counters import Counters

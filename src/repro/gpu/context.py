@@ -303,29 +303,71 @@ class MultiGpuContext:
         :meth:`broadcast` to push it back to the devices.  ``ready_at``
         optionally gives per-device payload-ready times (see :meth:`d2h`).
         """
-        if len(partials) != self.n_gpus:
-            raise ValueError(
-                f"expected one partial per device ({self.n_gpus}), got {len(partials)}"
-            )
-        if ready_at is None:
-            gathered = [self.d2h(p) for p in partials]
-        else:
-            if len(ready_at) != self.n_gpus:
-                raise ValueError("ready_at must have one entry per device")
-            gathered = [self.d2h(p, t) for p, t in zip(partials, ready_at)]
-        total = gathered[0]
-        for other in gathered[1:]:
-            total = total + other
-        if self.n_gpus > 1:
-            # n-1 vector adds of the partial's size on the host
-            self.host.charge_kernel(
-                "axpy", "mkl", n=(self.n_gpus - 1) * total.size
-            )
+        [total] = self.allreduce_sums([partials], ready_at)
         return total
+
+    def allreduce_sums(
+        self,
+        batch: list[list[DeviceArray]],
+        ready_at: list[float] | None = None,
+    ) -> list[np.ndarray]:
+        """:meth:`allreduce_sum` of every member of ``batch`` at once.
+
+        ``batch`` holds one list of per-device partials per member.  Each
+        device sends all members' partials in one d2h message; the host
+        adds the payloads element by element in device order, so each
+        member's sum is bit-identical to a reduction of its own, and each
+        is priced as one.
+        """
+        for partials in batch:
+            if len(partials) != self.n_gpus:
+                raise ValueError(
+                    f"expected one partial per device ({self.n_gpus}), got {len(partials)}"
+                )
+        if ready_at is not None and len(ready_at) != self.n_gpus:
+            raise ValueError("ready_at must have one entry per device")
+        if not batch:
+            return []
+        total = None
+        for d in range(self.n_gpus):
+            parts = [partials[d] for partials in batch]
+            payload = DeviceArray(
+                np.concatenate([p.data.ravel() for p in parts]), parts[0].device
+            )
+            arrived = self.d2h(payload, None if ready_at is None else ready_at[d])
+            total = arrived if total is None else total + arrived
+        sums, offset = [], 0
+        for partials in batch:
+            shape = partials[0].data.shape
+            size = partials[0].data.size
+            sums.append(total[offset : offset + size].reshape(shape))
+            offset += size
+            if self.n_gpus > 1:
+                # n-1 vector adds of the partial's size on the host
+                self.host.charge_kernel("axpy", "mkl", n=(self.n_gpus - 1) * size)
+        return sums
 
     def broadcast(self, array: np.ndarray) -> list[DeviceArray]:
         """Copy a host array to every device (one message per device)."""
-        return [self.h2d(dev, array) for dev in self.devices]
+        [copies] = self.broadcasts([array])
+        return copies
+
+    def broadcasts(self, arrays: list[np.ndarray]) -> list[list[DeviceArray]]:
+        """:meth:`broadcast` of every array in ``arrays`` at once: one h2d
+        message per device carries them all.  ``result[i][d]`` is array
+        ``i`` on device ``d``."""
+        arrays = [np.asarray(a) for a in arrays]
+        if not arrays:
+            return []
+        payload = np.concatenate([a.ravel() for a in arrays])
+        copies: list[list[DeviceArray]] = [[] for _ in arrays]
+        for dev in self.devices:
+            arrived = self.h2d(dev, payload).data
+            offset = 0
+            for out, a in zip(copies, arrays):
+                out.append(DeviceArray(arrived[offset : offset + a.size].reshape(a.shape), dev))
+                offset += a.size
+        return copies
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MultiGpuContext(n_gpus={self.n_gpus}, machine={self.machine.name!r})"

@@ -11,7 +11,10 @@ the "2x" of the paper's tables) lives with its callers in
 All routines operate on per-device panels (``list[DeviceArray]``, one block
 row per GPU) and communicate exclusively through the context's host-staged
 reductions/broadcasts, so every GPU-CPU message of the paper's pseudocode
-(Fig. 9) appears in the counters.
+(Fig. 9) appears in the counters.  BOrth and every TSQR but CAQR are
+written as collective programs (:mod:`repro.gpu.collective`), so ``borth``
+and ``tsqr`` also take a batch of panels and send each of its reductions
+and broadcasts once per device.
 """
 
 from .errors import (

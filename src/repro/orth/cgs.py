@@ -24,11 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu import blas
+from ..gpu.collective import Broadcast, Reduce, run_alone
 from ..gpu.context import MultiGpuContext
 from ..gpu.device import DeviceArray
 from .errors import OrthogonalizationError
 
-__all__ = ["tsqr_cgs"]
+__all__ = ["tsqr_cgs", "cgs_program"]
 
 # ||v_new||^2 / ||v||^2 below this threshold means the Pythagorean norm has
 # lost too many digits to cancellation; recompute the norm explicitly.
@@ -48,14 +49,20 @@ def tsqr_cgs(
 
     Returns the ``k x k`` upper-triangular R (host array).
     """
+    return run_alone(ctx, cgs_program(ctx, panels, variant))
+
+
+def cgs_program(ctx, panels, variant="magma"):
+    """:func:`tsqr_cgs` as a collective program (see
+    :mod:`repro.gpu.collective`)."""
     k_cols = panels[0].data.shape[1]
     R = np.zeros((k_cols, k_cols), dtype=np.float64)
     for k in range(k_cols):
         col_k = [p.view((slice(None), k)) for p in panels]
         if k == 0:
             partials = [blas.nrm2(ck) for ck in col_k]
-            norm = float(np.sqrt(ctx.allreduce_sum(partials)[0]))
-            _normalize(ctx, col_k, norm, 0, R)
+            norm = float(np.sqrt((yield Reduce(partials))[0]))
+            yield from _normalize(col_k, norm, 0, R)
             continue
         prev = [p.view((slice(None), slice(0, k))) for p in panels]
         # Fused reduction: projection coefficients + squared column norm.
@@ -66,7 +73,7 @@ def tsqr_cgs(
             partials.append(
                 DeviceArray(np.concatenate([proj.data, sq.data]), proj.device)
             )
-        reduced = ctx.allreduce_sum(partials)
+        reduced = yield Reduce(partials)
         r = reduced[:k]
         norm_sq = float(reduced[k])
         R[:k, k] = r
@@ -75,25 +82,25 @@ def tsqr_cgs(
             # Single broadcast carries [r ; norm]; update + scale on device.
             norm = float(np.sqrt(new_norm_sq))
             payload = np.concatenate([r, [norm]])
-            for b, (pv, ck) in zip(ctx.broadcast(payload), zip(prev, col_k)):
+            for b, (pv, ck) in zip((yield Broadcast(payload)), zip(prev, col_k)):
                 blas.gemv_n_update(pv, b.view(slice(0, k)), ck, variant=variant)
                 blas.scal(1.0 / float(b.data[k]), ck)
             R[k, k] = norm
         else:
             # Cancellation: apply the update, then recompute the norm.
-            for b, (pv, ck) in zip(ctx.broadcast(r), zip(prev, col_k)):
+            for b, (pv, ck) in zip((yield Broadcast(r)), zip(prev, col_k)):
                 blas.gemv_n_update(pv, b, ck, variant=variant)
             partials = [blas.nrm2(ck) for ck in col_k]
-            norm = float(np.sqrt(max(ctx.allreduce_sum(partials)[0], 0.0)))
-            _normalize(ctx, col_k, norm, k, R)
+            norm = float(np.sqrt(max((yield Reduce(partials))[0], 0.0)))
+            yield from _normalize(col_k, norm, k, R)
     return R
 
 
-def _normalize(ctx, col_k, norm, k, R) -> None:
+def _normalize(col_k, norm, k, R):
     if norm == 0.0:
         raise OrthogonalizationError(
             f"CGS breakdown: column {k} vanished after projection"
         )
     R[k, k] = norm
-    for b, ck in zip(ctx.broadcast(np.array([norm])), col_k):
+    for b, ck in zip((yield Broadcast(np.array([norm]))), col_k):
         blas.scal(1.0 / float(b.data[0]), ck)

@@ -16,11 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu import blas
+from ..gpu.collective import Broadcast, Reduce, run_alone
 from ..gpu.context import MultiGpuContext
 from ..gpu.device import DeviceArray
 from .errors import CholeskyBreakdown
 
-__all__ = ["tsqr_cholqr"]
+__all__ = ["tsqr_cholqr", "cholqr_program"]
 
 
 def tsqr_cholqr(
@@ -40,9 +41,15 @@ def tsqr_cholqr(
     CholeskyBreakdown
         If the Gram matrix is not numerically positive definite.
     """
+    return run_alone(ctx, cholqr_program(ctx, panels, variant))
+
+
+def cholqr_program(ctx, panels, variant="batched"):
+    """:func:`tsqr_cholqr` as a collective program (see
+    :mod:`repro.gpu.collective`)."""
     k_cols = panels[0].data.shape[1]
     partials = [blas.gemm_tn(p, p, variant=variant) for p in panels]
-    B = ctx.allreduce_sum(partials)
+    B = yield Reduce(partials)
     ctx.host.charge_small_dense("chol", k_cols)
     try:
         L = np.linalg.cholesky(B)
@@ -52,6 +59,6 @@ def tsqr_cholqr(
             f"(panel condition number too large): {exc}"
         ) from exc
     R = L.T.copy()
-    for b, p in zip(ctx.broadcast(R), panels):
+    for b, p in zip((yield Broadcast(R)), panels):
         blas.trsm_right(p, b.data)
     return R

@@ -12,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu import blas
+from ..gpu.collective import Broadcast, Reduce, run_alone
 from ..gpu.context import MultiGpuContext
 from ..gpu.device import DeviceArray
 from .errors import OrthogonalizationError
 
-__all__ = ["tsqr_mgs"]
+__all__ = ["tsqr_mgs", "mgs_program"]
 
 
 def tsqr_mgs(
@@ -40,6 +41,12 @@ def tsqr_mgs(
     R
         The ``k x k`` upper-triangular factor (host array).
     """
+    return run_alone(ctx, mgs_program(ctx, panels, variant))
+
+
+def mgs_program(ctx, panels, variant="cublas"):
+    """:func:`tsqr_mgs` as a collective program (see
+    :mod:`repro.gpu.collective`)."""
     k_cols = panels[0].data.shape[1]
     R = np.zeros((k_cols, k_cols), dtype=np.float64)
     for k in range(k_cols):
@@ -49,18 +56,18 @@ def tsqr_mgs(
             partials = [
                 blas.dot(cl, ck, variant=variant) for cl, ck in zip(col_l, col_k)
             ]
-            r = float(ctx.allreduce_sum(partials)[0])
+            r = float((yield Reduce(partials))[0])
             R[ell, k] = r
-            for b, (cl, ck) in zip(ctx.broadcast(np.array([r])), zip(col_l, col_k)):
+            for b, (cl, ck) in zip((yield Broadcast(np.array([r]))), zip(col_l, col_k)):
                 blas.axpy(-float(b.data[0]), cl, ck, variant=variant)
         partials = [blas.nrm2(ck, variant=variant) for ck in col_k]
-        norm_sq = float(ctx.allreduce_sum(partials)[0])
+        norm_sq = float((yield Reduce(partials))[0])
         norm = float(np.sqrt(norm_sq))
         if norm == 0.0:
             raise OrthogonalizationError(
                 f"MGS breakdown: column {k} vanished after projection"
             )
         R[k, k] = norm
-        for b, ck in zip(ctx.broadcast(np.array([norm])), col_k):
+        for b, ck in zip((yield Broadcast(np.array([norm]))), col_k):
             blas.scal(1.0 / float(b.data[0]), ck, variant=variant)
     return R

@@ -20,11 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu import blas
+from ..gpu.collective import Broadcast, Reduce, run_alone
 from ..gpu.context import MultiGpuContext
 from ..gpu.device import DeviceArray
 from .errors import OrthogonalizationError
 
-__all__ = ["tsqr_svqr"]
+__all__ = ["tsqr_svqr", "svqr_program"]
 
 
 def tsqr_svqr(
@@ -49,9 +50,15 @@ def tsqr_svqr(
 
     Returns the ``k x k`` upper-triangular R (host array).
     """
+    return run_alone(ctx, svqr_program(ctx, panels, variant, scale_gram, clamp))
+
+
+def svqr_program(ctx, panels, variant="batched", scale_gram=True, clamp=1e-15):
+    """:func:`tsqr_svqr` as a collective program (see
+    :mod:`repro.gpu.collective`)."""
     k_cols = panels[0].data.shape[1]
     partials = [blas.gemm_tn(p, p, variant=variant) for p in panels]
-    B = ctx.allreduce_sum(partials)
+    B = yield Reduce(partials)
     diag = np.diag(B).copy()
     if np.any(diag <= 0.0):
         raise OrthogonalizationError(
@@ -78,6 +85,6 @@ def tsqr_svqr(
     signs[signs == 0] = 1.0
     R_s = signs[:, None] * R_s
     R = R_s / d[None, :]
-    for b, p in zip(ctx.broadcast(R), panels):
+    for b, p in zip((yield Broadcast(R)), panels):
         blas.trsm_right(p, b.data)
     return R

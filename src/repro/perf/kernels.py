@@ -28,7 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["KernelModel", "KERNEL_TABLE"]
+__all__ = ["KernelModel", "KERNEL_TABLE", "HOST_VARIANT"]
+
+#: The variant priced at host (CPU) rates; every other variant is a device kernel.
+HOST_VARIANT = "mkl"
 
 _F64 = 8  # bytes per double
 _I64 = 8  # bytes per index (we store int64 indices)

@@ -1,12 +1,16 @@
-"""``solve_many`` runs its batch in lockstep on shared MPK calls.
+"""``solve_many`` runs its batch in lockstep on shared communication.
 
-The restart cycles of a batch yield their MPK block requests, and
+The restart cycles of a batch yield their MPK block requests and their
+residual, normalization, BOrth, TSQR and update phases, and
 :func:`~repro.core.gmres.run_lockstep` fulfils the requests that match
-(same kernel, block start and shift operations) with one fused
-:meth:`~repro.mpk.MatrixPowersKernel.run`.  Only the simulated timeline is
-shared: every solution, history and fault report must equal a sequential
-``solve``'s.
+with one call: one fused :meth:`~repro.mpk.MatrixPowersKernel.run`, or one
+phase whose reductions and broadcasts each send one message per device for
+the whole batch.  Only the simulated timeline is shared: every solution,
+history and fault report must equal a sequential ``solve``'s.
 """
+
+from collections import Counter
+
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from repro.core.gmres import BlockRequest, run_lockstep
 from repro.dist.multivector import DistMultiVector
 from repro.gpu.context import MultiGpuContext
 from repro.gpu.trace import TraceRecorder
+from repro.gpu.trace import REGION_LANE
 from repro.matrices import convection_diffusion2d, g3_circuit, poisson2d
 from repro.metrics import MetricsRegistry
 from repro.mpk.matrix_powers import MatrixPowersKernel
@@ -50,13 +55,31 @@ def assert_same_solve(got, want):
     assert got.n_restarts == want.n_restarts
     assert got.breakdowns == want.breakdowns
     assert got.details.get("s_history") == want.details.get("s_history")
+    # repr: an error entry may be NaN (a panel that overflowed).
+    assert repr(got.details.get("tsqr_errors")) == repr(want.details.get("tsqr_errors"))
     assert without_times(got.details.get("faults")) == without_times(
         want.details.get("faults")
     )
 
 
+def messages_by_region(trace) -> Counter:
+    """PCIe messages per ``(region, direction)``.  A region's span is
+    recorded when it closes, after the transfers inside it; the CA-GMRES
+    regions do not nest, and no transfer runs outside them."""
+    counts, pending = Counter(), Counter()
+    for event in trace.events:
+        if event.kind in ("d2h", "h2d"):
+            pending[event.kind] += 1
+        elif event.lane == REGION_LANE:
+            for kind, n in pending.items():
+                counts[event.name, kind] += n
+            pending.clear()
+    assert not pending
+    return counts
+
+
 class TestLockstepEqualsSequential:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         n_gpus=st.integers(1, 3),
         k=st.integers(1, 4),
@@ -65,16 +88,23 @@ class TestLockstepEqualsSequential:
         basis=st.sampled_from(["newton", "monomial"]),
         adaptive_s=st.booleans(),
         use_mpk=st.booleans(),
+        borth_method=st.sampled_from(["cgs", "mgs"]),
+        tsqr_method=st.sampled_from(["cholqr", "svqr", "caqr", "mgs", "cgs"]),
+        reorth=st.integers(1, 2),
+        collect_tsqr_errors=st.booleans(),
         overflow=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_batch_equals_sequential_solves(
-        self, n_gpus, k, s, extra, basis, adaptive_s, use_mpk, overflow, seed
+        self, n_gpus, k, s, extra, basis, adaptive_s, use_mpk, borth_method,
+        tsqr_method, reorth, collect_tsqr_errors, overflow, seed,
     ):
         rng = np.random.default_rng(seed)
         cfg = dict(
             n_gpus=n_gpus, s=s, m=s + extra, basis=basis, adaptive_s=adaptive_s,
-            use_mpk=use_mpk, tol=1e-8, max_restarts=5,
+            use_mpk=use_mpk, borth_method=borth_method, tsqr_method=tsqr_method,
+            reorth=reorth, collect_tsqr_errors=collect_tsqr_errors, tol=1e-8,
+            max_restarts=5,
         )
         if overflow:
             # One member overflows its basis and must abort alone.
@@ -96,7 +126,9 @@ class TestLockstepEqualsSequential:
                 if i == bad:
                     assert faults["counts"]["unrecovered"] == 1
                     assert not got.converged
-                else:
+                elif tsqr_method != "caqr":
+                    # CAQR's Householder Q fills the zero block, so there
+                    # every member may overflow (as its sequential solve does).
                     assert faults is None
 
     def test_in_step_batch_shares_every_mpk_call(self):
@@ -111,6 +143,46 @@ class TestLockstepEqualsSequential:
         assert profile["bus"]["messages"] < 3 * alone["bus"]["messages"]
         assert batch[0].counters["kernel_launches"] < 3 * single.counters["kernel_launches"]
         assert batch[0].total_time < 3 * single.total_time
+
+    @pytest.mark.parametrize("n_gpus", [1, 2, 3])
+    def test_one_runs_breakdown_stays_its_own(self, n_gpus):
+        """A batch in which exactly one run's CholQR breaks down: that run
+        alone falls back to CAQR; the others keep the fused R broadcast."""
+        n = 48
+        A = CsrMatrix(
+            (n, n), np.arange(n + 1), np.arange(n), np.linspace(1.0, 2.0, n)
+        )
+        rng = np.random.default_rng(0)
+        bs = [rng.standard_normal(n) for _ in range(3)]
+        # Two eigenvector components and noise: a nearly two-dimensional
+        # Krylov space, whose monomial panel the Gram matrix cannot factor.
+        bs[1] = np.eye(n)[0] + np.eye(n)[-1] + 1e-10 * rng.standard_normal(n)
+        cfg = dict(
+            n_gpus=n_gpus, s=4, m=8, basis="monomial", balance=False, tol=1e-8,
+            max_restarts=4,
+        )
+        batch = SolverSession(A, **cfg).solve_many(bs)
+        wants = [SolverSession(A, **cfg).solve(b) for b in bs]
+        assert [r.breakdowns for r in wants] == [0, 1, 0]
+        for got, want in zip(batch, wants):
+            assert_same_solve(got, want)
+
+    def test_in_step_batch_sends_a_single_solves_messages(self):
+        """Every phase of an in-step batch of 3 (the BOrth and TSQR
+        reductions and broadcasts included) sends as many d2h and h2d
+        messages as one solve does."""
+        A = g3_circuit(nx=24)
+        cfg = dict(n_gpus=3, ordering="kway", s=5, m=10, tol=1e-12, max_restarts=2)
+        bs = np.random.default_rng(5).standard_normal((3, A.n_rows))
+        batch_session, single_session = SolverSession(A, **cfg), SolverSession(A, **cfg)
+        batch_session.solve_many(bs)
+        single_session.solve(bs[0])
+        batch = messages_by_region(batch_session.ctx.trace)
+        single = messages_by_region(single_session.ctx.trace)
+        for region in ("borth", "tsqr"):
+            assert batch[region, "d2h"] == single[region, "d2h"] > 0
+            assert batch[region, "h2d"] == single[region, "h2d"] > 0
+        assert batch == single
 
     def test_depth_one_blocks_fuse_across_the_batch(self):
         """Without MPK a block is a chain of depth-1 requests (depth 2 per

@@ -278,6 +278,19 @@ class TestApiSurface:
             )
         assert not cache.host_plans and not cache.plans
 
+    @pytest.mark.parametrize("tsqr_method", ["cholqr", "svqr", "cgs", "mgs", "caqr"])
+    def test_host_tsqr_variant_rejected_before_any_plan(self, tsqr_method):
+        """``"mkl"`` is the cost model's host variant of every dominant TSQR
+        kernel; as a device choice it would price the panel at CPU rates."""
+        A = poisson2d(8)
+        cache = PlanCache()
+        with pytest.raises(ValueError, match="tsqr_variant 'mkl' is not a device variant"):
+            SolverSession(
+                A, n_gpus=2, s=4, m=8, cache=cache, tsqr_method=tsqr_method,
+                tsqr_variant="mkl",
+            )
+        assert not cache.host_plans and not cache.plans
+
     def test_structural_override_rejected(self, problem):
         A, b = problem
         sess = SolverSession(A, n_gpus=2, s=4, m=12)
