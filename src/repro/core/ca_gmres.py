@@ -36,7 +36,10 @@ when the MPK basis is too ill-conditioned; by default the affected block
 falls back to unconditionally stable CAQR and the event is counted
 (``SolveResult.breakdowns``), which is the adaptive behavior the paper lists
 as future work.  ``on_breakdown="raise"`` reproduces the paper's hard
-failure mode instead.
+failure mode instead.  An exactly zero diagonal of a block's ``R`` is a
+lucky breakdown, not a failure: the Krylov space is invariant, and the
+cycle ends at that column with the least-squares problem on its prefix,
+as GMRES does.
 """
 
 from __future__ import annotations
@@ -215,14 +218,19 @@ class CaGmresRun(RestartedRun):
             if adapt_state is not None:
                 _adapt_block_length(adapt_state, R, self.s, s_cur, block_breakdowns)
             hessenberg.add_block(j, ops, C, R)
-            j += s_cur
+            # An exactly zero diagonal of R: the raw vector it belongs to
+            # lies in the span of the columns before it, so the Krylov space
+            # is invariant (a lucky breakdown).  The cycle ends at that
+            # column, with the least-squares problem on the prefix.
+            invariant = np.flatnonzero(np.diag(R) == 0.0)
+            j += int(invariant[0]) + 1 if invariant.size else s_cur
             t = j + 1
             # --- residual estimate (host small-dense work) ------------------
             with ctx.region("lsq"):
                 ctx.host.charge_small_dense("lstsq_hessenberg", t)
                 z, estimate = hessenberg_lstsq(hessenberg.recover(t), beta)
             self.history.record_estimate(offset + j, estimate)
-            if estimate <= self.target:
+            if estimate <= self.target or invariant.size:
                 break
         # --- solution update: z from the last block's least squares -----
         yield _Update(V, self.st.x, z)

@@ -9,12 +9,21 @@ setup phase move vector elements the same way (Fig. 4 Setup):
 * every device receives exactly the elements it asked for
   (<= 1 h2d message per device).
 
+The paper's Fig. 4 then waits for the halo before any local work.  Here
+the exchange only *ships* it: :meth:`StagedExchange.exchange` returns each
+device's halo with its scheduled arrival on the bus, and the consumers
+(:class:`~repro.dist.matrix.DistributedMatrix` and
+:class:`~repro.mpk.MatrixPowersKernel`) launch the rows that do not read
+the halo while it is in flight, then wait for it and compute the rest.
+
 :class:`StagedExchange` precomputes the index sets once (on the CPU, before
 the iteration starts — as the paper does) and replays the exchange for any
 source vector.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,11 +32,28 @@ from ..gpu.context import MultiGpuContext
 from ..gpu.device import DeviceArray
 from ..order.partition import Partition
 
-__all__ = ["MAX_TRANSFER_RETRIES", "StagedExchange"]
+__all__ = ["MAX_TRANSFER_RETRIES", "StagedExchange", "in_flight"]
 
 #: How many times one corrupted transfer is re-issued before
 #: :class:`TransferCorruption` escalates to the solver.
 MAX_TRANSFER_RETRIES = 2
+
+
+@contextmanager
+def in_flight(devices, arrivals: list[float | None]):
+    """Run the consumers' work while the halos are on the bus.
+
+    Should that work raise, every device first waits for its halo
+    (``arrivals[d]``, ``None`` for none), so the messages it was sent land
+    inside the caller's region all the same.
+    """
+    try:
+        yield
+    except BaseException:
+        for dev, arrival in zip(devices, arrivals):
+            if arrival is not None:
+                dev.wait_until(arrival)
+        raise
 
 
 class StagedExchange:
@@ -122,17 +148,21 @@ class StagedExchange:
 
     def exchange(
         self, ctx: MultiGpuContext, x_parts: list[DeviceArray]
-    ) -> list[np.ndarray]:
-        """Run one exchange of the current values of ``x_parts``.
+    ) -> tuple[list[np.ndarray], list[float | None]]:
+        """Ship one exchange of the current values of ``x_parts``.
 
         ``x_parts[d]`` is device ``d``'s part: a vector, or a ``(rows, k)``
         panel whose ``k`` columns (the right-hand sides of a batch) travel
-        together.  Returns ``received[d]``: the values of ``recv_global[d]``
-        (one row per element) now resident on device ``d`` (already
-        transferred; the caller places them).  Issues at most one d2h and
-        one h2d message per device whatever ``k`` is — plus up to
-        :data:`MAX_TRANSFER_RETRIES` re-issues per transfer when the
-        context detects corrupted payloads.
+        together.  Returns ``(received, arrivals)``: ``received[d]`` holds
+        the values of ``recv_global[d]`` (one row per element) on device
+        ``d``, and ``arrivals[d]`` is the simulated time they land there
+        (``None`` when device ``d`` receives nothing).  The devices do not
+        wait for their halo here: each one may launch work that does not
+        read it, and must ``wait_until(arrivals[d])`` before it does.  The
+        callers run that work under :func:`in_flight`.
+        Issues at most one d2h and one h2d message per device whatever
+        ``k`` is — plus up to :data:`MAX_TRANSFER_RETRIES` re-issues per
+        transfer when the context detects corrupted payloads.
         """
         if len(x_parts) != self.partition.n_parts:
             raise ValueError("x_parts must have one entry per device")
@@ -161,14 +191,18 @@ class StagedExchange:
             for row, values in zip(np.atleast_2d(stage), np.atleast_2d(arrived)):
                 row[mask] = values
         received: list[np.ndarray] = []
-        for d, dev in enumerate(ctx.devices):
-            pos = self._stage_pos[d]
-            if pos.size == 0:
-                received.append(np.empty((0, *columns), dtype=np.float64))
-                continue
-            arrived = self._retried(
-                ctx, lambda: ctx.h2d(dev, np.take(stage, pos, axis=-1)),
-                f"scatter h2d {dev.name}",
-            )
-            received.append(arrived.data.T)
-        return received
+        arrivals: list[float | None] = []
+        with in_flight(ctx.devices, arrivals):
+            for d, dev in enumerate(ctx.devices):
+                pos = self._stage_pos[d]
+                if pos.size == 0:
+                    received.append(np.empty((0, *columns), dtype=np.float64))
+                    arrivals.append(None)
+                    continue
+                arrived, end = self._retried(
+                    ctx, lambda: ctx.h2d_async(dev, np.take(stage, pos, axis=-1)),
+                    f"scatter h2d {dev.name}",
+                )
+                received.append(arrived.data.T)
+                arrivals.append(end)
+        return received, arrivals

@@ -254,21 +254,36 @@ def spmv_ell(
     x: DeviceArray,
     out: DeviceArray,
     variant: str = "ellpack",
+    start: int = 0,
+    stop: int | None = None,
+    order: DeviceArray | None = None,
 ) -> None:
-    """ELLPACK SpMV ``out = A @ x`` on the device.
+    """ELLPACK SpMV ``out = A @ x`` on the device, over rows ``[start, stop)``.
 
     ``values``/``col_idx`` are the padded (n_rows, width) ELLPACK arrays,
     whose column indices address the extended vector ``x``.  Padded slots
     cost time too (they are streamed on a real GPU) and are summed like
-    stored entries (:func:`~repro.sparse.ellpack.ell_matvec`).
+    stored entries (:func:`~repro.sparse.ellpack.ell_matvec`).  ``stop``
+    defaults to ``n_rows``.  When the rows are stored permuted, ``order[r]``
+    is the output entry of stored row ``r``, and the launch scatters its
+    rows there.  A poison armed on the launch lands in the rows it wrote.
     """
     dev = _device_of(values, col_idx, x, out)
     n_rows, width = values.data.shape
     if out.data.shape != (n_rows,):
         raise ValueError(f"out must have shape ({n_rows},), got {out.data.shape}")
-    dev.charge_kernel("spmv", variant, nnz=n_rows * width, n_rows=n_rows)
-    ell_matvec(values.data, col_idx.data, x.data, out.data, x.data.size)
-    dev.apply_pending_faults(out)
+    stop = n_rows if stop is None else stop
+    if not 0 <= start <= stop <= n_rows:
+        raise ValueError(f"row range [{start}, {stop}) out of range for {n_rows} rows")
+    rows = stop - start
+    dev.charge_kernel("spmv", variant, nnz=rows * width, n_rows=rows)
+    target = out.data[start:stop] if order is None else np.empty(rows)
+    ell_matvec(
+        values.data[start:stop], col_idx.data[start:stop], x.data, target, x.data.size
+    )
+    dev.apply_pending_faults(target)
+    if order is not None:
+        out.data[order.data[start:stop]] = target
 
 
 def spmv_step(
@@ -283,50 +298,60 @@ def spmv_step(
     re: float | None = None,
     im2: float | None = None,
     variant: str = "ellpack",
+    start: int = 0,
+    order: DeviceArray | None = None,
 ) -> None:
-    """One matrix powers step in one launch (MPK's step kernel).
+    """One matrix powers step, or one row range of it, in one launch.
 
-    Over the leading ``n_active_rows`` rows of the level-ordered extended
+    Over the rows ``[start, n_active_rows)`` of the level-ordered extended
     local matrix (CSR, column indices addressing the extended vector):
 
     * ``z_next = A z_cur`` — only the touched nonzeros are costed;
-    * the Newton shift on the same prefix: ``z_next -= re * z_cur`` when
+    * the Newton shift on the same rows: ``z_next -= re * z_cur`` when
       ``re`` is given, then ``z_next += im2 * z_prev`` when ``im2`` is
       (the second step of a complex pair);
-    * ``stores[c][:] = z_next[:len(stores[c]), c]`` — the own rows into
-      the basis column of each right-hand side.
+    * the store of the own rows among them (the extended vector's leading
+      ``len(stores[c])`` rows) into the basis column ``stores[c]`` of each
+      right-hand side: own row ``r`` goes to ``stores[c][order[r]]``, or to
+      ``stores[c][r]`` without an ``order``.
 
     ``z_*`` are column-major ``(rows, k)`` panels, one column per
     right-hand side of a batch: the step reads the matrix once for all
     ``k`` columns (the ``k`` of its charge), while the compiled kernel
     still runs column by column, so every column is bit-identical to a
-    step of its own.  A poison armed on the launch lands in the computed
-    prefix of ``z_next``, before the store.
+    step of its own, and every row to a launch over any other range.  A
+    poison armed on the launch lands in the rows of ``z_next`` it
+    computed, before the store.
     """
     dev = _device_of(indptr, indices, data, z_prev, z_cur, z_next, *stores)
     ptr = indptr.data
-    if not 0 <= n_active_rows < ptr.size:
-        raise ValueError(f"n_active_rows out of range: {n_active_rows}")
+    if not 0 <= start <= n_active_rows < ptr.size:
+        raise ValueError(f"row range out of range: [{start}, {n_active_rows})")
     if len(stores) != z_next.data.shape[1]:
         raise ValueError("need one store per column")
-    end = int(ptr[n_active_rows])
     xs, outs = z_cur.data, z_next.data
     k = xs.shape[1]
     terms = (re is not None) + (im2 is not None)
+    n_own = stores[0].data.shape[0] if stores else 0
+    own_stop = max(start, min(n_active_rows, n_own))
     dev.charge_kernel(
-        "spmv_step", variant, nnz=end, n_rows=n_active_rows, k=k, terms=terms,
-        stored=sum(store.data.size for store in stores),
+        "spmv_step", variant, nnz=int(ptr[n_active_rows] - ptr[start]),
+        n_rows=n_active_rows - start, k=k, terms=terms,
+        stored=(own_stop - start) * k,
     )
+    rows = slice(start, n_active_rows)
     for c in range(k):
         csr_matvec(
-            ptr, indices.data, data.data, xs[:, c], outs[:, c], n_active_rows,
-            xs.shape[0],
+            ptr[start:], indices.data, data.data, xs[:, c], outs[rows, c],
+            n_active_rows - start, xs.shape[0],
         )
-    cur, nxt = xs[:n_active_rows], outs[:n_active_rows]
+    cur, nxt = xs[rows], outs[rows]
     if re is not None:
         nxt -= re * cur
     if im2 is not None:
-        nxt += im2 * z_prev.data[:n_active_rows]
+        nxt += im2 * z_prev.data[rows]
     dev.apply_pending_faults(nxt)
+    own = slice(start, own_stop)
+    targets = own if order is None else order.data[own]
     for c, store in enumerate(stores):
-        store.data[:] = outs[: store.data.shape[0], c]
+        store.data[targets] = outs[own, c]

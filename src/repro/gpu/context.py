@@ -234,6 +234,19 @@ class MultiGpuContext:
         :class:`TransferCorruption` raised — the source array is
         untouched, so the caller may simply retry.
         """
+        arrived, end = self.h2d_async(device, array)
+        device.wait_until(end)
+        return arrived
+
+    def h2d_async(self, device: Device, array: np.ndarray) -> tuple[DeviceArray, float]:
+        """:meth:`h2d` without the device's wait: returns the copy and its
+        scheduled arrival time.
+
+        The device keeps launching work until it calls
+        ``device.wait_until(arrival)``, and must not read the copy before.
+        A corrupted arrival is seen by the device when it lands, so the
+        device waits for it before :class:`TransferCorruption` is raised.
+        """
         array = np.asarray(array)
         self._require_active(device)
         if self.faults.active:
@@ -242,11 +255,11 @@ class MultiGpuContext:
         # Host side first; each hop's arrival is the next hop's ready time.
         for hop in reversed(self._routes[device]):
             end = hop.schedule(end, array.nbytes, kind="h2d", peer=device.name)
-        device.wait_until(end)
         arrived = DeviceArray(array.copy(), device)
         if self.faults.active:
             self.faults.apply_pending_corrupt(arrived.data)
         if not np.all(np.isfinite(arrived.data)):
+            device.wait_until(end)
             self.faults.note_detection(
                 "h2d payload", time=end, site=device.name,
                 nbytes=int(array.nbytes),
@@ -254,7 +267,7 @@ class MultiGpuContext:
             raise TransferCorruption(
                 f"non-finite h2d payload arrived on {device.name}"
             )
-        return arrived
+        return arrived, end
 
     def d2h(self, darr: DeviceArray, ready_at: float | None = None) -> np.ndarray:
         """Copy a device array to the host (one message per route hop).

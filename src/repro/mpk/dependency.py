@@ -20,6 +20,12 @@ The extended row set is stored *level-ordered* — own rows first, then
 δ^(d,s), δ^(d,s-1), …, δ^(d,1) — so the rows the kernel must compute at
 step ``k`` form a prefix, and each MPK step is a single SpMV over a
 shrinking row prefix.
+
+:func:`halo_levels` gives every row its *halo distance*: its distance, in
+the symmetrized pattern of ``A``, to the nearest row its device does not
+own.  At MPK step ``k`` the own rows with a distance above ``k`` read no
+halo value, so a device can compute them while its halo is still on the
+bus.
 """
 
 from __future__ import annotations
@@ -28,10 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scipy.sparse._sparsetools import csr_row_index, csr_tocsc
+
 from ..order.partition import Partition
 from ..sparse.csr import CsrMatrix
 
-__all__ = ["MpkDependency", "compute_dependencies"]
+__all__ = ["MpkDependency", "compute_dependencies", "halo_levels"]
 
 
 @dataclass(frozen=True)
@@ -112,9 +120,11 @@ def compute_dependencies(
         frontier = owned
         deltas = []
         for _ in range(s):
-            neighbors = _row_neighbors(matrix, frontier)
-            fresh = neighbors[~in_set[neighbors]]
-            fresh = np.unique(fresh)
+            # The new neighbours, sorted: marked in a mask, then listed.
+            mark = np.zeros(n, dtype=bool)
+            mark[_neighbors(matrix.indptr, matrix.indices, frontier)] = True
+            mark &= ~in_set
+            fresh = np.flatnonzero(mark)
             in_set[fresh] = True
             deltas.append(fresh)
             frontier = fresh
@@ -130,14 +140,61 @@ def compute_dependencies(
     return deps
 
 
-def _row_neighbors(matrix: CsrMatrix, rows: np.ndarray) -> np.ndarray:
-    """Column indices appearing in the given rows (with duplicates)."""
-    if rows.size == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = matrix.indptr[rows]
-    counts = matrix.indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return matrix.indices[np.repeat(starts, counts) + offsets]
+def halo_levels(matrix: CsrMatrix, partition: Partition, cap: int) -> np.ndarray:
+    """Halo distance of every row, capped at ``cap``.
+
+    ``levels[i]`` is the distance, in the symmetrized pattern of ``A``
+    (``i ~ j`` iff ``a_ij`` or ``a_ji`` is stored), from row ``i`` to the
+    nearest row not owned by ``i``'s part, or ``cap`` if that is ``cap``
+    or more.  So the own row ``i`` is halo-independent at MPK step ``k``
+    (its ``k``-hop neighbourhood holds only own rows) iff
+    ``levels[i] > k``.  Symmetry makes the levels of two neighbours differ
+    by at most one; :class:`~repro.mpk.MatrixPowersKernel` relies on that.
+
+    One multi-source breadth-first search from the rows at distance 1
+    serves every part at once: a path that leaves its part crosses a cut
+    edge, whose end in the part is such a row.  It expands each row once,
+    with vectorized passes and scipy's compiled transpose and row gather.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    n = matrix.n_rows
+    indptr, indices = matrix.indptr, matrix.indices
+    owner = partition.assignment
+    t_indptr = np.empty(n + 1, dtype=np.int64)
+    t_indices = np.empty(indices.size, dtype=np.int64)
+    csr_tocsc(
+        n, n, indptr, indices, np.zeros(indices.size, dtype=np.int8),
+        t_indptr, t_indices, np.empty(indices.size, dtype=np.int8),
+    )
+    levels = np.full(n, cap, dtype=np.int64)
+    # The rows at distance 1: both ends of every cut entry a_ij.
+    cut = np.repeat(owner, np.diff(indptr)) != owner[indices]
+    cuts_before = np.concatenate([[0], np.cumsum(cut)])
+    fresh = cuts_before[indptr[1:]] != cuts_before[indptr[:-1]]
+    fresh[indices[cut]] = True
+    frontier = np.flatnonzero(fresh)
+    level = 1
+    while frontier.size and level < cap:
+        levels[frontier] = level
+        fresh = np.zeros(n, dtype=bool)
+        fresh[_neighbors(indptr, indices, frontier)] = True
+        fresh[_neighbors(t_indptr, t_indices, frontier)] = True
+        fresh &= levels == cap
+        frontier = np.flatnonzero(fresh)
+        level += 1
+    return levels
+
+
+def _neighbors(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``indices`` of the given rows of a CSR pattern (with duplicates),
+    gathered by scipy's compiled row extraction."""
+    counts = indptr[rows + 1] - indptr[rows]
+    out = np.empty(int(counts.sum()), dtype=np.int64)
+    if out.size:
+        # The kernel also gathers values; a zero int8 stand-in costs least.
+        csr_row_index(
+            rows.size, rows, indptr, indices, np.zeros(indices.size, dtype=np.int8),
+            out, np.empty(out.size, dtype=np.int8),
+        )
+    return out

@@ -212,9 +212,11 @@ class StructuralPlan:
 
     def release_batch(self) -> None:
         """Free what a finished batch added to the plan: the bases of slots
-        1 and up and the extra columns of the MPK ping-pong buffers, so the
-        plan holds its single-request memory again."""
+        1 and up and the extra columns of the SpMV expand buffers and the
+        MPK ping-pong buffers, so the plan holds its single-request memory
+        again."""
         del self._bases[1:]
+        self.dmat.release_batch()
         for mpk in self.mpk.values():
             mpk.release_batch()
 

@@ -10,13 +10,14 @@ CSR and ELLPACK matrices, the distributed SpMV and the matrix powers kernel's
 step on the simulated devices -- runs through :func:`csr_matvec`, one call
 into scipy's compiled CSR kernel.  It sums each row's products in storage
 order, so all of them round identically.  The structural operations are
-vectorized NumPy.
+vectorized NumPy, and row extraction is scipy's compiled row gather.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec as _compiled_csr_matvec
+from scipy.sparse._sparsetools import csr_row_index as _compiled_csr_row_index
 
 from .._validation import as_float64_array, as_index_array
 
@@ -205,20 +206,18 @@ class CsrMatrix:
         row_ids = as_index_array(row_ids, "row_ids")
         if row_ids.size and row_ids.max() >= self.n_rows:
             raise ValueError("row index out of range")
-        counts = np.diff(self.indptr)[row_ids]
+        counts = self.indptr[row_ids + 1] - self.indptr[row_ids]
         new_indptr = np.zeros(row_ids.size + 1, dtype=np.int64)
         np.cumsum(counts, out=new_indptr[1:])
         total = int(new_indptr[-1])
         new_indices = np.empty(total, dtype=np.int64)
         new_data = np.empty(total, dtype=np.float64)
-        # Gather each selected row's slice.  Build a single index vector:
-        # for row r with slice [a, b), we need positions a..b-1.
-        starts = self.indptr[row_ids]
         if total:
-            offsets = np.arange(total) - np.repeat(new_indptr[:-1], counts)
-            src = np.repeat(starts, counts) + offsets
-            new_indices[:] = self.indices[src]
-            new_data[:] = self.data[src]
+            # scipy's compiled kernel copies each selected row's slice.
+            _compiled_csr_row_index(
+                row_ids.size, row_ids, self.indptr, self.indices, self.data,
+                new_indices, new_data,
+            )
         return CsrMatrix((row_ids.size, self.n_cols), new_indptr, new_indices, new_data)
 
     def transpose(self) -> "CsrMatrix":

@@ -10,6 +10,7 @@ from repro.matrices import cant, convection_diffusion2d, poisson2d
 from repro.mpk.shifts import ShiftOp
 from repro.orth.errors import CholeskyBreakdown
 from repro.serve import SolverSession
+from repro.sparse.csr import csr_from_dense
 
 
 def residual(A, b, x):
@@ -149,6 +150,23 @@ class TestBreakdownHandling:
                 A, b, s=25, m=25, basis="monomial", tsqr_method="cholqr",
                 tol=1e-8, max_restarts=5, on_breakdown="raise",
             )
+
+    @pytest.mark.parametrize("tsqr_method", ["cholqr", "caqr", "svqr"])
+    def test_lucky_breakdown_converges(self, tsqr_method):
+        """b = e_0 + e_1 spans a two-dimensional invariant Krylov space of
+        diag(1..64), so a block's R gets an exactly zero diagonal: the
+        cycle ends at that column and solves the least-squares problem on
+        the prefix, as GMRES does, instead of dividing by it."""
+        A = csr_from_dense(np.diag(np.arange(1.0, 65.0)))
+        b = np.zeros(64)
+        b[:2] = 1.0
+        tol = 1e-8
+        r = ca_gmres(
+            A, b, n_gpus=1, s=4, m=8, basis="monomial", balance=False,
+            tsqr_method=tsqr_method, tol=tol,
+        )
+        assert r.converged
+        assert residual(A, b, r.x) <= tol
 
     def test_reorth_improves_cgs_stability(self):
         """The paper's '2x CGS': reorthogonalization keeps CGS usable."""

@@ -30,7 +30,7 @@ class TestStagedExchange:
         ]
         ex = StagedExchange(part, recv)
         v = rng.standard_normal(n)
-        received = ex.exchange(ctx, dist_parts(ctx, part, v))
+        received, _ = ex.exchange(ctx, dist_parts(ctx, part, v))
         for d in range(3):
             np.testing.assert_array_equal(received[d], v[recv[d]])
 
@@ -46,12 +46,25 @@ class TestStagedExchange:
         assert ctx.counters.d2h_messages == 2
         assert ctx.counters.h2d_messages == 3
 
+    def test_arrivals_are_the_h2d_ends_and_nobody_waits(self, rng):
+        # The exchange ships each halo and returns when it lands; the
+        # receiving device's clock does not move to that arrival.
+        ctx = MultiGpuContext(3)
+        part = block_row_partition(12, 3)
+        ex = StagedExchange(part, [np.array([4, 8]), np.array([0, 11]), np.array([3, 5])])
+        ctx.reset_clocks()
+        _, arrivals = ex.exchange(ctx, dist_parts(ctx, part, rng.standard_normal(12)))
+        h2d = {e.args["peer"]: e for e in ctx.trace.events if e.kind == "h2d"}
+        for dev, arrival in zip(ctx.devices, arrivals):
+            assert arrival == h2d[dev.name].start + h2d[dev.name].duration
+            assert dev.clock < arrival
+
     def test_empty_requests_no_messages(self):
         ctx = MultiGpuContext(2)
         part = block_row_partition(4, 2)
         ex = StagedExchange(part, [np.empty(0, np.int64), np.empty(0, np.int64)])
         ctx.reset_clocks()
-        received = ex.exchange(ctx, dist_parts(ctx, part, np.zeros(4)))
+        received, _ = ex.exchange(ctx, dist_parts(ctx, part, np.zeros(4)))
         assert ctx.counters.total_messages == 0
         assert all(r.size == 0 for r in received)
 
@@ -88,7 +101,7 @@ class TestStagedExchange:
         ex = StagedExchange(part, [np.array([4]), np.array([1])])
         for _ in range(3):
             v = rng.standard_normal(6)
-            rec = ex.exchange(ctx, dist_parts(ctx, part, v))
+            rec, _ = ex.exchange(ctx, dist_parts(ctx, part, v))
             assert rec[0][0] == v[4]
             assert rec[1][0] == v[1]
 
@@ -102,7 +115,7 @@ class TestStagedExchange:
         part = block_row_partition(6, 2)
         ex = StagedExchange(part, [np.array([4]), np.array([1])])
         v = rng.standard_normal(6)
-        rec = ex.exchange(ctx, dist_parts(ctx, part, v))
+        rec, _ = ex.exchange(ctx, dist_parts(ctx, part, v))
         assert rec[0][0] == v[4]
         assert rec[1][0] == v[1]
         [recovery] = ctx.faults.report()["recovered"]
@@ -164,10 +177,10 @@ class TestStagedExchange:
         v1 = rng.standard_normal(n)
         v2 = rng.standard_normal(n)
         ex.exchange(ctx, dist_parts(ctx, part, v1))  # dirties the buffer
-        got = ex.exchange(ctx, dist_parts(ctx, part, v2))
+        got, _ = ex.exchange(ctx, dist_parts(ctx, part, v2))
         assert ex._stage is stage  # no per-call reallocation
         fresh = StagedExchange(part, recv)
-        ref = fresh.exchange(MultiGpuContext(3), dist_parts(ctx, part, v2))
+        ref, _ = fresh.exchange(MultiGpuContext(3), dist_parts(ctx, part, v2))
         for a, b in zip(got, ref):
             np.testing.assert_array_equal(a, b)
 
@@ -182,13 +195,13 @@ class TestPanelExchange:
         recv = [np.array([4, 8]), np.array([0, 11]), np.array([3, 5])]
         panel = rng.standard_normal((n, k))
         ctx = MultiGpuContext(3)
-        received = StagedExchange(part, recv).exchange(ctx, dist_parts(ctx, part, panel))
+        received, _ = StagedExchange(part, recv).exchange(ctx, dist_parts(ctx, part, panel))
         counters = ctx.counters
         assert (counters.d2h_messages, counters.h2d_messages) == (3, 3)
         assert counters.h2d_bytes == 8 * k * sum(r.size for r in recv)
         for c in range(k):
             one = MultiGpuContext(3)
-            want = StagedExchange(part, recv).exchange(
+            want, _ = StagedExchange(part, recv).exchange(
                 one, dist_parts(one, part, panel[:, c].copy())
             )
             for got, ref in zip(received, want):
@@ -199,6 +212,7 @@ class TestPanelExchange:
         part = block_row_partition(6, 2)
         ex = StagedExchange(part, [np.array([3]), np.array([], dtype=np.int64)])
         ctx = MultiGpuContext(2)
-        received = ex.exchange(ctx, dist_parts(ctx, part, np.ones((6, 3))))
+        received, arrivals = ex.exchange(ctx, dist_parts(ctx, part, np.ones((6, 3))))
         assert received[1].shape == (0, 3)
+        assert arrivals[1] is None
         np.testing.assert_array_equal(received[0], np.ones((1, 3)))

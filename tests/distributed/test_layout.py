@@ -89,13 +89,19 @@ class TestSpmvWritesInPlace:
         monkeypatch.setattr(csr_module, "_compiled_csr_matvec", spy)
         dmat.spmv(V, 1, V, 2)
 
-        # The compiled kernel received each device's column itself: one
-        # contiguous buffer at the column's address, no staging copy.
-        assert len(seen) == ctx.n_gpus
-        for out, target, address in zip(seen, targets, addresses):
-            assert out.flags.c_contiguous
-            assert out.__array_interface__["data"][0] == address
-            assert np.shares_memory(out, target)
+        # The compiled kernel received contiguous buffers.  A device that
+        # keeps its row order is written in place, at the column's own
+        # address, with no staging copy; one that stores its interior rows
+        # first (so that they can run while the halo is on the bus) scatters
+        # each launch's rows into the column.
+        assert len(seen) >= ctx.n_gpus
+        assert all(out.flags.c_contiguous for out in seen)
+        kept = [d for d in range(ctx.n_gpus) if dmat._order[d] is None]
+        assert kept  # the first part's boundary rows are its last rows
+        for d in kept:
+            outs = [out for out in seen if np.shares_memory(out, targets[d])]
+            assert outs[0].__array_interface__["data"][0] == addresses[d]
+            assert sum(out.size for out in outs) == targets[d].size
         for col, address in zip(V.column(2), addresses):
             assert col.data.__array_interface__["data"][0] == address
         np.testing.assert_allclose(

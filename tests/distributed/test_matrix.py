@@ -158,8 +158,9 @@ class TestSpmvCostAccounting:
         A = poisson2d(8)
         part = block_row_partition(A.n_rows, 2)
         # gpu1's launches: the exchange's gather copy, the own-row copy,
-        # the halo copy, then the ELLPACK SpMV.
-        trigger = {"own": 1, "halo": 2}[launch]
+        # the interior rows' SpMV (its halo is still on the bus), the halo
+        # copy, then the SpMV of the boundary rows.
+        trigger = {"own": 1, "halo": 3}[launch]
         plan = FaultPlan.scripted([FaultEvent("gpu1", "poison", trigger=trigger)])
         ctx = MultiGpuContext(2, fault_plan=plan)
         dmat = DistributedMatrix(ctx, A, part)

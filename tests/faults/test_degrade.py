@@ -151,7 +151,7 @@ class TestFaultDuringRebuild:
 
     #: PCIe opportunity index of the rebuild's first h2d after DROPOUT
     #: (calibrated on :func:`make_problem`, 3 GPUs, :func:`solve` defaults).
-    REBUILD_H2D = 66
+    REBUILD_H2D = 54
 
     def corrupted_rebuild(self, n_corrupt):
         events = [DROPOUT] + [

@@ -66,17 +66,17 @@ DROPOUT_0 = FaultEvent("gpu0", "dropout", trigger=90)
 #: name -> zero-argument callable returning a SolveResult.
 CASES = {
     "poison-panel-retry": lambda: ca_gmres(
-        *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=30, position=9)), **CA
+        *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=39, position=9)), **CA
     ),
     # Without MPK the block is four depth-1 MPK calls; the poisoned copy of
     # one call is caught after the later calls ran, and the retry
     # regenerates the whole block.
     "poison-panel-retry-depth1": lambda: ca_gmres(
-        *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=30, position=9)),
+        *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=36, position=9)),
         use_mpk=False, **CA
     ),
     "poison-cycle-redo": lambda: ca_gmres(
-        *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=86, position=9)), **CA
+        *_poisson(), ctx=_scripted(2, FaultEvent("gpu0", "poison", trigger=113, position=9)), **CA
     ),
     "stall-gpu1": lambda: ca_gmres(
         *_poisson(), ctx=_scripted(2, FaultEvent("gpu1", "stall", trigger=20)), **CA

@@ -100,9 +100,9 @@ class TestPoisonRecovery:
             A, b, n_gpus=2, s=4, m=12, basis="monomial", tol=1e-8,
             max_restarts=30,
         )
-        # Trigger 21 is gpu0's halo-placement copy in the MPK call of the
+        # Trigger 30 is gpu0's halo-placement copy in the MPK call of the
         # first cycle's second block, j = 4 (calibrated; checked below).
-        ctx = scripted_ctx(FaultEvent("gpu0", "poison", trigger=21, position=5))
+        ctx = scripted_ctx(FaultEvent("gpu0", "poison", trigger=30, position=5))
         with np.errstate(invalid="ignore", over="ignore"):
             faulty = ca_gmres(
                 A, b, ctx=ctx, s=4, m=12, basis="monomial", tol=1e-8,
@@ -112,10 +112,50 @@ class TestPoisonRecovery:
         (injected,) = faults["injected"]
         kernels = [e for e in ctx.trace.events if e.lane == "gpu0" and e.kind == "kernel"]
         at = next(i for i, e in enumerate(kernels) if e.start == injected["time"])
-        # gather copy, own-row copy, halo copy, then the block's first step
-        assert [e.name for e in kernels[at - 2 : at + 2]] == [
-            "copy/cublas", "copy/cublas", "copy/cublas", "spmv_step/ellpack"
+        # gather copy, own-row copy, the four steps' halo-independent rows
+        # (launched while the halo was on the bus), the halo copy, then the
+        # rest of the block's first step
+        assert [e.name for e in kernels[at - 6 : at + 2]] == [
+            "copy/cublas", "copy/cublas", *["spmv_step/ellpack"] * 4,
+            "copy/cublas", "spmv_step/ellpack",
         ]
+        assert [(r["action"], r["block_start"]) for r in faults["recovered"]] == [
+            ("panel-retry", 4)
+        ]
+        assert faults["counts"]["unrecovered"] == 0
+        assert faulty.converged and faulty.n_iterations == clean.n_iterations
+        assert faulty.history.true_residuals == clean.history.true_residuals
+        np.testing.assert_array_equal(faulty.x, clean.x)
+
+    def test_poisoned_phase1_launch_retried_at_its_block(self):
+        """A poison on a step launch that runs while the halo is on the
+        bus lands in the rows it computed; the block's guards catch it and
+        the panel retry regenerates the block, as for any MPK launch."""
+        A, b = make_problem()
+        clean = ca_gmres(
+            A, b, n_gpus=2, s=4, m=12, basis="monomial", tol=1e-8,
+            max_restarts=30,
+        )
+        # Trigger 26 is gpu0's first step launch in the MPK call of the
+        # first cycle's second block, j = 4 (calibrated; checked below).
+        ctx = scripted_ctx(FaultEvent("gpu0", "poison", trigger=26, position=5))
+        with np.errstate(invalid="ignore", over="ignore"):
+            faulty = ca_gmres(
+                A, b, ctx=ctx, s=4, m=12, basis="monomial", tol=1e-8,
+                max_restarts=30,
+            )
+        faults = faulty.details["faults"]
+        (injected,) = faults["injected"]
+        kernels = [e for e in ctx.trace.events if e.lane == "gpu0" and e.kind == "kernel"]
+        at = next(i for i, e in enumerate(kernels) if e.start == injected["time"])
+        halo = next(e for e in ctx.trace.events
+                    if e.kind == "h2d" and e.args["peer"] == "gpu0" and e.start > kernels[at - 2].start)
+        # gather copy, own-row copy, then the poisoned launch, before the
+        # halo lands
+        assert [e.name for e in kernels[at - 2 : at + 1]] == [
+            "copy/cublas", "copy/cublas", "spmv_step/ellpack"
+        ]
+        assert kernels[at].start < halo.start + halo.duration
         assert [(r["action"], r["block_start"]) for r in faults["recovered"]] == [
             ("panel-retry", 4)
         ]
@@ -126,11 +166,11 @@ class TestPoisonRecovery:
 
     def test_late_poison_escalates_to_cycle_redo(self):
         A, b = make_problem()
-        # Trigger 86 poisons a kernel after the panel loop (calibrated: the
+        # Trigger 113 poisons a kernel after the panel loop (calibrated: the
         # halo-placement copy of cycle 3's residual SpMV, which delivers it
         # into the halo it placed): the panel-retry layer cannot catch it,
         # the cycle checkpoint does.
-        ctx = scripted_ctx(FaultEvent("gpu0", "poison", trigger=86, position=9))
+        ctx = scripted_ctx(FaultEvent("gpu0", "poison", trigger=113, position=9))
         with np.errstate(invalid="ignore", over="ignore"):
             result = ca_gmres(
                 A, b, ctx=ctx, s=4, m=12, basis="monomial", tol=1e-8,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dist.exchange import StagedExchange
 from repro.dist.matrix import DistributedMatrix
 from repro.dist.multivector import DistMultiVector
 from repro.faults import FaultEvent, FaultPlan
@@ -14,6 +15,7 @@ from repro.mpk.matrix_powers import MatrixPowersKernel
 from repro.mpk.shifts import ShiftOp
 from repro.order import kway_partition
 from repro.order.partition import block_row_partition
+from repro.sparse.coo import CooMatrix
 from repro.sparse.csr import csr_matvec
 
 
@@ -340,10 +342,15 @@ class TestFusedBatch:
         receivers = sum(1 for b in mpk.boundary_sizes() if b)
         assert counters.d2h_messages == senders
         assert counters.h2d_messages == receivers
-        for dev in ctx.devices:
+        for d, dev in enumerate(ctx.devices):
             launches = [e for e in ctx.trace.events
                         if e.lane == dev.name and e.name == "spmv_step/ellpack"]
-            assert len(launches) == s
+            # One launch per step over all k columns, plus one per step whose
+            # halo-independent rows ran while the halo was on the bus.
+            depth = mpk.phase1_depths[d]
+            assert 0 < depth <= s
+            assert len(launches) == depth + len(mpk._rest(d, depth))
+            assert s <= len(launches) <= s + depth
         # The gather copies, then one own-row and one halo copy per device.
         assert counters.kernel_counts["copy/cublas"] == senders + n_gpus + receivers
 
@@ -430,11 +437,21 @@ class TestFusedStep:
         _, ctx, mpk, Vs, _ = self.setup(n_gpus, 2, seed=1)
         mpk.run(Vs, self.S, STEP_SHIFTS[kind])
         counts = ctx.counters.kernel_counts
-        assert counts["spmv_step/ellpack"] == self.S * n_gpus
-        for dev in ctx.devices:
+        # Without a halo (one GPU) a step is one launch; with one, a step
+        # is split in two when its halo-independent rows ran early.
+        launches = [
+            mpk.phase1_depths[d] + len(mpk._rest(d, mpk.phase1_depths[d]))
+            if mpk.boundary_sizes()[d] else self.S
+            for d in range(n_gpus)
+        ]
+        assert counts["spmv_step/ellpack"] == sum(launches)
+        for dev, n_launches in zip(ctx.devices, launches):
             steps = [e for e in ctx.trace.events
                      if e.lane == dev.name and e.name == "spmv_step/ellpack"]
-            assert len(steps) == self.S
+            assert len(steps) == n_launches
+            assert self.S <= n_launches <= 2 * self.S
+        if n_gpus > 1:
+            assert sum(launches) > self.S * n_gpus
         # The shifts and stores ride in the step: no BLAS-1 update and no
         # SpMV launch of their own.
         assert "axpy/cublas" not in counts
@@ -453,15 +470,22 @@ class TestFusedStep:
             charged.append(total)
         assert mpk.step_seconds() == charged
 
-    @pytest.mark.parametrize("launch", ["own", "halo", "step"])
+    @pytest.mark.parametrize("launch", ["own", "step", "halo", "rest"])
     def test_poison_lands_in_the_launch_output(self, launch, monkeypatch):
         """A poison armed on an MPK launch is delivered by that launch, into
         the slice it wrote, and the block turns non-finite."""
         A = poisson2d(8)
         part = block_row_partition(A.n_rows, 2)
         # gpu1's launches: the gather copy of its boundary, the own-row
-        # copy, the halo copy, then the steps.
-        trigger = {"own": 1, "halo": 2, "step": 3}[launch]
+        # copy, the halo-independent rows of the first ``depth`` steps
+        # (while its halo is on the bus), the halo copy, then the rest.
+        clean = MatrixPowersKernel(MultiGpuContext(2), A, part, self.S)
+        V = DistMultiVector(clean.ctx, part, self.S + 1)
+        V.set_column_from_host(0, np.ones(A.n_rows))
+        clean.run(V, 0)
+        depth = clean.phase1_depths[1]
+        assert depth >= 1
+        trigger = {"own": 1, "step": 2, "halo": 2 + depth, "rest": 3 + depth}[launch]
         plan = FaultPlan.scripted([FaultEvent("gpu1", "poison", trigger=trigger)])
         ctx = MultiGpuContext(2, fault_plan=plan)
         mpk = MatrixPowersKernel(ctx, A, part, self.S)
@@ -482,11 +506,120 @@ class TestFusedStep:
         monkeypatch.setattr(type(ctx.devices[1]), "apply_pending_faults", spy)
         with np.errstate(invalid="ignore", over="ignore"):
             mpk.run(V, 0)
-        dep = mpk.deps[1]
+        dep, ready = mpk.deps[1], mpk._ready[1]
         want = {
             "own": ("copy/cublas", dep.n_owned),
+            "step": ("spmv_step/ellpack", ready[0]),
             "halo": ("copy/cublas", mpk.boundary_sizes()[1]),
-            "step": ("spmv_step/ellpack", dep.active_rows(1)),
+            "rest": ("spmv_step/ellpack", dep.active_rows(1) - ready[0]),
         }[launch]
         assert deliveries == [("gpu1", *want)]
         assert not np.all(np.isfinite(V.local[1].data[:, 1:]))
+
+
+def _directed_band(n=150):
+    """A nonsymmetric pattern with long paths: a_{i,i}, a_{i,i+1}, a_{i,i-3}."""
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        for j, v in ((i, 2.0), (i + 1, -0.7), (i - 3, 0.4)):
+            if 0 <= j < n:
+                rows.append(i)
+                cols.append(j)
+                vals.append(v)
+    return CooMatrix((n, n), np.array(rows), np.array(cols), np.array(vals)).to_csr()
+
+
+class TestOverlap:
+    """Each device launches the rows that do not read its halo while the
+    halo is on the bus, then waits for it and computes the rest."""
+
+    @pytest.mark.parametrize("case", ["g3-kway", "cant-block"])
+    def test_first_step_launch_starts_before_the_halo_lands(self, case):
+        if case == "g3-kway":
+            A = g3_circuit(nx=24)
+            part = kway_partition(A, 3)
+        else:
+            A = cant(nx=12, ny=4, nz=4)
+            part = block_row_partition(A.n_rows, 3)
+        ctx = MultiGpuContext(3)
+        mpk = MatrixPowersKernel(ctx, A, part, 6)
+        V = DistMultiVector(ctx, part, 7)
+        V.set_column_from_host(0, np.ones(A.n_rows))
+        ctx.reset_clocks()
+        mpk.run(V, 0)
+        for d, dev in enumerate(ctx.devices):
+            [h2d] = [e for e in ctx.trace.events
+                     if e.kind == "h2d" and e.args["peer"] == dev.name]
+            first = next(e for e in ctx.trace.events
+                         if e.lane == dev.name and e.name == "spmv_step/ellpack")
+            assert first.start < h2d.start + h2d.duration
+            assert mpk.phase1_depths[d] >= 1
+
+    def test_one_gpu_schedule_equals_the_overlap_off(self, monkeypatch, rng):
+        """Without a halo nothing moves: MPK makes the same launches at the
+        same times as a run whose device waits for its (empty) halo first,
+        one whole launch per step, and the SpMV one whole launch per vector
+        right after its own-row copy."""
+        A = g3_circuit(nx=12)
+        part = block_row_partition(A.n_rows, 1)
+        v0 = rng.standard_normal(A.n_rows)
+
+        def schedule():
+            ctx = MultiGpuContext(1)
+            mpk = MatrixPowersKernel(ctx, A, part, 4)
+            Vs = [DistMultiVector(ctx, part, 5) for _ in range(2)]
+            for V in Vs:
+                V.set_column_from_host(0, v0)
+            ctx.reset_clocks()
+            mpk.run(Vs, 0, STEP_SHIFTS["complex"])
+            launches = [(e.name, e.start, e.duration) for e in ctx.trace.events
+                        if e.kind == "kernel"]
+            return launches, ctx.current_time(), [V.local[0].data.copy() for V in Vs]
+
+        ctx = MultiGpuContext(1)
+        dmat = DistributedMatrix(ctx, A, part)
+        Vs = [DistMultiVector(ctx, part, 2) for _ in range(2)]
+        ctx.reset_clocks()
+        dmat.spmv(Vs, 0, Vs, 1)
+        assert [e.name for e in ctx.trace.events if e.kind == "kernel"] == [
+            "copy/cublas", "spmv/ellpack"] * 2
+        whole = 2.0 * dmat.local_ell[0][0].data.size
+        assert [e.args["flops"] for e in ctx.trace.events
+                if e.name == "spmv/ellpack"] == [whole, whole]
+
+        overlapped = schedule()
+        exchange = StagedExchange.exchange
+
+        def halo_landed_long_ago(self, ctx, parts):
+            received, arrivals = exchange(self, ctx, parts)
+            return received, [-np.inf if t is None else t for t in arrivals]
+
+        monkeypatch.setattr(StagedExchange, "exchange", halo_landed_long_ago)
+        waited = schedule()
+        assert [name for name, _, _ in overlapped[0]] == [
+            "copy/cublas", *["spmv_step/ellpack"] * 4]
+        assert overlapped[:2] == waited[:2]
+        for a, b in zip(overlapped[2], waited[2]):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(STEP_SHIFTS))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_deep_phase1_on_a_directed_pattern_is_bit_identical(self, kind, k):
+        """Phase 1 runs past the three ping-pong buffers (depth > 3) on a
+        nonsymmetric pattern, and every column still equals the host
+        recurrence bit for bit."""
+        A = _directed_band()
+        part = block_row_partition(A.n_rows, 3)
+        ops = STEP_SHIFTS[kind] * 2
+        ctx = MultiGpuContext(3)
+        mpk = MatrixPowersKernel(ctx, A, part, len(ops))
+        rng = np.random.default_rng(k)
+        Vs = [DistMultiVector(ctx, part, len(ops) + 1) for _ in range(k)]
+        starts = [rng.standard_normal(A.n_rows) for _ in range(k)]
+        for V, v0 in zip(Vs, starts):
+            V.set_column_from_host(0, v0)
+        mpk.run(Vs, 0, ops)
+        assert max(mpk.phase1_depths) > 3
+        for V, v0 in zip(Vs, starts):
+            for step, want in enumerate(TestFusedStep.reference(A, v0, ops), start=1):
+                assert V.gather_column_to_host(step).tobytes() == want.tobytes()
